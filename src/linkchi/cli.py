@@ -19,12 +19,27 @@ def _load_matrix(path: str) -> seifert.SeifertMatrix:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise _CliError(2, "cannot read %s: %s" % (path, exc)) from None
     try:
         return seifert.parse(text)
     except seifert.MatrixFormatError as exc:
         raise _CliError(2, "%s: %s" % (path, exc)) from None
+
+
+def _int_at_least(low: int):
+    """argparse type for integers >= low; anything else is a usage error."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError("expected an integer >= %d, got %r" % (low, text))
+        return value
+
+    return parse
 
 
 class _CliError(Exception):
@@ -38,7 +53,7 @@ def _load_series_file(path: str, degree: int) -> genfun.BiSeries:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             lines = handle.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise _CliError(2, "cannot read %s: %s" % (path, exc)) from None
     terms = {}
     for lineno, line in enumerate(lines, start=1):
@@ -152,25 +167,25 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("chi", help="compute the chi invariant of a matrix")
     p.add_argument("file")
     p.add_argument("--f", default="delta", help="delta|phi|mono:<word>|list:<path>")
-    p.add_argument("--degree", type=int, default=8)
+    p.add_argument("--degree", type=_int_at_least(0), default=8)
     p.add_argument("--json", action="store_true", help="emit coefficient triples")
     p.set_defaults(func=cmd_chi)
 
     p = sub.add_parser("torsion", help="compute the torsion polynomial expansion")
     p.add_argument("file")
-    p.add_argument("--degree", type=int, default=8)
+    p.add_argument("--degree", type=_int_at_least(0), default=8)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_torsion)
 
     p = sub.add_parser("move", help="apply random S-equivalence moves")
     p.add_argument("file")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--count", type=int, default=5)
+    p.add_argument("--count", type=_int_at_least(0), default=5)
     p.set_defaults(func=cmd_move)
 
     p = sub.add_parser("selfcheck", help="run the property suites")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--degree", type=int, default=5)
+    p.add_argument("--degree", type=_int_at_least(1), default=5)
     p.set_defaults(func=cmd_selfcheck)
 
     return parser

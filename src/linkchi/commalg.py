@@ -2,9 +2,10 @@
 
 This is the abelian shadow of the noncommutative kernel: exponent-vector
 monomials with exact rational coefficients, plus the matrix machinery
-(determinant, trace-of-log, LU factorization) used for the torsion
-polynomial.  All entries live in the local ring where any element with
-constant term 1 is invertible, so Gaussian elimination needs no pivoting.
+(determinant, trace-of-log, LU factorization) that the commutative-lemma
+checks exercise and the torsion oracle uses.  All entries live in the
+local ring where any element with constant term 1 is invertible, so
+Gaussian elimination needs no pivoting.
 """
 
 from __future__ import annotations

@@ -68,18 +68,12 @@ def word_runs(word: BiWord) -> tuple[int, list[tuple[int, int]]]:
 class BiSeries:
     """Finite truncated series in the noncommuting letters x and z."""
 
-    __slots__ = ("xtrunc", "terms", "provenance")
+    __slots__ = ("xtrunc", "terms")
 
-    def __init__(
-        self,
-        xtrunc: int,
-        terms: Mapping[BiWord, Fraction] | None = None,
-        provenance: str = "user-list",
-    ):
+    def __init__(self, xtrunc: int, terms: Mapping[BiWord, Fraction] | None = None):
         if xtrunc < 0:
             raise ValueError("xtrunc must be >= 0")
         self.xtrunc = xtrunc
-        self.provenance = provenance
         clean: dict[BiWord, Fraction] = {}
         for word, coeff in (terms or {}).items():
             if set(word) - {"x", "z"}:
@@ -128,21 +122,17 @@ class BiSeries:
         terms = dict(self.terms)
         for w, c in other.terms.items():
             terms[w] = terms.get(w, Fraction(0)) + c
-        return BiSeries(min(self.xtrunc, other.xtrunc), terms, "transformed")
+        return BiSeries(min(self.xtrunc, other.xtrunc), terms)
 
     def __sub__(self, other: "BiSeries") -> "BiSeries":
         return self + (-other)
 
     def __neg__(self) -> "BiSeries":
-        return BiSeries(
-            self.xtrunc, {w: -c for w, c in self.terms.items()}, self.provenance
-        )
+        return BiSeries(self.xtrunc, {w: -c for w, c in self.terms.items()})
 
     def scale(self, scalar) -> "BiSeries":
         scalar = Fraction(scalar)
-        return BiSeries(
-            self.xtrunc, {w: c * scalar for w, c in self.terms.items()}, "transformed"
-        )
+        return BiSeries(self.xtrunc, {w: c * scalar for w, c in self.terms.items()})
 
     def __mul__(self, other):
         if not isinstance(other, BiSeries):
@@ -158,7 +148,7 @@ class BiSeries:
                     continue
                 w = wa + wb
                 terms[w] = terms.get(w, Fraction(0)) + ca * cb
-        return BiSeries(xtrunc, terms, "transformed")
+        return BiSeries(xtrunc, terms)
 
     def __rmul__(self, scalar) -> "BiSeries":
         return self.scale(scalar)
@@ -188,13 +178,13 @@ def delta_series(xtrunc: int) -> BiSeries:
     terms = {
         "xz" * k: Fraction((-1) ** (k + 1), k) for k in range(1, xtrunc + 1)
     }
-    return BiSeries(xtrunc, terms, "builtin-delta")
+    return BiSeries(xtrunc, terms)
 
 
 def phi_series(xtrunc: int) -> BiSeries:
     """(xz + 1)^-1 x up to x-degree xtrunc."""
     terms = {"xz" * k + "x": Fraction((-1) ** k) for k in range(xtrunc)}
-    return BiSeries(xtrunc, terms, "builtin-phi")
+    return BiSeries(xtrunc, terms)
 
 
 def builtin_series(name: str, xtrunc: int) -> BiSeries:
@@ -214,7 +204,7 @@ def from_univariate(coeffs: Iterable, xtrunc: int) -> BiSeries:
         c = Fraction(c)
         if c:
             terms["xz" * k] = c
-    return BiSeries(xtrunc, terms, "from-G")
+    return BiSeries(xtrunc, terms)
 
 
 def _hat_word(word: BiWord, xtrunc: int) -> dict[BiWord, Fraction]:
@@ -260,13 +250,13 @@ def transform(f: BiSeries, kind: str) -> BiSeries:
     """Apply tilde, hat, bar or z_to_one_minus_z to a series."""
     if kind == "tilde":
         terms = {w[::-1]: c for w, c in f.terms.items()}
-        return BiSeries(f.xtrunc, terms, "transformed")
+        return BiSeries(f.xtrunc, terms)
     if kind == "hat":
         terms: dict[BiWord, Fraction] = {}
         for word, coeff in f.terms.items():
             for w, c in _hat_word(word, f.xtrunc).items():
                 terms[w] = terms.get(w, Fraction(0)) + coeff * c
-        return BiSeries(f.xtrunc, terms, "transformed")
+        return BiSeries(f.xtrunc, terms)
     if kind == "bar":
         return transform(transform(f, "hat"), "tilde")
     if kind == "z_to_one_minus_z":
@@ -274,7 +264,7 @@ def transform(f: BiSeries, kind: str) -> BiSeries:
         for word, coeff in f.terms.items():
             for w, c in _one_minus_z_word(word).items():
                 terms[w] = terms.get(w, Fraction(0)) + coeff * c
-        return BiSeries(f.xtrunc, terms, "transformed")
+        return BiSeries(f.xtrunc, terms)
     raise ValueError("unknown transform %r" % kind)
 
 

@@ -27,7 +27,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import commalg, genfun, seifert
-from .commalg import CommMatrix, CommSeries
+from .commalg import CommSeries
 from .genfun import BiSeries, word_runs
 from .ncalg import NCSeries
 from .seifert import BlockStructure, SeifertMatrix
@@ -402,37 +402,44 @@ def half_rank_correction(structure: BlockStructure, degree: int) -> NCSeries:
 def torsion_polynomial(A: SeifertMatrix, degree: int) -> CommSeries:
     """Normalized determinant invariant as a commutative series.
 
-    det((I + X)^(-1/2) (I + X Z)) over commutative series; the constant
-    term is 1 and the series is fixed by every t_i -> 1/t_i.
+    det((I + X)^(-1/2) (I + X Z)); the constant term is 1 and the series is
+    fixed by every t_i -> 1/t_i.  Computed as exp(L - sum_i g_i log(1 + x_i))
+    with L = log det(I + X Z) = sum_{k>=1} (-1)^(k+1)/k tr((X Z)^k), where
+    (X Z)^k = sum_{|e|=k} x^e M_e over the integer matrices M_0 = I and
+    M_e = sum_{i: e_i > 0} P_i Z M_{e - e_i}, P_i keeping the rows of block i.
     """
     seifert.require_valid(A)
     st = A.structure
     n = st.n
-    size = st.total
-    if size == 0:
-        return CommSeries.one(n, degree)
+    m = st.total
     z = seifert.z_matrix(A)
-    one = CommSeries.one(n, degree)
-    zero = CommSeries.zero(n, degree)
-    halves = {}
-    for i in range(1, n + 1):
-        base = one + CommSeries.variable(n, degree, i)
-        halves[i] = commalg.unit_power(base, Fraction(-1, 2))
-    rows = []
-    for r in range(size):
-        comp = st.component_of(r)
-        x_r = CommSeries.variable(n, degree, comp)
-        scale = halves[comp]
-        row = []
-        for c in range(size):
-            entry = zero
-            if z[r][c]:
-                entry = x_r.scale(z[r][c])
-            if r == c:
-                entry = entry + one
-            row.append(scale * entry)
-        rows.append(row)
-    return commalg.det_unit(CommMatrix(rows))
+    blocks = [(i - 1, st.block_range(i)) for i in range(1, n + 1) if st.sizes[i - 1]]
+    terms: dict[commalg.Expo, Fraction] = {}
+    # M_e as a list of rows; a row of a block i with e_i = 0 is None (zero)
+    level = {(0,) * n: [[int(r == c) for c in range(m)] for r in range(m)]}
+    for k in range(1, degree + 1):
+        nxt: dict[commalg.Expo, list] = {}
+        for e, mat in level.items():
+            for i, rows in blocks:
+                out = nxt.setdefault(e[:i] + (e[i] + 1,) + e[i + 1 :], [None] * m)
+                for r in rows:
+                    acc = [0] * m
+                    for v, row in zip(z[r], mat):
+                        if v and row is not None:
+                            acc = [a + v * b for a, b in zip(acc, row)]
+                    out[r] = acc
+        for e, mat in nxt.items():
+            trace = sum(row[r] for r, row in enumerate(mat) if row is not None)
+            if trace:
+                terms[e] = Fraction((-1) ** (k + 1) * trace, k)
+        level = nxt
+    for i, _ in blocks:
+        g = st.genus(i + 1)
+        for d in range(1, degree + 1):
+            # g_i log(1 + x_i) = sum_d g_i (-1)^(d+1)/d x_i^d
+            e = (0,) * i + (d,) + (0,) * (n - i - 1)
+            terms[e] = terms.get(e, Fraction(0)) - Fraction((-1) ** (d + 1) * g, d)
+    return commalg.exp_positive(CommSeries(n, degree, terms))
 
 
 # -- reconstruction through the three-letter reduction ----------------------

@@ -110,9 +110,6 @@ class NCSeries:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def degrees(self) -> set[int]:
-        return {len(w) for w in self.terms}
-
     def truncated(self, trunc: int) -> "NCSeries":
         return NCSeries(self.n, min(self.trunc, trunc), self.terms)
 

@@ -526,6 +526,8 @@ def parse(text: str) -> SeifertMatrix:
         raise MatrixFormatError(
             "line %d column %d: %s" % (exc.lineno, exc.colno, exc.msg)
         ) from None
+    except RecursionError:
+        raise MatrixFormatError("JSON nested too deeply") from None
     if not isinstance(doc, dict):
         raise MatrixFormatError("top level must be an object")
     for field in ("components", "block_sizes", "entries"):
@@ -534,10 +536,10 @@ def parse(text: str) -> SeifertMatrix:
     components = doc["components"]
     sizes = doc["block_sizes"]
     entries = doc["entries"]
-    if not isinstance(components, int):
+    if not isinstance(components, int) or isinstance(components, bool):
         raise MatrixFormatError("components must be an integer")
     if not isinstance(sizes, list) or any(
-        not isinstance(s, int) or s < 0 for s in sizes
+        not isinstance(s, int) or isinstance(s, bool) or s < 0 for s in sizes
     ):
         raise MatrixFormatError("block_sizes must be a list of non-negative integers")
     if len(sizes) != components:

@@ -7,7 +7,8 @@ so they can serve as independent oracles for single-variable values.
 
 from fractions import Fraction
 
-from linkchi import seifert_matrix
+from linkchi import commalg, seifert, seifert_matrix
+from linkchi.commalg import CommMatrix, CommSeries
 
 
 def u_trim(a, t):
@@ -70,6 +71,43 @@ def series_coeffs_1var(s, t):
 def comm_coeffs_1var(s, t):
     assert s.n == 1
     return [s.coefficient((d,)) for d in range(t + 1)]
+
+
+def torsion_by_det(A, degree):
+    """Torsion series as det((I + X)^(-1/2) (I + X Z)) by Gaussian elimination.
+
+    The oracle for ``invariants.torsion_polynomial``: it builds the matrix of
+    commutative series, with the half powers taken by ``unit_power``, and
+    takes its determinant with ``det_unit``.
+    """
+    seifert.require_valid(A)
+    st = A.structure
+    n = st.n
+    size = st.total
+    if size == 0:
+        return CommSeries.one(n, degree)
+    z = seifert.z_matrix(A)
+    one = CommSeries.one(n, degree)
+    zero = CommSeries.zero(n, degree)
+    halves = {}
+    for i in range(1, n + 1):
+        base = one + CommSeries.variable(n, degree, i)
+        halves[i] = commalg.unit_power(base, Fraction(-1, 2))
+    rows = []
+    for r in range(size):
+        comp = st.component_of(r)
+        x_r = CommSeries.variable(n, degree, comp)
+        scale = halves[comp]
+        row = []
+        for c in range(size):
+            entry = zero
+            if z[r][c]:
+                entry = x_r.scale(z[r][c])
+            if r == c:
+                entry = entry + one
+            row.append(scale * entry)
+        rows.append(row)
+    return commalg.det_unit(CommMatrix(rows))
 
 
 def trefoil():

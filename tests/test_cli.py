@@ -74,6 +74,60 @@ def test_missing_file_exits_2(capsys, tmp_path):
     assert "cannot read" in err
 
 
+def test_non_utf8_matrix_file_exits_2(capsys, tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"components": 1, "block_sizes": [2], "entries": "\xff"}')
+    code, _, err = run(capsys, ["validate", str(path)])
+    assert code == 2
+    assert "cannot read" in err
+
+
+def test_deeply_nested_matrix_file_exits_2(capsys, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    code, _, err = run(capsys, ["validate", str(path)])
+    assert code == 2
+    assert "nested too deeply" in err
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"components": True, "block_sizes": [2], "entries": [[-1, 1], [0, -1]]},
+        {"components": 1, "block_sizes": [True], "entries": [[0]]},
+    ],
+)
+def test_boolean_structure_fields_exit_2(capsys, tmp_path, doc):
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run(capsys, ["validate", str(path)])
+    assert code == 2
+    assert "must be" in err
+
+
+def usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    return exc.value.code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["chi", "FILE", "--degree", "-1"],
+        ["torsion", "FILE", "--degree", "-1"],
+        ["torsion", "FILE", "--degree", "two"],
+        ["move", "FILE", "--count", "-2"],
+        ["selfcheck", "--degree", "0"],
+    ],
+)
+def test_out_of_range_arguments_are_usage_errors(capsys, trefoil_file, argv):
+    argv = [trefoil_file if a == "FILE" else a for a in argv]
+    code, err = usage_error(capsys, argv)
+    assert code == 2
+    assert "expected an integer >=" in err
+
+
 # -- chi ----------------------------------------------------------------------
 
 
@@ -132,6 +186,16 @@ def test_chi_bad_f_spec_exits_2(capsys, trefoil_file):
     assert "unknown f spec" in err
 
 
+def test_chi_non_utf8_list_file_exits_2(capsys, tmp_path, trefoil_file):
+    listing = tmp_path / "series.txt"
+    listing.write_bytes(b"1 x.z\n\xff\n")
+    code, _, err = run(
+        capsys, ["chi", trefoil_file, "--f", "list:%s" % listing, "--degree", "2"]
+    )
+    assert code == 2
+    assert "cannot read" in err
+
+
 def test_chi_invalid_matrix_exits_1(capsys, tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(
@@ -157,6 +221,12 @@ def test_torsion_json(capsys, trefoil_file):
     code, out, _ = run(capsys, ["torsion", trefoil_file, "--degree", "3", "--json"])
     assert code == 0
     assert json.loads(out) == [[1, 1, [0]], [1, 1, [2]], [-1, 1, [3]]]
+
+
+def test_torsion_degree_zero(capsys, trefoil_file):
+    code, out, _ = run(capsys, ["torsion", trefoil_file, "--degree", "0"])
+    assert code == 0
+    assert out == "1 * 1\n"
 
 
 # -- move -----------------------------------------------------------------------

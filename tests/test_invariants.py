@@ -9,6 +9,7 @@ from helpers import (
     reflection_example,
     series_coeffs_1var,
     stabilized_unknot,
+    torsion_by_det,
     trefoil,
     u_div,
     u_inv,
@@ -34,6 +35,7 @@ from linkchi.seifert import (
     balanced_patterns,
     direct_sum,
     random_seifert_rng,
+    seifert_matrix,
 )
 
 
@@ -266,6 +268,37 @@ def test_torsion_of_figure_eight():
     # oracle: 3 - t - 1/t at t = 1 + x, i.e. (1 + x - x^2) / (1 + x)
     expected = u_div([1, 1, -1], [1, 1], 3)
     assert comm_coeffs_1var(out, 3) == expected
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("genera, degree", [([3, 3], 6), ([3, 3, 3], 4), ([6], 8)])
+def test_torsion_matches_determinant_oracle(genera, degree, seed):
+    A = random_seifert_rng(random.Random(seed), genera, 2)
+    assert torsion_polynomial(A, degree) == torsion_by_det(A, degree)
+
+
+def test_torsion_with_genus_zero_component_matches_oracle():
+    rng = random.Random(11)
+    for genera in ([2, 0, 1], [0, 2], [1, 0]):
+        A = random_seifert_rng(rng, genera, 2)
+        out = torsion_polynomial(A, 5)
+        assert out.n == len(genera)
+        assert out == torsion_by_det(A, 5)
+
+
+def test_torsion_at_degree_zero_is_one():
+    for A in (trefoil(), reflection_example()):
+        out = torsion_polynomial(A, 0)
+        assert (out.n, out.trunc, out.terms) == (A.n, 0, {(0,) * A.n: 1})
+        assert out == torsion_by_det(A, 0)
+
+
+def test_torsion_of_size_zero_matrix_is_one():
+    for sizes in ([], [0], [0, 0]):
+        A = seifert_matrix(sizes, [])
+        out = torsion_polynomial(A, 4)
+        assert out == commalg.CommSeries.one(len(sizes), 4)
+        assert out == torsion_by_det(A, 4)
 
 
 def test_abelianized_chi_delta_is_log_torsion():
