@@ -10,6 +10,7 @@ from .invariants import (
     torsion_polynomial,
     tr_monomial,
     tr_series,
+    trace_at,
 )
 from .commalg import CommMatrix, CommSeries
 from .genfun import BiSeries, delta_series, phi_series
@@ -36,6 +37,7 @@ __all__ = [
     "torsion_polynomial",
     "tr_monomial",
     "tr_series",
+    "trace_at",
     "validate",
 ]
 

@@ -42,6 +42,13 @@ def _int_at_least(low: int):
     return parse
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one stderr line, ``prog: error: message``, exit 2."""
+
+    def error(self, message):
+        self.exit(2, "%s: error: %s\n" % (self.prog, message))
+
+
 class _CliError(Exception):
     def __init__(self, code: int, message: str):
         super().__init__(message)
@@ -154,7 +161,7 @@ def cmd_selfcheck(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="linkchi",
         description="Exact trace invariants of boundary-link Seifert matrices.",
     )

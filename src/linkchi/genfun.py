@@ -14,9 +14,12 @@ x -> -x(1+x)^-1 (hat), their composite (bar), and z -> 1 - z.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from itertools import groupby
 from typing import Iterable, Mapping
+
+from .series import Series
 
 BiWord = str  # a word over the alphabet "xz", e.g. "xzzx"
 TriWord = str  # a word over "xyz", used by the monomial reduction
@@ -65,105 +68,40 @@ def word_runs(word: BiWord) -> tuple[int, list[tuple[int, int]]]:
     return f0, pairs
 
 
-class BiSeries:
-    """Finite truncated series in the noncommuting letters x and z."""
+class BiSeries(Series):
+    """Finite truncated series in the noncommuting letters x and z.
 
-    __slots__ = ("xtrunc", "terms")
+    Keys are words over ``xz``, graded by x-degree; ``xtrunc`` is the
+    truncation.  Terms sort by word length, then alphabetically.
+    """
+
+    __slots__ = ()
+
+    _grade = staticmethod(xdegree)
+    _join = staticmethod(operator.add)
+    _format_key = staticmethod(format_bi_word)
 
     def __init__(self, xtrunc: int, terms: Mapping[BiWord, Fraction] | None = None):
-        if xtrunc < 0:
-            raise ValueError("xtrunc must be >= 0")
-        self.xtrunc = xtrunc
-        clean: dict[BiWord, Fraction] = {}
-        for word, coeff in (terms or {}).items():
-            if set(word) - {"x", "z"}:
-                raise ValueError("bad letters in word %r" % word)
-            if xdegree(word) > xtrunc:
-                continue
-            coeff = Fraction(coeff)
-            if coeff:
-                prev = clean.get(word)
-                coeff = coeff if prev is None else prev + coeff
-                if coeff:
-                    clean[word] = coeff
-                elif prev is not None:
-                    del clean[word]
-        self.terms = clean
+        super().__init__(2, xtrunc, terms)
 
-    @classmethod
-    def zero(cls, xtrunc: int) -> "BiSeries":
-        return cls(xtrunc)
+    @property
+    def xtrunc(self) -> int:
+        return self.trunc
 
-    @classmethod
-    def one(cls, xtrunc: int) -> "BiSeries":
-        return cls(xtrunc, {"": Fraction(1)})
+    def _key(self, word: BiWord) -> BiWord:
+        if set(word) - {"x", "z"}:
+            raise ValueError("bad letters in word %r" % word)
+        return word
 
-    def coefficient(self, word: BiWord) -> Fraction:
-        return self.terms.get(word, Fraction(0))
+    def _one_key(self) -> BiWord:
+        return ""
 
-    def is_zero(self) -> bool:
-        return not self.terms
+    @staticmethod
+    def _sort_key(word: BiWord) -> tuple[int, BiWord]:
+        return (len(word), word)
 
     def x_degree_part(self, d: int) -> dict[BiWord, Fraction]:
         return {w: c for w, c in self.terms.items() if xdegree(w) == d}
-
-    def sorted_terms(self) -> list[tuple[BiWord, Fraction]]:
-        return sorted(self.terms.items(), key=lambda kv: (len(kv[0]), kv[0]))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, BiSeries):
-            return NotImplemented
-        t = min(self.xtrunc, other.xtrunc)
-        a = {w: c for w, c in self.terms.items() if xdegree(w) <= t}
-        b = {w: c for w, c in other.terms.items() if xdegree(w) <= t}
-        return a == b
-
-    def __add__(self, other: "BiSeries") -> "BiSeries":
-        terms = dict(self.terms)
-        for w, c in other.terms.items():
-            terms[w] = terms.get(w, Fraction(0)) + c
-        return BiSeries(min(self.xtrunc, other.xtrunc), terms)
-
-    def __sub__(self, other: "BiSeries") -> "BiSeries":
-        return self + (-other)
-
-    def __neg__(self) -> "BiSeries":
-        return BiSeries(self.xtrunc, {w: -c for w, c in self.terms.items()})
-
-    def scale(self, scalar) -> "BiSeries":
-        scalar = Fraction(scalar)
-        return BiSeries(self.xtrunc, {w: c * scalar for w, c in self.terms.items()})
-
-    def __mul__(self, other):
-        if not isinstance(other, BiSeries):
-            return self.scale(other)
-        xtrunc = min(self.xtrunc, other.xtrunc)
-        terms: dict[BiWord, Fraction] = {}
-        for wa, ca in self.terms.items():
-            da = xdegree(wa)
-            if da > xtrunc:
-                continue
-            for wb, cb in other.terms.items():
-                if da + xdegree(wb) > xtrunc:
-                    continue
-                w = wa + wb
-                terms[w] = terms.get(w, Fraction(0)) + ca * cb
-        return BiSeries(xtrunc, terms)
-
-    def __rmul__(self, scalar) -> "BiSeries":
-        return self.scale(scalar)
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        return " + ".join(
-            "%s * %s"
-            % (
-                str(c) if c.denominator == 1 else "%d/%d" % (c.numerator, c.denominator),
-                format_bi_word(w),
-            )
-            for w, c in self.sorted_terms()
-        )
 
     def __repr__(self) -> str:
         return "BiSeries(xtrunc=%d, <%s>)" % (self.xtrunc, self)
@@ -277,15 +215,7 @@ def inverse_extra_special(f: BiSeries) -> BiSeries:
     zero_part = f.x_degree_part(0)
     if zero_part != {"": Fraction(1)}:
         raise ValueError("series is not extra-special (x-degree-0 part != 1)")
-    u = BiSeries.one(f.xtrunc) - f
-    out = BiSeries.one(f.xtrunc)
-    power = BiSeries.one(f.xtrunc)
-    for _ in range(f.xtrunc):
-        power = power * u
-        if power.is_zero():
-            break
-        out = out + power
-    return out
+    return (BiSeries.one(f.xtrunc) - f).geometric()
 
 
 def prime_word(word: BiWord) -> TriWord:

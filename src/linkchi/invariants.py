@@ -72,15 +72,7 @@ def _materialize(st: _State) -> list[list[int]]:
     return st.data
 
 
-def _step_mat(st: _State, image, m: int) -> _State:
-    kind, payload = image
-    if kind == "diag":
-        data = _materialize(st)
-        out = [
-            [v * payload[st.c0 + c] for c, v in enumerate(row)] for row in data
-        ]
-        return _State(st.word, st.r0, st.r1, st.c0, st.c1, out)
-    rows = payload
+def _step_mat(st: _State, rows, m: int) -> _State:
     if st.data is _IDENTITY:
         return _State(st.word, st.r0, st.r1, 0, m, [list(row) for row in rows])
     data = st.data
@@ -122,14 +114,8 @@ def _trace_state(st: _State, m: int) -> int:
     return total
 
 
-def _trace_after_mat(st: _State, image, m: int) -> int:
-    kind, payload = image
+def _trace_after_mat(st: _State, rows, m: int) -> int:
     data = _materialize(st)
-    if kind == "diag":
-        lo = max(st.r0, st.c0)
-        hi = min(st.r1, st.c1)
-        return sum(data[r - st.r0][r - st.c0] * payload[r] for r in range(lo, hi))
-    rows = payload
     total = 0
     for r in range(st.r0, st.r1):
         row = data[r - st.r0]
@@ -214,21 +200,28 @@ def _trace_trie(
     return out
 
 
-def _z_image(z: Sequence[Sequence[int]]):
-    return ("mat", ("dense", z))
+def _require_complete(f: BiSeries, degree: int) -> None:
+    if f.xtrunc < degree:
+        raise ValueError(
+            "series only complete to x-degree %d, need %d" % (f.xtrunc, degree)
+        )
 
 
-def _diag_image(bits: Sequence[int]):
-    return ("mat", ("diag", tuple(bits)))
-
-
-def _eval_bi_series(
+def trace_at(
     f: BiSeries,
     structure: BlockStructure,
-    z_action,
+    M: Sequence[Sequence[int]],
     degree: int,
 ) -> NCSeries:
-    images = {"x": ("blk", 0), "z": z_action}
+    """tr f(X, M) for a square integer matrix M, truncated at ``degree``.
+
+    X is the block-scalar matrix of ``structure``; M stands in for z.
+    """
+    _require_complete(f, degree)
+    m = structure.total
+    if len(M) != m or any(len(row) != m for row in M):
+        raise ValueError("M must be a square matrix of size %d" % m)
+    images = {"x": ("blk", 0), "z": ("mat", M)}
     # words whose x-degree exceeds the requested degree cannot contribute
     terms = {w: c for w, c in f.terms.items() if genfun.xdegree(w) <= degree}
     trie = _build_trie(terms)
@@ -239,12 +232,7 @@ def _eval_bi_series(
 def tr_series(f: BiSeries, A: SeifertMatrix, degree: int) -> NCSeries:
     """tr f(X, Z) by matrix substitution, truncated at ``degree``."""
     seifert.require_valid(A)
-    if f.xtrunc < degree:
-        raise ValueError(
-            "series only complete to x-degree %d, need %d" % (f.xtrunc, degree)
-        )
-    z = seifert.z_matrix(A)
-    return _eval_bi_series(f, A.structure, _z_image(z), degree)
+    return trace_at(f, A.structure, seifert.z_matrix(A), degree)
 
 
 def i_half_trace(
@@ -253,16 +241,28 @@ def i_half_trace(
     degree: int,
     pattern: Sequence[int] | None = None,
 ) -> NCSeries:
-    """tr f(X, H) for the half-ones diagonal H with the given pattern."""
-    if f.xtrunc < degree:
-        raise ValueError(
-            "series only complete to x-degree %d, need %d" % (f.xtrunc, degree)
-        )
+    """tr f(X, H) for the half-ones diagonal H with the given pattern.
+
+    X and H are diagonal, and a balanced pattern gives block i exactly g_i
+    rows with h = 0 and g_i rows with h = 1.  So whatever the pattern,
+    tr f(X, H) = sum_i g_i (f(x_i, 0) + f(x_i, 1)).
+    """
+    _require_complete(f, degree)
     if pattern is None:
-        pattern = seifert.default_half_pattern(structure)
+        seifert.default_half_pattern(structure)
     else:
-        pattern = seifert.check_half_pattern(structure, pattern)
-    return _eval_bi_series(f, structure, _diag_image(pattern), degree)
+        seifert.check_half_pattern(structure, pattern)
+    # by x-degree: f(x, 1) keeps every word, f(x, 0) the words without z
+    by_degree: dict[int, Fraction] = {}
+    for w, c in f.terms.items():
+        d = genfun.xdegree(w)
+        if d <= degree:
+            by_degree[d] = by_degree.get(d, 0) + (c if "z" in w else 2 * c)
+    terms: dict[Word, Fraction] = {}
+    for i in range(1, structure.n + 1):
+        for d, c in by_degree.items():
+            terms[(i,) * d] = terms.get((i,) * d, 0) + structure.genus(i) * c
+    return NCSeries(structure.n, degree, terms)
 
 
 def chi(
@@ -294,13 +294,6 @@ def _block_of(rows, structure, i, j):
     ri = structure.block_range(i)
     rj = structure.block_range(j)
     return [[rows[r][c] for c in rj] for r in ri]
-
-
-def _mul_rect(a, b):
-    if not a or not b:
-        return [[] for _ in a]
-    cols = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
 
 
 def _trace_square(a) -> int:
@@ -337,7 +330,7 @@ def tr_monomial(word: str, A: SeifertMatrix, degree: int) -> NCSeries:
     powers[1] = acc
     max_e = max(e for e, _ in pairs)
     for e in range(2, max_e + 1):
-        acc = _mul_rect(acc, z)
+        acc = seifert.mat_mul(acc, z)
         powers[e] = acc
 
     k = len(pairs)
@@ -359,14 +352,14 @@ def tr_monomial(word: str, A: SeifertMatrix, degree: int) -> NCSeries:
             i_last = indices[-1]
             i_first = indices[0]
             blk = _block_of(powers[pairs[k - 1][0]], st, i_last, i_first)
-            closed = _mul_rect(prod, blk) if prod is not None else blk
+            closed = seifert.mat_mul(prod, blk) if prod is not None else blk
             add(word_for(indices), _trace_square(closed))
             return
         for nxt in range(1, n + 1):
             if st.sizes[nxt - 1] == 0:
                 continue
             blk = _block_of(powers[pairs[t][0]], st, indices[-1], nxt)
-            rec(t + 1, indices + (nxt,), blk if prod is None else _mul_rect(prod, blk))
+            rec(t + 1, indices + (nxt,), blk if prod is None else seifert.mat_mul(prod, blk))
 
     for i1 in range(1, n + 1):
         if st.sizes[i1 - 1] == 0:
@@ -460,7 +453,7 @@ def reconstruct_trace(word: str, A: SeifertMatrix, degree: int) -> NCSeries:
     reduced = genfun.prime_word(word)
     full_degree = sum(1 for ch in reduced if ch in "xy")
     z = seifert.z_matrix(A)
-    images = {"x": ("blk", 0), "y": ("blk", n), "z": _z_image(z)}
+    images = {"x": ("blk", 0), "y": ("blk", n), "z": ("mat", z)}
     trie = _build_trie({reduced: Fraction(1)})
     raw = _trace_trie(trie, st, images, full_degree)
     powers = [f0] + [f for _, f in pairs]

@@ -18,23 +18,13 @@ series.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
-from typing import Iterable, Mapping
 
 from . import commalg
+from .series import Series
 
 Word = tuple[int, ...]
-
-
-def word_sort_key(word: Word) -> tuple[int, Word]:
-    """Canonical term order: by degree, then lexicographically."""
-    return (len(word), word)
-
-
-def format_coeff(c: Fraction) -> str:
-    if c.denominator == 1:
-        return str(c.numerator)
-    return "%d/%d" % (c.numerator, c.denominator)
 
 
 def format_word(word: Word) -> str:
@@ -43,165 +33,40 @@ def format_word(word: Word) -> str:
     return ".".join("x%d" % i for i in word)
 
 
-def _clean_terms(n: int, trunc: int, terms) -> dict[Word, Fraction]:
-    clean: dict[Word, Fraction] = {}
-    for word, coeff in terms.items():
-        word = tuple(word)
-        if len(word) > trunc:
-            continue
-        for letter in word:
-            if not 1 <= letter <= n:
-                raise ValueError(
-                    "letter x%d outside variable range 1..%d" % (letter, n)
-                )
-        coeff = Fraction(coeff)
-        if coeff:
-            acc = clean.get(word)
-            coeff = coeff if acc is None else acc + coeff
-            if coeff:
-                clean[word] = coeff
-            elif acc is not None:
-                del clean[word]
-    return clean
-
-
-class NCSeries:
+class NCSeries(Series):
     """A truncated series in ``n`` noncommuting variables.
 
-    Words longer than ``trunc`` are silently dropped on construction; the
-    constructor is the truncation map.  Instances are immutable by
-    convention: no method mutates ``terms`` after ``__init__``.
+    Keys are words; words longer than ``trunc`` are silently dropped on
+    construction, so the constructor is the truncation map.
     """
 
-    __slots__ = ("n", "trunc", "terms")
+    __slots__ = ()
 
-    def __init__(self, n: int, trunc: int, terms: Mapping[Word, Fraction] | None = None):
-        if n < 0:
-            raise ValueError("variable count must be >= 0")
-        if trunc < 0:
-            raise ValueError("truncation degree must be >= 0")
-        self.n = n
-        self.trunc = trunc
-        self.terms = _clean_terms(n, trunc, terms or {})
+    _grade = staticmethod(len)
+    _join = staticmethod(operator.add)
+    _format_key = staticmethod(format_word)
 
-    # -- constructors ----------------------------------------------------
+    def _key(self, word) -> Word:
+        word = tuple(word)
+        for letter in word:
+            if not 1 <= letter <= self.n:
+                raise ValueError(
+                    "letter x%d outside variable range 1..%d" % (letter, self.n)
+                )
+        return word
 
-    @classmethod
-    def zero(cls, n: int, trunc: int) -> "NCSeries":
-        return cls(n, trunc)
-
-    @classmethod
-    def one(cls, n: int, trunc: int) -> "NCSeries":
-        return cls(n, trunc, {(): Fraction(1)})
+    def _one_key(self) -> Word:
+        return ()
 
     @classmethod
     def variable(cls, n: int, trunc: int, i: int) -> "NCSeries":
         return cls(n, trunc, {(i,): Fraction(1)})
 
-    # -- inspection ------------------------------------------------------
-
-    def coefficient(self, word: Iterable[int]) -> Fraction:
-        return self.terms.get(tuple(word), Fraction(0))
-
-    @property
-    def constant_term(self) -> Fraction:
-        return self.terms.get((), Fraction(0))
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def truncated(self, trunc: int) -> "NCSeries":
-        return NCSeries(self.n, min(self.trunc, trunc), self.terms)
-
-    def sorted_terms(self) -> list[tuple[Word, Fraction]]:
-        return sorted(self.terms.items(), key=lambda kv: word_sort_key(kv[0]))
-
-    # -- text and structured forms ---------------------------------------
-
-    def to_lines(self) -> list[str]:
-        return [
-            "%s * %s" % (format_coeff(c), format_word(w))
-            for w, c in self.sorted_terms()
-        ]
-
-    def to_triples(self) -> list[tuple[int, int, list[int]]]:
-        return [
-            (c.numerator, c.denominator, list(w)) for w, c in self.sorted_terms()
-        ]
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        return " + ".join(self.to_lines())
-
-    def __repr__(self) -> str:
-        return "NCSeries(n=%d, trunc=%d, <%s>)" % (self.n, self.trunc, self)
-
-    # -- ring structure ----------------------------------------------------
-
-    def _check_compatible(self, other: "NCSeries") -> None:
-        if self.n != other.n:
-            raise ValueError(
-                "variable-count mismatch: %d vs %d" % (self.n, other.n)
-            )
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, NCSeries):
-            return NotImplemented
-        if self.n != other.n:
-            return False
-        t = min(self.trunc, other.trunc)
-        a = {w: c for w, c in self.terms.items() if len(w) <= t}
-        b = {w: c for w, c in other.terms.items() if len(w) <= t}
-        return a == b
-
-    def __add__(self, other: "NCSeries") -> "NCSeries":
-        self._check_compatible(other)
-        trunc = min(self.trunc, other.trunc)
-        terms = dict(self.terms)
-        for w, c in other.terms.items():
-            terms[w] = terms.get(w, Fraction(0)) + c
-        return NCSeries(self.n, trunc, terms)
-
-    def __sub__(self, other: "NCSeries") -> "NCSeries":
-        return self + (-other)
-
-    def __neg__(self) -> "NCSeries":
-        return NCSeries(self.n, self.trunc, {w: -c for w, c in self.terms.items()})
-
-    def scale(self, scalar) -> "NCSeries":
-        scalar = Fraction(scalar)
-        return NCSeries(
-            self.n, self.trunc, {w: c * scalar for w, c in self.terms.items()}
-        )
-
-    def __mul__(self, other):
-        if isinstance(other, NCSeries):
-            self._check_compatible(other)
-            trunc = min(self.trunc, other.trunc)
-            terms: dict[Word, Fraction] = {}
-            for wa, ca in self.terms.items():
-                if len(wa) > trunc:
-                    continue
-                budget = trunc - len(wa)
-                for wb, cb in other.terms.items():
-                    if len(wb) > budget:
-                        continue
-                    w = wa + wb
-                    terms[w] = terms.get(w, Fraction(0)) + ca * cb
-            return NCSeries(self.n, trunc, terms)
-        return self.scale(other)
-
-    def __rmul__(self, scalar) -> "NCSeries":
-        return self.scale(scalar)
-
-    def __pow__(self, k: int) -> "NCSeries":
-        if k < 0:
-            raise ValueError("negative powers need inverse_special")
-        out = NCSeries.one(self.n, self.trunc)
-        for _ in range(k):
-            out = out * self
-        return out
+    # the benchmark's tracer patches these names on this class
+    __init__ = Series.__init__
+    __add__, __sub__, __neg__, scale = Series.__add__, Series.__sub__, Series.__neg__, Series.scale
+    __mul__, __rmul__, __pow__ = Series.__mul__, Series.__rmul__, Series.__pow__
+    to_lines, to_triples = Series.to_lines, Series.to_triples
 
 
 def log1p(u: NCSeries) -> NCSeries:
@@ -213,14 +78,7 @@ def log1p(u: NCSeries) -> NCSeries:
     """
     if u.constant_term != 0:
         raise ValueError("log1p needs a zero constant term")
-    out = NCSeries.zero(u.n, u.trunc)
-    power = NCSeries.one(u.n, u.trunc)
-    for k in range(1, u.trunc + 1):
-        power = power * u
-        if power.is_zero():
-            break
-        out = out + power.scale(Fraction((-1) ** (k + 1), k))
-    return out
+    return u.log1p()
 
 
 def inverse_special(f: NCSeries) -> NCSeries:
@@ -232,15 +90,7 @@ def inverse_special(f: NCSeries) -> NCSeries:
     """
     if f.constant_term != 1:
         raise ValueError("inverse_special needs constant term 1")
-    u = NCSeries.one(f.n, f.trunc) - f
-    out = NCSeries.one(f.n, f.trunc)
-    power = NCSeries.one(f.n, f.trunc)
-    for _ in range(f.trunc):
-        power = power * u
-        if power.is_zero():
-            break
-        out = out + power
-    return out
+    return (NCSeries.one(f.n, f.trunc) - f).geometric()
 
 
 def substitute(f: NCSeries, images: list[NCSeries]) -> NCSeries:
@@ -331,47 +181,29 @@ def minimal_rotation(word: Word) -> Word:
     return doubled[k : k + len(word)]
 
 
-class CyclicSeries:
+class CyclicSeries(Series):
     """A series in the quotient where words are read up to cyclic rotation.
 
     Stored words are in minimal-rotation normal form.  Two series are equal
     in the quotient iff their normal forms agree at the common truncation.
+    The quotient is a vector space, not a ring: it has no product.
     """
 
-    __slots__ = ("n", "trunc", "terms")
+    __slots__ = ()
 
-    def __init__(self, n: int, trunc: int, terms: Mapping[Word, Fraction] | None = None):
-        rotated: dict[Word, Fraction] = {}
-        for word, coeff in (terms or {}).items():
-            word = minimal_rotation(tuple(word))
-            rotated[word] = rotated.get(word, Fraction(0)) + Fraction(coeff)
-        self.n = n
-        self.trunc = trunc
-        self.terms = _clean_terms(n, trunc, rotated)
+    _grade = staticmethod(len)
+    _format_key = staticmethod(format_word)
+    _one_key = NCSeries._one_key
 
-    def is_zero(self) -> bool:
-        return not self.terms
+    def _key(self, word) -> Word:
+        return minimal_rotation(NCSeries._key(self, word))
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, CyclicSeries):
-            return NotImplemented
-        if self.n != other.n:
-            return False
-        t = min(self.trunc, other.trunc)
-        a = {w: c for w, c in self.terms.items() if len(w) <= t}
-        b = {w: c for w, c in other.terms.items() if len(w) <= t}
-        return a == b
+    @staticmethod
+    def _join(a: Word, b: Word) -> Word:
+        raise TypeError("words up to rotation have no product")
 
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        return " + ".join(
-            "%s * %s" % (format_coeff(c), format_word(w))
-            for w, c in sorted(self.terms.items(), key=lambda kv: word_sort_key(kv[0]))
-        )
-
-    def __repr__(self) -> str:
-        return "CyclicSeries(n=%d, trunc=%d, <%s>)" % (self.n, self.trunc, self)
+    # the benchmark's tracer patches this name on this class
+    __eq__ = Series.__eq__
 
 
 def cyclic_reduce(f: NCSeries) -> CyclicSeries:

@@ -1,0 +1,217 @@
+"""The truncated-series core shared by every series type of the package.
+
+A series is a finite map from keys to nonzero rationals, cut off at a
+grade ``trunc``.  The types differ only in what a key is, how it is graded
+and how two keys multiply:
+
+- ``ncalg.NCSeries``: words, graded by length, multiplied by concatenation;
+- ``ncalg.CyclicSeries``: words up to rotation, graded by length, no product;
+- ``commalg.CommSeries``: exponent vectors, graded by their sum, added;
+- ``genfun.BiSeries``: words over ``xz``, graded by x-count, concatenated.
+
+``Series`` holds everything else: construction and cleaning, equality at
+the common truncation, ring arithmetic, formatting, and the power series
+``sum_k a_k u^k`` behind the geometric inverse, log and exp.  Truncation is
+part of the value: binary operations truncate to the smaller of the two
+operands.  Arithmetic is exact (``int``/``Fraction``) throughout.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from typing import Mapping, Sequence
+
+
+def format_coeff(c: Fraction) -> str:
+    if c.denominator == 1:
+        return str(c.numerator)
+    return "%d/%d" % (c.numerator, c.denominator)
+
+
+class Series:
+    """A truncated series in ``n`` variables; subclasses fix the key type.
+
+    A subclass sets ``_grade`` (the degree of a key), ``_join`` (the key of
+    a product), ``_key`` (check, and normalize, a key from outside),
+    ``_format_key`` and ``_one_key``.  Only the public constructor
+    validates; results of operations on clean series are built by ``_same``.
+    Instances are immutable by convention.
+    """
+
+    __slots__ = ("n", "trunc", "terms")
+
+    def __init__(self, n: int, trunc: int, terms: Mapping | None = None):
+        if n < 0:
+            raise ValueError("variable count must be >= 0")
+        if trunc < 0:
+            raise ValueError("truncation degree must be >= 0")
+        self.n = n
+        self.trunc = trunc
+        clean: dict = {}
+        for key, coeff in (terms or {}).items():
+            key = self._key(key)
+            if self._grade(key) > trunc:
+                continue
+            coeff = Fraction(coeff)
+            if coeff:
+                coeff += clean.get(key, 0)
+                if coeff:
+                    clean[key] = coeff
+                else:
+                    del clean[key]
+        self.terms = clean
+
+    def _same(self, terms: Mapping, trunc: int) -> "Series":
+        """A series of this type from keys already checked: drop zeros and keys above ``trunc``."""
+        out = object.__new__(type(self))
+        out.n = self.n
+        out.trunc = trunc
+        grade = self._grade
+        out.terms = {k: c for k, c in terms.items() if c and grade(k) <= trunc}
+        return out
+
+    def _sort_key(self, key):
+        return (self._grade(key), key)
+
+    # -- constructors and inspection ---------------------------------------
+
+    @classmethod
+    def zero(cls, *shape) -> "Series":
+        return cls(*shape)
+
+    @classmethod
+    def one(cls, *shape) -> "Series":
+        return cls(*shape)._unit()
+
+    def _unit(self) -> "Series":
+        return self._same({self._one_key(): Fraction(1)}, self.trunc)
+
+    def coefficient(self, key) -> Fraction:
+        return self.terms.get(self._key(key), Fraction(0))
+
+    @property
+    def constant_term(self) -> Fraction:
+        return self.terms.get(self._one_key(), Fraction(0))
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def truncated(self, trunc: int) -> "Series":
+        return self._same(self.terms, min(self.trunc, trunc))
+
+    def sorted_terms(self) -> list:
+        return sorted(self.terms.items(), key=lambda kv: self._sort_key(kv[0]))
+
+    # -- text and structured forms -------------------------------------------
+
+    def to_lines(self) -> list[str]:
+        return [
+            "%s * %s" % (format_coeff(c), self._format_key(k))
+            for k, c in self.sorted_terms()
+        ]
+
+    def to_triples(self) -> list[tuple[int, int, list]]:
+        return [(c.numerator, c.denominator, list(k)) for k, c in self.sorted_terms()]
+
+    def __str__(self) -> str:
+        if not self.terms:
+            return "0"
+        return " + ".join(self.to_lines())
+
+    def __repr__(self) -> str:
+        return "%s(n=%d, trunc=%d, <%s>)" % (type(self).__name__, self.n, self.trunc, self)
+
+    # -- ring structure --------------------------------------------------------
+
+    def _check_compatible(self, other: "Series") -> None:
+        if type(other) is not type(self):
+            raise TypeError(
+                "cannot combine %s with %s" % (type(self).__name__, type(other).__name__)
+            )
+        if self.n != other.n:
+            raise ValueError(
+                "variable-count mismatch: %d vs %d" % (self.n, other.n)
+            )
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        if self.n != other.n:
+            return False
+        t = min(self.trunc, other.trunc)
+        grade = self._grade
+        a = {k: c for k, c in self.terms.items() if grade(k) <= t}
+        b = {k: c for k, c in other.terms.items() if grade(k) <= t}
+        return a == b
+
+    def __add__(self, other: "Series") -> "Series":
+        self._check_compatible(other)
+        terms = dict(self.terms)
+        for k, c in other.terms.items():
+            terms[k] = terms.get(k, 0) + c
+        return self._same(terms, min(self.trunc, other.trunc))
+
+    def __sub__(self, other: "Series") -> "Series":
+        return self + (-other)
+
+    def __neg__(self) -> "Series":
+        return self._same({k: -c for k, c in self.terms.items()}, self.trunc)
+
+    def scale(self, scalar) -> "Series":
+        scalar = Fraction(scalar)
+        return self._same({k: c * scalar for k, c in self.terms.items()}, self.trunc)
+
+    def __mul__(self, other):
+        if not isinstance(other, Series):
+            return self.scale(other)
+        self._check_compatible(other)
+        trunc = min(self.trunc, other.trunc)
+        grade, join = self._grade, self._join
+        right = [(kb, grade(kb), cb) for kb, cb in other.terms.items()]
+        terms: dict = {}
+        for ka, ca in self.terms.items():
+            budget = trunc - grade(ka)
+            for kb, gb, cb in right:
+                if gb <= budget:
+                    k = join(ka, kb)
+                    terms[k] = terms.get(k, 0) + ca * cb
+        return self._same(terms, trunc)
+
+    def __rmul__(self, scalar) -> "Series":
+        return self.scale(scalar)
+
+    def __pow__(self, k: int) -> "Series":
+        if k < 0:
+            raise ValueError("negative powers need a series inverse")
+        out = self._unit()
+        for _ in range(k):
+            out = out * self
+        return out
+
+    # -- power series in a series of positive grade ----------------------------
+
+    def power_series(self, coeffs: Sequence) -> "Series":
+        """sum_k coeffs[k] * u^k for u = self, every term of positive grade.
+
+        ``coeffs`` needs entries 0..trunc; u^k vanishes beyond ``trunc``.
+        """
+        out = {self._one_key(): Fraction(coeffs[0])}
+        power = self._unit()
+        for k in range(1, self.trunc + 1):
+            power = power * self
+            if not power.terms:
+                break
+            a = coeffs[k]
+            for key, c in power.terms.items():
+                out[key] = out.get(key, 0) + a * c
+        return self._same(out, self.trunc)
+
+    def geometric(self) -> "Series":
+        """1 + u + u^2 + ..., the inverse of 1 - u, for u = self of positive grade."""
+        return self.power_series([1] * (self.trunc + 1))
+
+    def log1p(self) -> "Series":
+        """log(1 + u) = u - u^2/2 + u^3/3 - ... for u = self of positive grade."""
+        return self.power_series(
+            [0] + [Fraction((-1) ** (k + 1), k) for k in range(1, self.trunc + 1)]
+        )

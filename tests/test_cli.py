@@ -128,6 +128,23 @@ def test_out_of_range_arguments_are_usage_errors(capsys, trefoil_file, argv):
     assert "expected an integer >=" in err
 
 
+@pytest.mark.parametrize(
+    "argv, prog",
+    [
+        (["selfcheck", "--degree", "0"], "linkchi selfcheck"),
+        (["chi", "FILE", "--degree", "x"], "linkchi chi"),
+        (["chi", "FILE", "--bogus"], "linkchi"),
+        ([], "linkchi"),
+    ],
+)
+def test_usage_error_is_one_stderr_line(capsys, trefoil_file, argv, prog):
+    argv = [trefoil_file if a == "FILE" else a for a in argv]
+    code, err = usage_error(capsys, argv)
+    assert code == 2
+    assert len(err.splitlines()) == 1
+    assert err.startswith(prog + ": error: ")
+
+
 # -- chi ----------------------------------------------------------------------
 
 

@@ -17,7 +17,7 @@ from helpers import (
     u_trim,
 )
 from linkchi import commalg, invariants, ncalg
-from linkchi.genfun import delta_series, monomial, phi_series, transform
+from linkchi.genfun import BiSeries, delta_series, monomial, phi_series, transform
 from linkchi.invariants import (
     chi,
     chi_delta,
@@ -28,12 +28,14 @@ from linkchi.invariants import (
     torsion_polynomial,
     tr_monomial,
     tr_series,
+    trace_at,
 )
 from linkchi.ncalg import NCSeries
 from linkchi.seifert import (
     BlockStructure,
     balanced_patterns,
     direct_sum,
+    i_half,
     random_seifert_rng,
     seifert_matrix,
 )
@@ -245,6 +247,40 @@ def test_half_rank_matches_direct_trace():
         st = BlockStructure(sizes)
         direct = i_half_trace(phi_series(5), st, 5)
         assert half_rank_correction(st, 5) == direct
+
+
+def half_trace_series(degree):
+    """delta, phi and a seeded series with a constant term, pure-x words and
+    words of x-degree above ``degree``."""
+    rng = random.Random(degree)
+    terms = {"": Fraction(3, 2), "xx": -1, "x" * degree: 2, "x" * (degree + 1): 3,
+             "z" + "x" * (degree + 2): 5}
+    for _ in range(8):
+        word = "".join(rng.choice("xz") for _ in range(rng.randint(1, degree + 2)))
+        terms[word] = terms.get(word, 0) + Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+    return [delta_series(degree), phi_series(degree), BiSeries(degree + 2, terms)]
+
+
+@pytest.mark.parametrize(
+    "genera, degree, samples", [([2, 2], 7, None), ([4], 9, None), ([3, 3, 3], 7, 10)]
+)
+def test_closed_form_half_trace_matches_dense_route(genera, degree, samples):
+    st = BlockStructure(tuple(2 * g for g in genera))
+    patterns = list(balanced_patterns(st))
+    if samples is not None:
+        patterns = random.Random(5).sample(patterns, samples)
+    for f in half_trace_series(degree):
+        closed = i_half_trace(f, st, degree)
+        for p in patterns:
+            assert closed == trace_at(f, st, i_half(st, p), degree), p
+
+
+def test_trace_at_rejects_a_matrix_of_the_wrong_size():
+    st = BlockStructure((2, 2))
+    with pytest.raises(ValueError, match="square matrix of size 4"):
+        trace_at(delta_series(3), st, [[1, 0], [0, 1]], 3)
+    with pytest.raises(ValueError, match="square matrix of size 4"):
+        trace_at(delta_series(3), st, [[1, 0, 0, 0]] * 3 + [[0, 0, 1]], 3)
 
 
 # -- torsion polynomial ---------------------------------------------------------------
