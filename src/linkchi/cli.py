@@ -19,7 +19,7 @@ def _load_matrix(path: str) -> seifert.SeifertMatrix:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: undecodable text, NUL in the path
         raise _CliError(2, "cannot read %s: %s" % (path, exc)) from None
     try:
         return seifert.parse(text)
@@ -42,11 +42,16 @@ def _int_at_least(low: int):
     return parse
 
 
+def _one_line(message: str) -> str:
+    """A message for stderr with its line breaks (say, from a file name) escaped."""
+    return "\\n".join(message.splitlines())
+
+
 class _Parser(argparse.ArgumentParser):
     """Reports a usage error as one stderr line, ``prog: error: message``, exit 2."""
 
     def error(self, message):
-        self.exit(2, "%s: error: %s\n" % (self.prog, message))
+        self.exit(2, "%s: error: %s\n" % (self.prog, _one_line(message)))
 
 
 class _CliError(Exception):
@@ -60,7 +65,7 @@ def _load_series_file(path: str, degree: int) -> genfun.BiSeries:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             lines = handle.readlines()
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise _CliError(2, "cannot read %s: %s" % (path, exc)) from None
     terms = {}
     for lineno, line in enumerate(lines, start=1):
@@ -204,10 +209,10 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except _CliError as exc:
-        print(exc.message, file=sys.stderr)
+        print(_one_line(exc.message), file=sys.stderr)
         return exc.code
     except ValueError as exc:
-        print(str(exc), file=sys.stderr)
+        print(_one_line(str(exc)), file=sys.stderr)
         return 1
 
 

@@ -9,21 +9,24 @@ Z = A (A - A')^-1, and H is the half-ones diagonal normalizer.  The value
 is a truncated noncommutative series in x_1..x_n with exact rational
 coefficients.
 
-Two independent evaluation routes are provided.  ``tr_series`` substitutes
-the matrices into each monomial of f and multiplies matrices whose entries
-are noncommutative series; it is organized word-by-word, so each partial
-product is a finite sum of (integer matrix) * (word) and only integer
-arithmetic happens until the final trace.  ``tr_monomial`` instead
-evaluates the closed block-trace formula: for a monomial
-x^f0 z^e1 x^f1 ... z^ek x^fk the trace is the sum over block index tuples
-(i1..ik) of tr((Z^e1)_{i1 i2} ... (Z^ek)_{ik i1}) times the word
-x_{i1}^f0 x_{i2}^f1 ... x_{i1}^fk.  The two routes are kept separate so
-each can serve as the other's oracle.
+Two independent evaluation routes are provided.  ``trace_at`` (behind
+``tr_series``) walks a trie of the monomials of f in which each run x^r is
+one node: X is block-scalar, so x^r only keeps the columns of one block,
+and r only lengthens the output word.  The trace splits over start blocks,
+tr S = sum_i tr(P_i S P_i), so each walk carries the rows of one block of
+an integer matrix; coefficients are scaled to integers and divided once
+per output word.  ``tr_monomial`` instead evaluates the closed block-trace
+formula: for a monomial x^f0 z^e1 x^f1 ... z^ek x^fk the trace is the sum
+over block index tuples (i1..ik) of tr((Z^e1)_{i1 i2} ... (Z^ek)_{ik i1})
+times the word x_{i1}^f0 x_{i2}^f1 ... x_{i1}^fk.  The two routes are kept
+separate so each can serve as the other's oracle.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from itertools import groupby
 from typing import Sequence
 
 from . import commalg, genfun, seifert
@@ -35,168 +38,96 @@ from .seifert import BlockStructure, SeifertMatrix
 Word = tuple[int, ...]
 
 
-# -- word-by-word matrix evaluation (the symbolic route) -------------------
+# -- run-collapsed trie walk (the symbolic route) -------------------------
 #
-# A partial product is a map word -> restricted integer matrix.  Restricted
-# means: rows live in [r0, r1), columns in [c0, c1); everything outside is
-# zero.  Multiplying by the block-scalar X on the right masks columns to one
-# block and appends that block's variable to the word; multiplying by a
-# rational matrix on the right widens the columns back to full.
-
-_IDENTITY = object()
+# X is block-scalar: restricted to block j, X^r is x_j^r P_j, with P_j the
+# projection onto block j.  So a run x^r changes the partial product only by
+# keeping the columns of one block, whatever r is; r only lengthens the
+# output word.  The trie therefore has one node per maximal run of a
+# block-scalar letter, and its terminals keep the run lengths.
 
 
-class _State:
-    __slots__ = ("word", "r0", "r1", "c0", "c1", "data")
+def _build_trie(terms: dict[str, Fraction], offsets: dict[str, int]) -> tuple[dict, int]:
+    """Run-collapsed trie of monomials, with coefficients made integers.
 
-    def __init__(self, word, r0, r1, c0, c1, data):
-        self.word = word
-        self.r0 = r0
-        self.r1 = r1
-        self.c0 = c0
-        self.c1 = c1
-        self.data = data  # list of rows, or _IDENTITY
-
-
-def _initial_state(m: int) -> _State:
-    return _State((), 0, m, 0, m, _IDENTITY)
-
-
-def _materialize(st: _State) -> list[list[int]]:
-    if st.data is _IDENTITY:
-        width = st.c1 - st.c0
-        return [
-            [1 if st.r0 + r == st.c0 + c else 0 for c in range(width)]
-            for r in range(st.r1 - st.r0)
-        ]
-    return st.data
-
-
-def _step_mat(st: _State, rows, m: int) -> _State:
-    if st.data is _IDENTITY:
-        return _State(st.word, st.r0, st.r1, 0, m, [list(row) for row in rows])
-    data = st.data
-    slice_rows = rows[st.c0 : st.c1]
-    out = []
-    for row in data:
-        acc = [0] * m
-        for a, zrow in zip(row, slice_rows):
-            if a:
-                for j in range(m):
-                    v = zrow[j]
-                    if v:
-                        acc[j] += a * v
-        out.append(acc)
-    return _State(st.word, st.r0, st.r1, 0, m, out)
-
-
-def _step_blk(st: _State, structure: BlockStructure, i: int, offset: int) -> _State | None:
-    rng = structure.block_range(i)
-    a = max(st.c0, rng.start)
-    b = min(st.c1, rng.stop)
-    if a >= b:
-        return None
-    data = st.data
-    if data is _IDENTITY:
-        data = _materialize(st)
-    out = [row[a - st.c0 : b - st.c0] for row in data]
-    return _State(st.word + (offset + i,), st.r0, st.r1, a, b, out)
-
-
-def _trace_state(st: _State, m: int) -> int:
-    if st.data is _IDENTITY:
-        return max(0, min(st.r1, st.c1) - max(st.r0, st.c0))
-    lo = max(st.r0, st.c0)
-    hi = min(st.r1, st.c1)
-    total = 0
-    for r in range(lo, hi):
-        total += st.data[r - st.r0][r - st.c0]
-    return total
-
-
-def _trace_after_mat(st: _State, rows, m: int) -> int:
-    data = _materialize(st)
-    total = 0
-    for r in range(st.r0, st.r1):
-        row = data[r - st.r0]
-        for k in range(st.c0, st.c1):
-            v = row[k - st.c0]
-            if v:
-                total += v * rows[k][r]
-    return total
-
-
-def _trace_after_blk(st: _State, structure, i: int) -> int:
-    rng = structure.block_range(i)
-    lo = max(st.r0, st.c0, rng.start)
-    hi = min(st.r1, st.c1, rng.stop)
-    if st.data is _IDENTITY:
-        return max(0, hi - lo)
-    total = 0
-    for r in range(lo, hi):
-        total += st.data[r - st.r0][r - st.c0]
-    return total
-
-
-def _build_trie(terms) -> dict:
-    """Letter trie of monomials; the key None holds a coefficient."""
+    A maximal run of a block-scalar letter (a key of ``offsets``) is one
+    node keyed by that letter's variable offset; every other letter is its
+    own "z" node.  The key None holds a list of (template, coefficient).
+    The template lists the run's position among the block-scalar runs once
+    per letter of the run, so the output word is the picked blocks read
+    through it.  Coefficients are scaled by their common denominator, which
+    is returned with the trie.
+    """
+    scale = math.lcm(*(c.denominator for c in terms.values()))
     root: dict = {}
     for word, coeff in terms.items():
-        node = root
-        for letter in word:
-            node = node.setdefault(letter, {})
-        node[None] = node.get(None, Fraction(0)) + coeff
-    return root
-
-
-def _trace_trie(
-    trie: dict,
-    structure: BlockStructure,
-    images: dict,
-    trunc: int,
-) -> dict[Word, Fraction]:
-    """Sum of coeff * tr(monomial(X.., images)) over a trie of monomials."""
-    m = structure.total
-    out: dict[Word, Fraction] = {}
-
-    def emit(word: Word, coeff: Fraction, trace: int) -> None:
-        if trace:
-            value = coeff * trace
-            prev = out.get(word)
-            total = value if prev is None else prev + value
-            if total:
-                out[word] = total
-            elif prev is not None:
-                del out[word]
-
-    def walk(node: dict, st: _State) -> None:
-        coeff = node.get(None)
-        if coeff is not None:
-            emit(st.word, coeff, _trace_state(st, m))
-        for letter, child in node.items():
-            if letter is None:
-                continue
-            action = images[letter]
-            terminal = set(child) == {None}
-            if action[0] == "blk":
-                offset = action[1]
-                if len(st.word) >= trunc:
-                    continue
-                for i in range(1, structure.n + 1):
-                    if terminal:
-                        tr = _trace_after_blk(st, structure, i)
-                        emit(st.word + (offset + i,), child[None], tr)
-                    else:
-                        nxt = _step_blk(st, structure, i, offset)
-                        if nxt is not None:
-                            walk(child, nxt)
+        node, template, t = root, [], 0
+        for letter, group in groupby(word):
+            run = sum(1 for _ in group)
+            if letter in offsets:
+                node = node.setdefault(offsets[letter], {})
+                template += [t] * run
+                t += 1
             else:
-                if terminal:
-                    emit(st.word, child[None], _trace_after_mat(st, action[1], m))
-                else:
-                    walk(child, _step_mat(st, action[1], m))
+                for _ in range(run):
+                    node = node.setdefault("z", {})
+        tail = node.setdefault(None, [])
+        tail.append((template, coeff.numerator * (scale // coeff.denominator)))
+    return root, scale
 
-    walk(trie, _initial_state(m))
+
+def _walk(trie: dict, structure: BlockStructure, M) -> dict[Word, int]:
+    """Sum of coeff * tr(monomial(X.., M)) over a trie of ``_build_trie``.
+
+    tr S = sum_i tr(P_i S P_i), so the walk from start block i carries only
+    the rows of block i of the partial product, and the column range
+    [lo, hi) outside which they are zero.  A block-scalar node picks a block
+    j, narrows the columns to block j and appends its letter offset + j.
+    """
+    m = structure.total
+    blocks = [
+        (j, structure.block_range(j)) for j in range(1, structure.n + 1) if structure.sizes[j - 1]
+    ]
+    out: dict[Word, int] = {}
+
+    def emit(tail, path: Word, trace: int) -> None:
+        if trace:
+            for template, coeff in tail:
+                word = tuple([path[t] for t in template])
+                out[word] = out.get(word, 0) + coeff * trace
+
+    def walk(own: range, node: dict, rows, lo: int, hi: int, path: Word) -> None:
+        tail = node.get(None)
+        if tail is not None:
+            emit(tail, path, sum(row[r] for r, row in zip(own, rows) if lo <= r < hi))
+        for key, child in node.items():
+            if key is None:
+                continue
+            if key != "z":
+                for j, rng in blocks:
+                    a, b = max(lo, rng.start), min(hi, rng.stop)
+                    if a < b:
+                        walk(own, child, rows, a, b, path + (key + j,))
+            elif child.keys() == {None}:
+                # last letter: only the diagonal of rows * M is needed
+                trace = sum(
+                    row[k] * M[k][r] for r, row in zip(own, rows) for k in range(lo, hi)
+                )
+                emit(child[None], path, trace)
+            else:
+                nxt = []
+                for row in rows:
+                    acc = [0] * m
+                    for k in range(lo, hi):
+                        v = row[k]
+                        if v:
+                            acc = [s + v * t for s, t in zip(acc, M[k])]
+                    nxt.append(acc)
+                walk(own, child, nxt, 0, m, path)
+
+    for _, own in blocks:
+        identity = [[int(r == c) for c in range(m)] for r in own]
+        walk(own, trie, identity, own.start, own.stop, ())
     return out
 
 
@@ -221,12 +152,12 @@ def trace_at(
     m = structure.total
     if len(M) != m or any(len(row) != m for row in M):
         raise ValueError("M must be a square matrix of size %d" % m)
-    images = {"x": ("blk", 0), "z": ("mat", M)}
     # words whose x-degree exceeds the requested degree cannot contribute
     terms = {w: c for w, c in f.terms.items() if genfun.xdegree(w) <= degree}
-    trie = _build_trie(terms)
-    raw = _trace_trie(trie, structure, images, degree)
-    return NCSeries(structure.n, degree, raw)
+    trie, scale = _build_trie(terms, {"x": 0})
+    raw = {w: Fraction(v, scale) for w, v in _walk(trie, structure, M).items() if v}
+    # every emitted word has letters 1..n and length <= degree
+    return NCSeries.zero(structure.n, degree)._same(raw, degree)
 
 
 def tr_series(f: BiSeries, A: SeifertMatrix, degree: int) -> NCSeries:
@@ -451,13 +382,11 @@ def reconstruct_trace(word: str, A: SeifertMatrix, degree: int) -> NCSeries:
     n = st.n
     f0, pairs = word_runs(word)
     reduced = genfun.prime_word(word)
-    full_degree = sum(1 for ch in reduced if ch in "xy")
     z = seifert.z_matrix(A)
-    images = {"x": ("blk", 0), "y": ("blk", n), "z": ("mat", z)}
-    trie = _build_trie({reduced: Fraction(1)})
-    raw = _trace_trie(trie, st, images, full_degree)
+    trie, _ = _build_trie({reduced: Fraction(1)}, {"x": 0, "y": n})
+    raw = _walk(trie, st, z)
     powers = [f0] + [f for _, f in pairs]
-    terms: dict[Word, Fraction] = {}
+    terms: dict[Word, int] = {}
     for w, coeff in raw.items():
         letters: list[int] = []
         pos = 0
@@ -468,11 +397,5 @@ def reconstruct_trace(word: str, A: SeifertMatrix, degree: int) -> NCSeries:
         if pos != len(powers):
             raise AssertionError("reduced word lost an x position")
         key = tuple(letters)
-        if len(key) > degree:
-            continue
-        total = terms.get(key, Fraction(0)) + coeff
-        if total:
-            terms[key] = total
-        elif key in terms:
-            del terms[key]
+        terms[key] = terms.get(key, 0) + coeff
     return NCSeries(n, degree, terms)

@@ -18,8 +18,10 @@ series.
 
 from __future__ import annotations
 
+import math
 import operator
 from fractions import Fraction
+from itertools import groupby
 
 from . import commalg
 from .series import Series
@@ -109,15 +111,16 @@ def substitute(f: NCSeries, images: list[NCSeries]) -> NCSeries:
         if img.n != target_n:
             raise ValueError("variable-count mismatch among images")
         trunc = min(trunc, img.trunc)
-    out = NCSeries.zero(target_n, trunc)
+    out: dict[Word, Fraction] = {}
     for word, coeff in f.terms.items():
         part = NCSeries.one(target_n, trunc)
         for letter in word:
             part = part * images[letter - 1]
             if part.is_zero():
                 break
-        out = out + part.scale(coeff)
-    return out
+        for w, c in part.terms.items():
+            out[w] = out.get(w, 0) + coeff * c
+    return NCSeries.zero(target_n, trunc)._same(out, trunc)
 
 
 def bar_variable(n: int, trunc: int, i: int) -> NCSeries:
@@ -132,9 +135,34 @@ def tilde(f: NCSeries) -> NCSeries:
 
 
 def hat(f: NCSeries) -> NCSeries:
-    """Automorphism substituting x_i -> -x_i (1 + x_i)^-1, no reversal."""
-    images = [bar_variable(f.n, f.trunc, i) for i in range(1, f.n + 1)]
-    return substitute(f, images)
+    """Automorphism substituting x_i -> -x_i (1 + x_i)^-1, no reversal.
+
+    Each run x_a^r of a word maps to (sum_j (-1)^j x_a^j)^r, which is
+    sum_{s >= r} (-1)^s C(s-1, r-1) x_a^s.  Neighbouring runs have different
+    letters, so the images of one word are distinct words.
+
+    >>> print(hat(NCSeries(2, 3, {(1, 1, 2): 1})))
+    -1 * x1.x1.x2
+    """
+    trunc = f.trunc
+    # integer arithmetic: coefficients times their common denominator
+    scale = math.lcm(*(c.denominator for c in f.terms.values()))
+    out: dict[Word, int] = {}
+    for word, coeff in f.terms.items():
+        runs = [(a, sum(1 for _ in group)) for a, group in groupby(word)]
+        # room: letters the runs still to come need at least
+        room = len(word)
+        images = {(): coeff.numerator * (scale // coeff.denominator)}
+        for a, r in runs:
+            room -= r
+            images = {
+                w + (a,) * s: c * (-1) ** s * math.comb(s - 1, r - 1)
+                for w, c in images.items()
+                for s in range(r, trunc - room - len(w) + 1)
+            }
+        for w, c in images.items():
+            out[w] = out.get(w, 0) + c
+    return f._same({w: Fraction(v, scale) for w, v in out.items()}, trunc)
 
 
 def bar(f: NCSeries) -> NCSeries:

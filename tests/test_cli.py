@@ -213,6 +213,22 @@ def test_chi_non_utf8_list_file_exits_2(capsys, tmp_path, trefoil_file):
     assert "cannot read" in err
 
 
+@pytest.mark.parametrize("argv", [["validate", "bad\x00.json"], ["chi", "FILE", "--f", "list:a\x00"]])
+def test_unopenable_path_is_an_io_error(capsys, trefoil_file, argv):
+    # a NUL byte makes open() raise ValueError, not OSError
+    argv = [trefoil_file if a == "FILE" else a for a in argv]
+    code, _, err = run(capsys, argv)
+    assert code == 2
+    assert err.startswith("cannot read") and len(err.splitlines()) == 1
+
+
+def test_line_breaks_in_arguments_keep_stderr_one_line(capsys, trefoil_file):
+    code, err = usage_error(capsys, ["validate", trefoil_file, "a\nb\rc"])
+    assert code == 2 and len(err.splitlines()) == 1 and "a\\nb\\nc" in err
+    code, _, err = run(capsys, ["validate", "no\nsuch"])
+    assert code == 2 and len(err.splitlines()) == 1 and "no\\nsuch" in err
+
+
 def test_chi_invalid_matrix_exits_1(capsys, tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(

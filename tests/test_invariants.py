@@ -16,7 +16,7 @@ from helpers import (
     u_mul,
     u_trim,
 )
-from linkchi import commalg, invariants, ncalg
+from linkchi import commalg, invariants, ncalg, seifert
 from linkchi.genfun import BiSeries, delta_series, monomial, phi_series, transform
 from linkchi.invariants import (
     chi,
@@ -117,6 +117,68 @@ def test_formula_pure_z_gives_trace_constant():
     out = tr_monomial("zz", A, 3)
     # tr(Z^2) for Z = [[1,1],[-1,0]] is -1
     assert out == NCSeries(1, 3, {(): -1})
+
+
+def monomial_trace_sum(f, A, degree):
+    """sum_w c_w tr_monomial(w): the block-trace route, one word at a time."""
+    total = NCSeries.zero(A.n, degree)
+    for word, coeff in f.terms.items():
+        total = total + tr_monomial(word, A, degree).scale(coeff)
+    return total
+
+
+def test_trace_matches_formula_on_hat_delta_at_degree_7():
+    # hat(delta) has every composition of x-runs: words (x^j1 z)...(x^jk z)
+    A = random_seifert_rng(random.Random(113), [1, 1, 1], 2)
+    f = transform(delta_series(7), "hat")
+    assert len(f.terms) == 127
+    out = trace_at(f, A.structure, seifert.z_matrix(A), 7)
+    assert out == monomial_trace_sum(f, A, 7)
+    assert len(out.terms) > 1000
+
+
+def multi_run_series(rng, degree):
+    """Seeded words with several x- and z-runs, starting or ending in either
+    letter, plus pure-z, x-only and empty words; coefficients with
+    different denominators."""
+    terms = {"": Fraction(2, 3), "z": 5, "zzz": Fraction(-1, 4), "x": 1,
+             "x" * degree: Fraction(3, 7), "zx" * (degree // 2) + "xz": -2}
+    while len(terms) < 30:
+        letters, xdeg = [], 0
+        letter = rng.choice("xz")
+        for _ in range(rng.randint(1, 5)):
+            run = rng.randint(1, 3)
+            if letter == "x":
+                run = min(run, degree - xdeg)
+                xdeg += run
+            letters.append(letter * run)
+            letter = "z" if letter == "x" else "x"
+        word = "".join(letters)
+        terms[word] = terms.get(word, 0) + Fraction(rng.randint(-5, 5), rng.randint(1, 6))
+    return BiSeries(degree, terms)
+
+
+@pytest.mark.parametrize("genera", [[1, 1, 1], [1, 0, 2]])
+def test_trace_matches_formula_on_multi_run_series_at_degree_7(genera):
+    rng = random.Random(127)
+    A = random_seifert_rng(rng, genera, 2)
+    f = multi_run_series(rng, 7)
+    assert any(w.startswith("z") and w.endswith("z") and "x" in w for w in f.terms)
+    assert tr_series(f, A, 7) == monomial_trace_sum(f, A, 7)
+
+
+def test_hat_matches_substitution_at_n3_degree_7():
+    rng = random.Random(131)
+    terms = {(): Fraction(1, 2), (2,): 3, (3, 3, 3): -1, (1,) * 7: Fraction(2, 5)}
+    while len(terms) < 40:
+        word = ()
+        for _ in range(rng.randint(1, 4)):
+            word += (rng.randint(1, 3),) * rng.randint(1, 3)
+        terms[word[:7]] = Fraction(rng.randint(-4, 4), rng.randint(1, 5))
+    A = random_seifert_rng(rng, [1, 1, 1], 2)
+    for f in (NCSeries(3, 7, terms), chi_delta(A, 7)):
+        images = [ncalg.bar_variable(3, 7, i) for i in (1, 2, 3)]
+        assert ncalg.hat(f) == ncalg.substitute(f, images)
 
 
 # -- the invariant ---------------------------------------------------------------
