@@ -15,12 +15,16 @@ from fractions import Fraction
 from . import genfun, invariants, seifert, selfcheck
 
 
-def _load_matrix(path: str) -> seifert.SeifertMatrix:
+def _read_text(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
+            return handle.read()
     except (OSError, ValueError) as exc:  # ValueError: undecodable text, NUL in the path
         raise _CliError(2, "cannot read %s: %s" % (path, exc)) from None
+
+
+def _load_matrix(path: str) -> seifert.SeifertMatrix:
+    text = _read_text(path)
     try:
         return seifert.parse(text)
     except seifert.MatrixFormatError as exc:
@@ -61,12 +65,26 @@ class _CliError(Exception):
         self.message = message
 
 
+# Fraction("1e<k>") builds 10**|k| exactly, in time growing faster than |k|;
+# the bound matches CPython's default limit on the digits of an int.
+_MAX_EXPONENT = 4300
+
+
+def _parse_coeff(text: str) -> Fraction:
+    """A ``list:`` coefficient such as ``-1/2`` or ``1.5e-2``; |exponent| <= _MAX_EXPONENT."""
+    _, e, exponent = text.lower().partition("e")
+    digits = exponent.lstrip("+-").replace("_", "").lstrip("0")
+    if e and digits.isdecimal() and (
+        len(digits) > len(str(_MAX_EXPONENT)) or int(digits) > _MAX_EXPONENT
+    ):
+        raise ValueError("coefficient exponent beyond +-%d" % _MAX_EXPONENT)
+    return Fraction(text)
+
+
 def _load_series_file(path: str, degree: int) -> genfun.BiSeries:
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            lines = handle.readlines()
-    except (OSError, ValueError) as exc:
-        raise _CliError(2, "cannot read %s: %s" % (path, exc)) from None
+    # "\n" only: str.splitlines() also breaks at form feeds and U+2028,
+    # which would shift the line numbers of the messages
+    lines = _read_text(path).split("\n")
     terms = {}
     for lineno, line in enumerate(lines, start=1):
         line = line.strip()
@@ -78,7 +96,7 @@ def _load_series_file(path: str, degree: int) -> genfun.BiSeries:
                 2, "%s:%d: expected 'coefficient word'" % (path, lineno)
             )
         try:
-            coeff = Fraction(parts[0])
+            coeff = _parse_coeff(parts[0])
             word = genfun.parse_word(parts[1])
         except (ValueError, ZeroDivisionError) as exc:
             raise _CliError(2, "%s:%d: %s" % (path, lineno, exc)) from None
@@ -107,6 +125,14 @@ def _require_valid(A: seifert.SeifertMatrix) -> None:
         raise _CliError(1, "matrix is not a Seifert matrix")
 
 
+def _print_series(series, as_json: bool) -> None:
+    if as_json:
+        print(json.dumps(series.to_triples()))
+    else:
+        for line in series.to_lines():
+            print(line)
+
+
 def cmd_validate(args) -> int:
     A = _load_matrix(args.file)
     problems = seifert.validate(A)
@@ -122,24 +148,14 @@ def cmd_chi(args) -> int:
     A = _load_matrix(args.file)
     _require_valid(A)
     f = _parse_f_spec(args.f, args.degree)
-    series = invariants.chi(f, A, args.degree)
-    if args.json:
-        print(json.dumps(series.to_triples()))
-    else:
-        for line in series.to_lines():
-            print(line)
+    _print_series(invariants.chi(f, A, args.degree), args.json)
     return 0
 
 
 def cmd_torsion(args) -> int:
     A = _load_matrix(args.file)
     _require_valid(A)
-    poly = invariants.torsion_polynomial(A, args.degree)
-    if args.json:
-        print(json.dumps(poly.to_triples()))
-    else:
-        for line in poly.to_lines():
-            print(line)
+    _print_series(invariants.torsion_polynomial(A, args.degree), args.json)
     return 0
 
 

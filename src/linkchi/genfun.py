@@ -8,8 +8,9 @@ is always a finite object and the caller asserts per-degree completeness
 up to ``xtrunc``.
 
 Built-ins: ``delta_series`` is log(xz + 1) and ``phi_series`` is
-(xz + 1)^-1 x.  Transforms: word reversal (tilde), the substitution
-x -> -x(1+x)^-1 (hat), their composite (bar), and z -> 1 - z.
+(xz + 1)^-1 x.  Transforms: z -> 1 - z is computed here; word reversal
+(tilde), the substitution x -> -x(1+x)^-1 (hat) and their composite (bar)
+are ``ncalg``'s involutions, which act on these series too.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from fractions import Fraction
 from itertools import groupby
 from typing import Iterable, Mapping
 
+from . import ncalg
 from .series import Series
 
 BiWord = str  # a word over the alphabet "xz", e.g. "xzzx"
@@ -145,25 +147,6 @@ def from_univariate(coeffs: Iterable, xtrunc: int) -> BiSeries:
     return BiSeries(xtrunc, terms)
 
 
-def _hat_word(word: BiWord, xtrunc: int) -> dict[BiWord, Fraction]:
-    """Expand one word under x -> -x + x^2 - x^3 + ..., z fixed."""
-    out = {"": Fraction(1)}
-    for letter in word:
-        new: dict[BiWord, Fraction] = {}
-        if letter == "z":
-            for frag, c in out.items():
-                new[frag + "z"] = c
-        else:
-            for frag, c in out.items():
-                room = xtrunc - xdegree(frag)
-                for j in range(1, room + 1):
-                    w = frag + "x" * j
-                    coeff = c * (-1) ** j
-                    new[w] = new.get(w, Fraction(0)) + coeff
-        out = new
-    return out
-
-
 def _one_minus_z_word(word: BiWord) -> dict[BiWord, Fraction]:
     """Expand each maximal z-run z^e into (1 - z)^e binomially."""
     out = {"": Fraction(1)}
@@ -185,25 +168,14 @@ def _one_minus_z_word(word: BiWord) -> dict[BiWord, Fraction]:
 
 
 def transform(f: BiSeries, kind: str) -> BiSeries:
-    """Apply tilde, hat, bar or z_to_one_minus_z to a series."""
-    if kind == "tilde":
-        terms = {w[::-1]: c for w, c in f.terms.items()}
-        return BiSeries(f.xtrunc, terms)
-    if kind == "hat":
-        terms: dict[BiWord, Fraction] = {}
-        for word, coeff in f.terms.items():
-            for w, c in _hat_word(word, f.xtrunc).items():
-                terms[w] = terms.get(w, Fraction(0)) + coeff * c
-        return BiSeries(f.xtrunc, terms)
-    if kind == "bar":
-        return transform(transform(f, "hat"), "tilde")
-    if kind == "z_to_one_minus_z":
-        terms = {}
-        for word, coeff in f.terms.items():
-            for w, c in _one_minus_z_word(word).items():
-                terms[w] = terms.get(w, Fraction(0)) + coeff * c
-        return BiSeries(f.xtrunc, terms)
-    raise ValueError("unknown transform %r" % kind)
+    """Apply tilde, hat or bar (by ``ncalg.involution``) or z_to_one_minus_z to a series."""
+    if kind != "z_to_one_minus_z":
+        return ncalg.involution(f, kind)
+    terms: dict[BiWord, Fraction] = {}
+    for word, coeff in f.terms.items():
+        for w, c in _one_minus_z_word(word).items():
+            terms[w] = terms.get(w, Fraction(0)) + coeff * c
+    return BiSeries(f.xtrunc, terms)
 
 
 def inverse_extra_special(f: BiSeries) -> BiSeries:

@@ -13,7 +13,9 @@ Besides ring arithmetic the module provides the three standard involutions
 (word reversal ``tilde``, the substitution ``hat`` sending each variable to
 -x(1+x)^-1, and their composite ``bar``), the cyclic quotient in which words
 matter only up to rotation, and the abelianization map into commutative
-series.
+series.  The involutions are the only ones in the package: they act on the
+generating series ``genfun.BiSeries`` as well, where ``hat`` substitutes
+only the letter ``x`` (grade 1) and fixes ``z`` (grade 0).
 """
 
 from __future__ import annotations
@@ -129,56 +131,63 @@ def bar_variable(n: int, trunc: int, i: int) -> NCSeries:
     return NCSeries(n, trunc, terms)
 
 
-def tilde(f: NCSeries) -> NCSeries:
+def tilde(f: Series) -> Series:
     """Anti-automorphism fixing the variables: reverse every word."""
-    return NCSeries(f.n, f.trunc, {w[::-1]: c for w, c in f.terms.items()})
+    return f._same({w[::-1]: c for w, c in f.terms.items()}, f.trunc)
 
 
-def hat(f: NCSeries) -> NCSeries:
-    """Automorphism substituting x_i -> -x_i (1 + x_i)^-1, no reversal.
+def hat(f: Series) -> Series:
+    """Automorphism substituting x -> -x (1 + x)^-1 for each letter x of grade 1.
 
-    Each run x_a^r of a word maps to (sum_j (-1)^j x_a^j)^r, which is
-    sum_{s >= r} (-1)^s C(s-1, r-1) x_a^s.  Neighbouring runs have different
-    letters, so the images of one word are distinct words.
+    Letters of grade 0 (``z`` in a ``genfun.BiSeries``) are fixed; every
+    letter of an ``NCSeries`` has grade 1.  Each run x^r of a word maps to
+    (sum_j (-1)^j x^j)^r, which is sum_{s >= r} (-1)^s C(s-1, r-1) x^s.
+    Neighbouring runs have different letters, so the images of one word are
+    distinct words.
 
     >>> print(hat(NCSeries(2, 3, {(1, 1, 2): 1})))
     -1 * x1.x1.x2
     """
-    trunc = f.trunc
+    trunc, grade = f.trunc, f._grade
     # integer arithmetic: coefficients times their common denominator
     scale = math.lcm(*(c.denominator for c in f.terms.values()))
-    out: dict[Word, int] = {}
+    out: dict = {}
     for word, coeff in f.terms.items():
-        runs = [(a, sum(1 for _ in group)) for a, group in groupby(word)]
-        # room: letters the runs still to come need at least
-        room = len(word)
-        images = {(): coeff.numerator * (scale // coeff.denominator)}
-        for a, r in runs:
+        # room: grade the runs still to come need at least
+        room = grade(word)
+        images = {word[:0]: coeff.numerator * (scale // coeff.denominator)}
+        start = 0
+        for _, group in groupby(word):
+            r = sum(1 for _ in group)
+            run = word[start : start + r]
+            start += r
+            if not grade(run):
+                images = {w + run: c for w, c in images.items()}
+                continue
             room -= r
+            letter = run[:1]
             images = {
-                w + (a,) * s: c * (-1) ** s * math.comb(s - 1, r - 1)
+                w + letter * s: c * (-1) ** s * math.comb(s - 1, r - 1)
                 for w, c in images.items()
-                for s in range(r, trunc - room - len(w) + 1)
+                for s in range(r, trunc - room - grade(w) + 1)
             }
         for w, c in images.items():
             out[w] = out.get(w, 0) + c
     return f._same({w: Fraction(v, scale) for w, v in out.items()}, trunc)
 
 
-def bar(f: NCSeries) -> NCSeries:
-    """Anti-automorphism x_i -> -x_i (1 + x_i)^-1 with word reversal."""
+def bar(f: Series) -> Series:
+    """Anti-automorphism x -> -x (1 + x)^-1 with word reversal: tilde(hat(f))."""
     return tilde(hat(f))
 
 
-_INVOLUTIONS = {"tilde": tilde, "hat": hat, "bar": bar}
-
-
-def involution(f: NCSeries, kind: str) -> NCSeries:
-    try:
-        op = _INVOLUTIONS[kind]
-    except KeyError:
-        raise ValueError("unknown involution %r" % kind) from None
-    return op(f)
+def involution(f: Series, kind: str) -> Series:
+    """``tilde``, ``hat`` or ``bar`` of an ``NCSeries`` or a ``genfun.BiSeries``."""
+    # names looked up per call, so the benchmark tracer's wrappers see it
+    ops = {"tilde": tilde, "hat": hat, "bar": bar}
+    if kind not in ops:
+        raise ValueError("unknown involution %r" % kind)
+    return ops[kind](f)
 
 
 def minimal_rotation(word: Word) -> Word:

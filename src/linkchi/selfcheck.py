@@ -263,15 +263,14 @@ def suite_duality(seed: int, degree: int) -> SuiteResult:
         )
         word = random_bi_word(rng, degree)
         f = genfun.monomial(word, degree)
-        lhs = ncalg.tilde(invariants.chi(f, A, degree))
+        chi_f = invariants.chi(f, A, degree)
         dual = genfun.transform(genfun.transform(f, "tilde"), "z_to_one_minus_z")
         res.record(
-            lhs == invariants.chi(dual, A, degree),
+            ncalg.tilde(chi_f) == invariants.chi(dual, A, degree),
             "tilde duality for %s case %d" % (word, case),
         )
         res.record(
-            invariants.chi(genfun.transform(f, "hat"), A, degree)
-            == ncalg.hat(invariants.chi(f, A, degree)),
+            invariants.chi(genfun.transform(f, "hat"), A, degree) == ncalg.hat(chi_f),
             "hat duality for %s case %d" % (word, case),
         )
     return res

@@ -1,10 +1,12 @@
 import json
+from fractions import Fraction
 
 import pytest
 
 from helpers import reflection_example, stabilized_unknot, trefoil
 from linkchi import invariants, seifert
 from linkchi.cli import main
+from linkchi.genfun import BiSeries
 from linkchi.ncalg import NCSeries
 
 
@@ -211,6 +213,39 @@ def test_chi_non_utf8_list_file_exits_2(capsys, tmp_path, trefoil_file):
     )
     assert code == 2
     assert "cannot read" in err
+
+
+def test_list_coefficients_in_exponent_and_fraction_forms(capsys, tmp_path, trefoil_file):
+    listing = tmp_path / "series.txt"
+    listing.write_text("1e3 x.z\n1.5e-2 x.z.x.z\n-1/2 x.z.x.z.x.z\n1e0003 x.z\n")
+    code, out, _ = run(
+        capsys, ["chi", trefoil_file, "--f", "list:%s" % listing, "--degree", "3"]
+    )
+    f = BiSeries(3, {"xz": 2000, "xzxz": Fraction(3, 200), "xzxzxz": Fraction(-1, 2)})
+    assert code == 0
+    assert out == "".join(line + "\n" for line in invariants.chi(f, trefoil(), 3).to_lines())
+
+
+@pytest.mark.parametrize("coeff", ["1e4301", "1E-4301", "-2.5e+04301", "0e99999", "1e3000000"])
+def test_coefficient_exponent_beyond_bound_exits_2(capsys, tmp_path, trefoil_file, coeff):
+    # Fraction would build 10**|exponent| exactly: 1e3000000 takes seconds
+    listing = tmp_path / "series.txt"
+    listing.write_text("1 x.z\n%s x.z.x.z\n" % coeff)
+    code, out, err = run(
+        capsys, ["chi", trefoil_file, "--f", "list:%s" % listing, "--degree", "2"]
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("%s:2: " % listing) and len(err.splitlines()) == 1
+
+
+def test_list_line_numbers_count_only_newlines(capsys, tmp_path, trefoil_file):
+    # a form feed or U+2028 inside a comment does not start a new line
+    listing = tmp_path / "series.txt"
+    listing.write_text("# page\x0cbreak\u2028separator\n1 x.q\n", encoding="utf-8")
+    code, _, err = run(
+        capsys, ["chi", trefoil_file, "--f", "list:%s" % listing, "--degree", "2"]
+    )
+    assert code == 2 and err.startswith("%s:2: " % listing)
 
 
 @pytest.mark.parametrize("argv", [["validate", "bad\x00.json"], ["chi", "FILE", "--f", "list:a\x00"]])

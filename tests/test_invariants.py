@@ -181,6 +181,30 @@ def test_hat_matches_substitution_at_n3_degree_7():
         assert ncalg.hat(f) == ncalg.substitute(f, images)
 
 
+def hat_by_ring_products(f):
+    """hat(f) by multiplying letter images: x -> sum_j (-1)^j x^j, z -> z."""
+    t = f.xtrunc
+    image = {"x": BiSeries(t, {"x" * j: (-1) ** j for j in range(1, t + 1)}),
+             "z": BiSeries(t, {"z": 1})}
+    out = BiSeries.zero(t)
+    for word, coeff in f.terms.items():
+        part = BiSeries.one(t)
+        for letter in word:
+            part = part * image[letter]
+        out = out + part.scale(coeff)
+    return out
+
+
+@pytest.mark.parametrize(
+    "f",
+    [multi_run_series(random.Random(127), 7), delta_series(8), phi_series(8),
+     transform(delta_series(8), "tilde")],
+    ids=["multi-run", "delta", "phi", "tilde-delta"],
+)
+def test_hat_of_bi_series_matches_ring_products(f):
+    assert transform(f, "hat") == hat_by_ring_products(f)
+
+
 # -- the invariant ---------------------------------------------------------------
 
 
