@@ -13,6 +13,7 @@ import sys
 from fractions import Fraction
 
 from . import genfun, invariants, seifert, selfcheck
+from .series import unlimited_int_digits
 
 
 def _read_text(path: str) -> str:
@@ -127,7 +128,8 @@ def _require_valid(A: seifert.SeifertMatrix) -> None:
 
 def _print_series(series, as_json: bool) -> None:
     if as_json:
-        print(json.dumps(series.to_triples()))
+        with unlimited_int_digits():
+            print(json.dumps(series.to_triples()))
     else:
         for line in series.to_lines():
             print(line)

@@ -98,9 +98,7 @@ class BiSeries(Series):
     def _one_key(self) -> BiWord:
         return ""
 
-    @staticmethod
-    def _sort_key(word: BiWord) -> tuple[int, BiWord]:
-        return (len(word), word)
+    _sort_grade = staticmethod(len)
 
     def x_degree_part(self, d: int) -> dict[BiWord, Fraction]:
         return {w: c for w, c in self.terms.items() if xdegree(w) == d}

@@ -9,17 +9,18 @@ Z = A (A - A')^-1, and H is the half-ones diagonal normalizer.  The value
 is a truncated noncommutative series in x_1..x_n with exact rational
 coefficients.
 
-Two independent evaluation routes are provided.  ``trace_at`` (behind
-``tr_series``) walks a trie of the monomials of f in which each run x^r is
-one node: X is block-scalar, so x^r only keeps the columns of one block,
-and r only lengthens the output word.  The trace splits over start blocks,
-tr S = sum_i tr(P_i S P_i), so each walk carries the rows of one block of
-an integer matrix; coefficients are scaled to integers and divided once
-per output word.  ``tr_monomial`` instead evaluates the closed block-trace
-formula: for a monomial x^f0 z^e1 x^f1 ... z^ek x^fk the trace is the sum
-over block index tuples (i1..ik) of tr((Z^e1)_{i1 i2} ... (Z^ek)_{ik i1})
-times the word x_{i1}^f0 x_{i2}^f1 ... x_{i1}^fk.  The two routes are kept
-separate so each can serve as the other's oracle.
+``trace_at`` (behind ``tr_series`` and ``chi``) computes tr f(X, Z) in
+integers by one of two routes.  When no two z's of any word are adjacent,
+also cyclically (delta, phi, every G(xz) and G(xz)x, and their
+tilde/hat/bar), it reads a necklace table: the trace of
+x^j1 z x^j2 z ... x^jk z x^j(k+1) is sum_v T(v) x_v1^j1 ... x_vk^jk x_v1^j(k+1)
+over block tuples v, with T(v) = tr(P_v1 Z ... P_vk Z) for the block
+projections P_i, and T is computed once per rotation class.  Every other
+f takes a walk over a trie of its monomials with one node per run x^r.
+``tr_monomial``, the oracle of both, evaluates the block-trace formula:
+for a monomial x^f0 z^e1 x^f1 ... z^ek x^fk the sum over block index
+tuples (i1..ik) of tr((Z^e1)_{i1 i2} ... (Z^ek)_{ik i1}) times the word
+x_{i1}^f0 x_{i2}^f1 ... x_{i1}^fk.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import groupby
+from operator import itemgetter
 from typing import Sequence
 
 from . import commalg, genfun, seifert
@@ -38,27 +40,22 @@ from .seifert import BlockStructure, SeifertMatrix
 Word = tuple[int, ...]
 
 
-# -- run-collapsed trie walk (the symbolic route) -------------------------
+# -- run-collapsed trie walk ---------------------------------------------
 #
-# X is block-scalar: restricted to block j, X^r is x_j^r P_j, with P_j the
-# projection onto block j.  So a run x^r changes the partial product only by
-# keeping the columns of one block, whatever r is; r only lengthens the
-# output word.  The trie therefore has one node per maximal run of a
-# block-scalar letter, and its terminals keep the run lengths.
+# X is block-scalar, so a run x^r only keeps the columns of one block,
+# whatever r is; r only lengthens the output word.
 
 
-def _build_trie(terms: dict[str, Fraction], offsets: dict[str, int]) -> tuple[dict, int]:
-    """Run-collapsed trie of monomials, with coefficients made integers.
+def _build_trie(terms: dict[str, int], offsets: dict[str, int]) -> dict:
+    """Run-collapsed trie of monomials with integer coefficients.
 
     A maximal run of a block-scalar letter (a key of ``offsets``) is one
     node keyed by that letter's variable offset; every other letter is its
     own "z" node.  The key None holds a list of (template, coefficient).
     The template lists the run's position among the block-scalar runs once
     per letter of the run, so the output word is the picked blocks read
-    through it.  Coefficients are scaled by their common denominator, which
-    is returned with the trie.
+    through it.
     """
-    scale = math.lcm(*(c.denominator for c in terms.values()))
     root: dict = {}
     for word, coeff in terms.items():
         node, template, t = root, [], 0
@@ -71,9 +68,21 @@ def _build_trie(terms: dict[str, Fraction], offsets: dict[str, int]) -> tuple[di
             else:
                 for _ in range(run):
                     node = node.setdefault("z", {})
-        tail = node.setdefault(None, [])
-        tail.append((template, coeff.numerator * (scale // coeff.denominator)))
-    return root, scale
+        node.setdefault(None, []).append((template, coeff))
+    return root
+
+
+def _times(rows, M, cols: range) -> list[list[int]]:
+    """rows * M, for rows that are zero outside the columns ``cols``."""
+    out = []
+    for row in rows:
+        acc = [0] * len(M)
+        for c in cols:
+            a = row[c]
+            if a:
+                acc = [s + a * b for s, b in zip(acc, M[c])]
+        out.append(acc)
+    return out
 
 
 def _walk(trie: dict, structure: BlockStructure, M) -> dict[Word, int]:
@@ -115,19 +124,76 @@ def _walk(trie: dict, structure: BlockStructure, M) -> dict[Word, int]:
                 )
                 emit(child[None], path, trace)
             else:
-                nxt = []
-                for row in rows:
-                    acc = [0] * m
-                    for k in range(lo, hi):
-                        v = row[k]
-                        if v:
-                            acc = [s + v * t for s, t in zip(acc, M[k])]
-                    nxt.append(acc)
-                walk(own, child, nxt, 0, m, path)
+                walk(own, child, _times(rows, M, range(lo, hi)), 0, m, path)
 
     for _, own in blocks:
         identity = [[int(r == c) for c in range(m)] for r in own]
         walk(own, trie, identity, own.start, own.stop, ())
+    return out
+
+
+# -- necklace trace table (the route for isolated z's) ---------------------
+
+
+def _necklace_traces(structure: BlockStructure, M, k_max: int) -> dict[Word, int]:
+    """{necklace v: T(v)} over the nonempty blocks, for 1 <= len(v) <= k_max.
+
+    Walks the prenecklace tree (Fredricksen-Kessler-Maiorana): a_{t+1} >=
+    a_{t+1-p} for the period p of a_1..a_t, a necklace when t % p == 0.  A
+    walk carries the start block's rows of P_a1 Z P_a2 Z ... P_at Z.
+    """
+    blocks = [
+        (j, structure.block_range(j)) for j in range(1, structure.n + 1) if structure.sizes[j - 1]
+    ]
+    table: dict[Word, int] = {}
+
+    def walk(v: Word, p: int, own: range, rows) -> None:
+        t = len(v)
+        if t % p == 0:
+            table[v] = sum(row[r] for r, row in zip(own, rows))
+        if t == k_max:
+            return
+        for j, cols in blocks:
+            if j >= v[t - p]:
+                q = p if j == v[t - p] else t + 1
+                if t + 1 < k_max:
+                    walk(v + (j,), q, own, _times(rows, M, cols))
+                elif (t + 1) % q == 0:  # last letter: only the diagonal is needed
+                    table[v + (j,)] = sum(
+                        row[c] * M[c][r] for r, row in zip(own, rows) for c in cols
+                    )
+
+    if k_max:
+        for j, own in blocks:
+            walk((j,), 1, own, [list(M[r]) for r in own])
+    return table
+
+
+def _trace_by_necklaces(terms: dict[str, int], structure: BlockStructure, M) -> dict[Word, int]:
+    """Sum of coeff * tr(word(X, M)) for words whose z's are cyclically isolated."""
+    out: dict[Word, int] = {}
+    by_k: dict[int, list] = {}
+    for word, coeff in terms.items():
+        runs = [len(r) for r in word.split("z")]  # j1, ..., j(k+1)
+        if len(runs) == 1:  # tr X^j = sum_i size_i x_i^j
+            for i, size in enumerate(structure.sizes, 1):
+                out[(i,) * runs[0]] = out.get((i,) * runs[0], 0) + coeff * size
+            continue
+        template = [t for t, run in enumerate(runs[:-1]) for _ in range(run)] + [0] * runs[-1]
+        by_k.setdefault(len(runs) - 1, []).append((template, coeff))
+    rotations: dict[int, tuple[list, list]] = {k: ([], []) for k in by_k}
+    for v, trace in _necklace_traces(structure, M, max(by_k, default=0)).items():
+        k, vv = len(v), v + v
+        if trace and k in rotations:
+            p = next(p for p in range(1, k + 1) if vv[p : p + k] == v)  # the period
+            rotations[k][0].extend(vv[r : r + k] for r in range(p))
+            rotations[k][1].extend([trace] * p)
+    for k, words in by_k.items():
+        words_k, traces = rotations[k]
+        for template, coeff in words:
+            keys = words_k if template == list(range(k)) else map(itemgetter(*template), words_k)
+            for key, trace in zip(keys, traces):
+                out[key] = out.get(key, 0) + coeff * trace
     return out
 
 
@@ -154,10 +220,16 @@ def trace_at(
         raise ValueError("M must be a square matrix of size %d" % m)
     # words whose x-degree exceeds the requested degree cannot contribute
     terms = {w: c for w, c in f.terms.items() if genfun.xdegree(w) <= degree}
-    trie, scale = _build_trie(terms, {"x": 0})
-    raw = {w: Fraction(v, scale) for w, v in _walk(trie, structure, M).items() if v}
+    scale = math.lcm(*(c.denominator for c in terms.values()))
+    terms = {w: c.numerator * (scale // c.denominator) for w, c in terms.items()}
+    if all("zz" not in w + w[:1] for w in terms):
+        raw = _trace_by_necklaces(terms, structure, M)
+    else:
+        raw = _walk(_build_trie(terms, {"x": 0}), structure, M)
+    fractions = {v: Fraction(v, scale) for v in set(raw.values()) if v}
     # every emitted word has letters 1..n and length <= degree
-    return NCSeries.zero(structure.n, degree)._same(raw, degree)
+    out = {w: fractions[v] for w, v in raw.items() if v}
+    return NCSeries.zero(structure.n, degree)._same(out, degree)
 
 
 def tr_series(f: BiSeries, A: SeifertMatrix, degree: int) -> NCSeries:
@@ -383,8 +455,7 @@ def reconstruct_trace(word: str, A: SeifertMatrix, degree: int) -> NCSeries:
     f0, pairs = word_runs(word)
     reduced = genfun.prime_word(word)
     z = seifert.z_matrix(A)
-    trie, _ = _build_trie({reduced: Fraction(1)}, {"x": 0, "y": n})
-    raw = _walk(trie, st, z)
+    raw = _walk(_build_trie({reduced: 1}, {"x": 0, "y": n}), st, z)
     powers = [f0] + [f for _, f in pairs]
     terms: dict[Word, int] = {}
     for w, coeff in raw.items():

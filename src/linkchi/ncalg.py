@@ -20,6 +20,7 @@ only the letter ``x`` (grade 1) and fixes ``z`` (grade 0).
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from fractions import Fraction
@@ -31,10 +32,13 @@ from .series import Series
 Word = tuple[int, ...]
 
 
+_letter_name = functools.lru_cache(maxsize=None)("x{}".format)  # 3 -> "x3"
+
+
 def format_word(word: Word) -> str:
     if not word:
         return "1"
-    return ".".join("x%d" % i for i in word)
+    return ".".join(map(_letter_name, word))
 
 
 class NCSeries(Series):

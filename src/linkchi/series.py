@@ -18,14 +18,33 @@ operands.  Arithmetic is exact (``int``/``Fraction``) throughout.
 
 from __future__ import annotations
 
+import sys
+from contextlib import contextmanager
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
+
+
+@contextmanager
+def unlimited_int_digits() -> Iterator[None]:
+    """Lift CPython's int/str digit limit, where there is one, inside the block."""
+    old = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if old:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if old:
+            sys.set_int_max_str_digits(old)
 
 
 def format_coeff(c: Fraction) -> str:
-    if c.denominator == 1:
-        return str(c.numerator)
-    return "%d/%d" % (c.numerator, c.denominator)
+    try:
+        if c.denominator == 1:
+            return str(c.numerator)
+        return "%d/%d" % (c.numerator, c.denominator)
+    except ValueError:  # more digits than the int/str limit
+        with unlimited_int_digits():
+            return format_coeff(c)
 
 
 class Series:
@@ -70,8 +89,7 @@ class Series:
         out.terms = {k: c for k, c in terms.items() if c and grade(k) <= trunc}
         return out
 
-    def _sort_key(self, key):
-        return (self._grade(key), key)
+    _sort_grade = None  # terms print by this grade if set, else by _grade; then by key
 
     # -- constructors and inspection ---------------------------------------
 
@@ -100,15 +118,22 @@ class Series:
         return self._same(self.terms, min(self.trunc, trunc))
 
     def sorted_terms(self) -> list:
-        return sorted(self.terms.items(), key=lambda kv: self._sort_key(kv[0]))
+        keys = sorted(self.terms)
+        keys.sort(key=self._sort_grade or self._grade)  # stable
+        return [(k, self.terms[k]) for k in keys]
 
     # -- text and structured forms -------------------------------------------
 
     def to_lines(self) -> list[str]:
-        return [
-            "%s * %s" % (format_coeff(c), self._format_key(k))
-            for k, c in self.sorted_terms()
-        ]
+        coeffs: dict[tuple[int, int], str] = {}  # one string per distinct value
+        format_key = self._format_key
+        lines = []
+        for k, c in self.sorted_terms():
+            nd = (c.numerator, c.denominator)
+            if nd not in coeffs:
+                coeffs[nd] = format_coeff(c) + " * "
+            lines.append(coeffs[nd] + format_key(k))
+        return lines
 
     def to_triples(self) -> list[tuple[int, int, list]]:
         return [(c.numerator, c.denominator, list(k)) for k, c in self.sorted_terms()]

@@ -1,4 +1,5 @@
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,8 @@ from helpers import reflection_example, stabilized_unknot, trefoil
 from linkchi import invariants, seifert
 from linkchi.cli import main
 from linkchi.genfun import BiSeries
-from linkchi.ncalg import NCSeries
+from linkchi.ncalg import NCSeries, format_word
+from linkchi.series import unlimited_int_digits
 
 
 @pytest.fixture
@@ -236,6 +238,30 @@ def test_coefficient_exponent_beyond_bound_exits_2(capsys, tmp_path, trefoil_fil
     )
     assert code == 2 and out == ""
     assert err.startswith("%s:2: " % listing) and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("as_json", [False, True], ids=["lines", "json"])
+def test_coefficients_beyond_the_int_digit_limit_print_exactly(capsys, tmp_path, trefoil_file, as_json):
+    # 10**4300 * (an integer > 1) has more digits than CPython's default int/str limit
+    listing = tmp_path / "series.txt"
+    listing.write_text("1e4300 x.z\n1e4300 x.z.x.z\n")
+    argv = ["chi", trefoil_file, "--f", "list:%s" % listing, "--degree", "4"]
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    code, out, err = run(capsys, argv + ["--json"] * as_json)
+    assert code == 0 and err == ""
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+    f = BiSeries(4, {"xz": 10**4300, "xzxz": 10**4300})
+    series = invariants.chi(f, trefoil(), 4)
+    assert max(abs(c.numerator) for c in series.terms.values()) >= 10**4300
+    with unlimited_int_digits():
+        if as_json:
+            expected = json.dumps(series.to_triples()) + "\n"
+        else:
+            expected = "".join(
+                "%d * %s\n" % (c.numerator, format_word(w)) for w, c in series.sorted_terms()
+            )
+    assert out == expected
+    assert all(c.denominator == 1 for c in series.terms.values())
 
 
 def test_list_line_numbers_count_only_newlines(capsys, tmp_path, trefoil_file):

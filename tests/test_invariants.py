@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -167,6 +169,94 @@ def test_trace_matches_formula_on_multi_run_series_at_degree_7(genera):
     assert tr_series(f, A, 7) == monomial_trace_sum(f, A, 7)
 
 
+def isolated_z_series(rng, degree):
+    """Seeded words with no two z's adjacent, also cyclically: a constant
+    term, pure-x words, words that start or end with z, and coefficients
+    with different denominators."""
+    terms = {"": Fraction(3, 4), "x": 2, "x" * degree: Fraction(-1, 3), "zx": Fraction(5, 2),
+             "xzx" * (degree // 2): Fraction(1, 6)}
+    while len(terms) < 40:
+        k = rng.randint(1, degree)
+        runs = [rng.randint(0, 2)] + [rng.randint(1, 2) for _ in range(k - 1)] + [rng.randint(0, 2)]
+        if runs[0] + runs[-1] == 0:
+            runs[-1] = 1
+        if sum(runs) <= degree:
+            word = "z".join("x" * r for r in runs)
+            terms[word] = terms.get(word, 0) + Fraction(rng.randint(-5, 5), rng.randint(1, 7))
+    return BiSeries(degree, terms)
+
+
+def trace_by_walk(f, structure, M, degree):
+    """tr f(X, M) through the run-collapsed trie walk, whatever f is."""
+    terms = {w: c for w, c in f.terms.items() if w.count("x") <= degree}
+    scale = math.lcm(*(c.denominator for c in terms.values()))
+    ints = {w: c.numerator * (scale // c.denominator) for w, c in terms.items()}
+    raw = invariants._walk(invariants._build_trie(ints, {"x": 0}), structure, M)
+    return NCSeries(structure.n, degree, {w: Fraction(v, scale) for w, v in raw.items()})
+
+
+TABLE_SHAPES = [([3, 3, 3], 7, 211), ([1, 1, 1, 1], 7, 223), ([2, 1, 2], 6, 227)]
+TABLE_SERIES = {
+    "delta": lambda d: delta_series(d),
+    "phi": lambda d: phi_series(d),
+    "hat-delta": lambda d: transform(delta_series(d), "hat"),
+    "tilde-phi": lambda d: transform(phi_series(d), "tilde"),
+    "isolated-z": lambda d: isolated_z_series(random.Random(229), d),
+}
+
+
+@pytest.mark.parametrize("genera, degree, seed", TABLE_SHAPES, ids=["333-d7", "1111-d7", "212-d6"])
+@pytest.mark.parametrize("name", list(TABLE_SERIES))
+def test_necklace_route_matches_walk_and_formula(genera, degree, seed, name, monkeypatch):
+    A = random_seifert_rng(random.Random(seed), genera, 2)
+    M = seifert.z_matrix(A)
+    f = TABLE_SERIES[name](degree)
+    if name == "isolated-z":
+        words = [w for w in f.terms if w.count("x") <= degree]
+        assert "" in words and "x" in words and any(w.startswith("z") for w in words)
+        assert len({c.denominator for c in f.terms.values()}) > 2
+    by_walk = trace_by_walk(f, A.structure, M, degree)
+    by_formula = monomial_trace_sum(f, A, degree)
+    monkeypatch.setattr(invariants, "_walk", None)  # the table route must not walk
+    assert trace_at(f, A.structure, M, degree) == by_walk == by_formula
+
+
+@pytest.mark.parametrize("word", ["zz", "zxz", "xzzx", "zxxz"])
+def test_adjacent_zs_take_the_walk(word, monkeypatch):
+    A = random_seifert_rng(random.Random(233), [1, 2], 2)
+    f = BiSeries(4, {word: 1, "xzx": Fraction(1, 2)})
+    monkeypatch.setattr(invariants, "_trace_by_necklaces", None)
+    assert tr_series(f, A, 4) == monomial_trace_sum(f, A, 4)
+
+
+def test_necklace_table_has_one_trace_per_rotation_class():
+    A = random_seifert_rng(random.Random(239), [1, 0, 1, 2], 2)
+    M = seifert.z_matrix(A)
+    table = invariants._necklace_traces(A.structure, M, 6)
+    for k in range(1, 7):
+        # T(u) is the coefficient of u in tr (XZ)^k, read from its necklace
+        formula = tr_monomial("xz" * k, A, k)
+        words = list(itertools.product([1, 3, 4], repeat=k))
+        necklaces = {u: min(u[r:] + u[:r] for r in range(k)) for u in words}
+        assert {v for v in table if len(v) == k} == set(necklaces.values())
+        assert all(formula.coefficient(u) == table[necklaces[u]] for u in words)
+
+
+@pytest.mark.parametrize("genera, degree, seed", TABLE_SHAPES, ids=["333-d7", "1111-d7", "212-d6"])
+def test_phi_trace_is_fixed_by_delta_trace(genera, degree, seed):
+    # the coefficient of v + v[:1] in tr phi is -len(v) times that of v in
+    # tr delta; x_i has 2 g_i; every other word has 0
+    A = random_seifert_rng(random.Random(seed), genera, 2)
+    delta = tr_series(delta_series(degree), A, degree)
+    phi = tr_series(phi_series(degree), A, degree)
+    expected = {(i,): 2 * A.structure.genus(i) for i in range(1, A.n + 1)}
+    for v, c in delta.terms.items():
+        if len(v) < degree:
+            expected[v + v[:1]] = -len(v) * c
+    assert phi == NCSeries(A.n, degree, expected)
+    assert len(phi.terms) > 100
+
+
 def test_hat_matches_substitution_at_n3_degree_7():
     rng = random.Random(131)
     terms = {(): Fraction(1, 2), (2,): 3, (3, 3, 3): -1, (1,) * 7: Fraction(2, 5)}
@@ -289,6 +379,34 @@ def test_chi_duality_small():
         dual = transform(transform(f, "tilde"), "z_to_one_minus_z")
         assert ncalg.tilde(chi(f, A, 4)) == chi(dual, A, 4)
         assert chi(transform(f, "hat"), A, 4) == ncalg.hat(chi(f, A, 4))
+
+
+LARGE_SHAPES = [([3, 3, 3], 7), ([4, 4], 8), ([1, 1, 1, 1], 7)]
+
+
+@pytest.mark.parametrize("seed", [241, 251])
+@pytest.mark.parametrize("genera, degree", LARGE_SHAPES, ids=["333-d7", "44-d8", "1111-d7"])
+def test_invariance_and_duality_at_large_sizes(genera, degree, seed):
+    from linkchi.seifert import random_move_rng
+
+    rng = random.Random(seed)
+    A = random_seifert_rng(rng, genera, 2)
+    B = A
+    for _ in range(rng.randint(3, 5)):
+        B = random_move_rng(rng, B)
+    assert B.entries != A.entries
+    cdelta, cphi = chi_delta(A, degree), chi_phi(A, degree)
+    assert chi_delta(B, degree) == cdelta
+    assert chi_phi(B, degree) == cphi
+    assert cphi == -ncalg.bar(cphi)
+    assert ncalg.cyclic_reduce(cdelta) == ncalg.cyclic_reduce(ncalg.bar(cdelta))
+    assert chi(transform(delta_series(degree), "hat"), A, degree) == ncalg.hat(cdelta)
+    f = monomial(random_word(rng, degree), degree)
+    dual = transform(transform(f, "tilde"), "z_to_one_minus_z")
+    assert ncalg.tilde(chi(f, A, degree)) == chi(dual, A, degree)
+    walked = multi_run_series(rng, degree)  # adjacent z's: the trie walk
+    assert chi(walked, B, degree) == chi(walked, A, degree)
+    assert torsion_polynomial(B, degree) == torsion_polynomial(A, degree)
 
 
 def test_chi_reflection_identity_and_refl_asymmetry():

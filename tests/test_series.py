@@ -67,3 +67,23 @@ def test_operation_results_are_clean(ops):
     assert (a + b).trunc == (a * b).trunc == min(a.trunc, b.trunc)
     one = a ** 0
     assert u.geometric() * (one - u) == one
+
+
+def test_terms_print_by_grade_then_key():
+    nc = NCSeries(12, 3, {(2, 1): 1, (1,): Fraction(1, 2), (10,): -1, (1, 1, 1): 3, (): 2})
+    assert nc.to_lines() == ["2 * 1", "1/2 * x1", "-1 * x10", "1 * x2.x1", "3 * x1.x1.x1"]
+    # words over xz print by length, not by x-degree
+    bi = BiSeries(3, {"zzx": 1, "xx": 2, "x": 3, "zxz": 4, "": 5})
+    assert bi.to_lines() == ["5 * 1", "3 * x", "2 * x.x", "4 * z.x.z", "1 * z.z.x"]
+    comm = CommSeries(2, 3, {(0, 2): 1, (1, 0): 2, (2, 1): 3, (0, 1): 4, (1, 1): 5})
+    assert [k for k, _ in comm.sorted_terms()] == [(0, 1), (1, 0), (0, 2), (1, 1), (2, 1)]
+    assert comm.to_triples()[0] == (4, 1, [0, 1])
+
+
+@given(operands())
+@settings(max_examples=100, deadline=None)
+def test_terms_sort_by_grade_then_key(ops):
+    a = ops[0]
+    order = len if isinstance(a, BiSeries) else GRADE[type(a)]
+    expected = sorted(a.terms.items(), key=lambda kv: (order(kv[0]), kv[0]))
+    assert a.sorted_terms() == expected
