@@ -6,11 +6,15 @@ monomials with exact rational coefficients, plus the matrix machinery
 checks exercise and the torsion oracle uses.  All entries live in the
 local ring where any element with constant term 1 is invertible, so
 Gaussian elimination needs no pivoting.
+
+Inverse and log are the power series of ``Series``; exp, behind the
+torsion series and ``unit_power``, is computed in one pass, grade by
+grade, from the recurrence that the grading derivation gives when the
+variables commute (see ``exp_positive``).
 """
 
 from __future__ import annotations
 
-import math
 import operator
 from fractions import Fraction
 from typing import Sequence
@@ -75,10 +79,31 @@ def log_unit(f: CommSeries) -> CommSeries:
 
 
 def exp_positive(u: CommSeries) -> CommSeries:
-    """exp of a series with zero constant term."""
+    """exp of a series with zero constant term, grade by grade.
+
+    With the grading derivation D x^e = |e| x^e, f = exp(u) solves
+    D f = f D u, so f_0 = 1 and
+
+        |e| f_e = sum over e1 + e2 = e, |e1| >= 1, of |e1| u_e1 f_e2,
+
+    where every f_e2 has a lower grade than e.  This holds only because
+    the variables commute.
+    """
     if u.constant_term != 0:
         raise ValueError("exp_positive needs zero constant term")
-    return u.power_series([Fraction(1, math.factorial(k)) for k in range(u.trunc + 1)])
+    du: list[list] = [[] for _ in range(u.trunc + 1)]  # |e1| u_e1, by grade
+    for e1, c in u.terms.items():
+        du[sum(e1)].append((e1, sum(e1) * c))
+    f = [[((0,) * u.n, Fraction(1))]]  # f_e by grade
+    for k in range(1, u.trunc + 1):
+        acc: dict[Expo, Fraction] = {}
+        for g in range(1, k + 1):
+            for e2, c2 in f[k - g]:
+                for e1, c1 in du[g]:
+                    e = _add_expos(e1, e2)
+                    acc[e] = acc.get(e, 0) + c1 * c2
+        f.append([(e, c / k) for e, c in acc.items() if c])
+    return u._same({e: c for level in f for e, c in level}, u.trunc)
 
 
 def unit_power(f: CommSeries, e) -> CommSeries:

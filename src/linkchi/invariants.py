@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import groupby
-from operator import itemgetter
+from operator import itemgetter, mul
 from typing import Sequence
 
 from . import commalg, genfun, seifert
@@ -293,18 +293,11 @@ def chi_phi(A: SeifertMatrix, degree: int) -> NCSeries:
 # -- block-trace formula (the oracle route) --------------------------------
 
 
-def _block_of(rows, structure, i, j):
-    ri = structure.block_range(i)
-    rj = structure.block_range(j)
-    return [[rows[r][c] for c in rj] for r in ri]
-
-
-def _trace_square(a) -> int:
-    return sum(a[i][i] for i in range(len(a)))
-
-
 def tr_monomial(word: str, A: SeifertMatrix, degree: int) -> NCSeries:
-    """tr f(X, Z) for a single monomial via the block-trace formula."""
+    """tr f(X, Z) for a single monomial via the block-trace formula.
+
+    Each block (Z^e)_{ij} the word needs is sliced once per call.
+    """
     seifert.require_valid(A)
     st = A.structure
     n = st.n
@@ -312,15 +305,10 @@ def tr_monomial(word: str, A: SeifertMatrix, degree: int) -> NCSeries:
     xdeg = f0 + sum(f for _, f in pairs)
     if xdeg > degree:
         return NCSeries.zero(n, degree)
-    terms: dict[Word, Fraction] = {}
+    terms: dict[Word, int] = {}
 
     def add(w: Word, value: int) -> None:
-        if value:
-            prev = terms.get(w, Fraction(0)) + value
-            if prev:
-                terms[w] = prev
-            elif w in terms:
-                del terms[w]
+        terms[w] = terms.get(w, 0) + value
 
     if not pairs:
         for i in range(1, n + 1):
@@ -328,13 +316,16 @@ def tr_monomial(word: str, A: SeifertMatrix, degree: int) -> NCSeries:
         return NCSeries(n, degree, terms)
 
     z = seifert.z_matrix(A)
-    powers: dict[int, list[list[int]]] = {}
-    acc = [list(row) for row in z]
-    powers[1] = acc
-    max_e = max(e for e, _ in pairs)
-    for e in range(2, max_e + 1):
-        acc = seifert.mat_mul(acc, z)
-        powers[e] = acc
+    powers = {1: z}
+    for e in range(2, max(e for e, _ in pairs) + 1):
+        powers[e] = seifert.mat_mul(powers[e - 1], z)
+    ranges = {i: st.block_range(i) for i in range(1, n + 1) if st.sizes[i - 1]}
+    blocks = {
+        (e, i, j): [[powers[e][r][c] for c in cols] for r in rows]
+        for e in {e for e, _ in pairs}
+        for i, rows in ranges.items()
+        for j, cols in ranges.items()
+    }
 
     k = len(pairs)
     exponents = [f0] + [f for _, f in pairs[:-1]] + [pairs[-1][1]]
@@ -342,31 +333,27 @@ def tr_monomial(word: str, A: SeifertMatrix, degree: int) -> NCSeries:
     def word_for(indices: tuple[int, ...]) -> Word:
         # x_{i1}^f0 x_{i2}^f1 ... x_{ik}^f_{k-1} x_{i1}^fk
         letters: list[int] = []
-        letters.extend([indices[0]] * exponents[0])
-        for t in range(1, k):
-            letters.extend([indices[t]] * exponents[t])
-        letters.extend([indices[0]] * exponents[k])
+        for i, f in zip(indices + indices[:1], exponents):
+            letters.extend([i] * f)
         return tuple(letters)
 
     def rec(t: int, indices: tuple[int, ...], prod) -> None:
         # prod carries (Z^e1)_{i1 i2} ... (Z^e_{t})_{i_t i_{t+1}}; at t = k-1
         # the last factor closes the cycle back to i1.
         if t == k - 1:
-            i_last = indices[-1]
-            i_first = indices[0]
-            blk = _block_of(powers[pairs[k - 1][0]], st, i_last, i_first)
-            closed = seifert.mat_mul(prod, blk) if prod is not None else blk
-            add(word_for(indices), _trace_square(closed))
+            blk = blocks[pairs[t][0], indices[-1], indices[0]]
+            if prod is None:
+                trace = sum(blk[r][r] for r in range(len(blk)))
+            else:  # tr(prod blk) = sum_r row_r(prod) . column_r(blk)
+                trace = sum(a * b for row, col in zip(prod, zip(*blk)) for a, b in zip(row, col))
+            if trace:
+                add(word_for(indices), trace)
             return
-        for nxt in range(1, n + 1):
-            if st.sizes[nxt - 1] == 0:
-                continue
-            blk = _block_of(powers[pairs[t][0]], st, indices[-1], nxt)
+        for nxt in ranges:
+            blk = blocks[pairs[t][0], indices[-1], nxt]
             rec(t + 1, indices + (nxt,), blk if prod is None else seifert.mat_mul(prod, blk))
 
-    for i1 in range(1, n + 1):
-        if st.sizes[i1 - 1] == 0:
-            continue
+    for i1 in ranges:
         rec(0, (i1,), None)
     return NCSeries(n, degree, terms)
 
@@ -403,6 +390,14 @@ def torsion_polynomial(A: SeifertMatrix, degree: int) -> CommSeries:
     with L = log det(I + X Z) = sum_{k>=1} (-1)^(k+1)/k tr((X Z)^k), where
     (X Z)^k = sum_{|e|=k} x^e M_e over the integer matrices M_0 = I and
     M_e = sum_{i: e_i > 0} P_i Z M_{e - e_i}, P_i keeping the rows of block i.
+
+    M_e is the sum of P_w1 Z ... P_wk Z over the words w of content e.  The
+    recurrence runs only to |e| <= h = ceil(degree/2): each longer word
+    splits in exactly one way after its h-th letter, so for |e| > h
+    tr M_e = sum over e1 <= e with |e1| = h of tr(M_e1 M_(e - e1)), with
+    |e - e1| <= h.  Each tr(A B) is sum_r row_r(A) . row_r(B'), skipping the
+    zero rows of A.  Traces stay integers until the one Fraction per e; exp
+    is ``commalg.exp_positive``.
     """
     seifert.require_valid(A)
     st = A.structure
@@ -410,12 +405,14 @@ def torsion_polynomial(A: SeifertMatrix, degree: int) -> CommSeries:
     m = st.total
     z = seifert.z_matrix(A)
     blocks = [(i - 1, st.block_range(i)) for i in range(1, n + 1) if st.sizes[i - 1]]
-    terms: dict[commalg.Expo, Fraction] = {}
-    # M_e as a list of rows; a row of a block i with e_i = 0 is None (zero)
-    level = {(0,) * n: [[int(r == c) for c in range(m)] for r in range(m)]}
-    for k in range(1, degree + 1):
+    h = (degree + 1) // 2
+    traces: dict[commalg.Expo, int] = {}
+    # levels[k] = {e: M_e} for |e| = k <= h, M_e as a list of rows; a row of
+    # a block i with e_i = 0 is None (zero)
+    levels = [{(0,) * n: [[int(r == c) for c in range(m)] for r in range(m)]}]
+    for _ in range(h):
         nxt: dict[commalg.Expo, list] = {}
-        for e, mat in level.items():
+        for e, mat in levels[-1].items():
             for i, rows in blocks:
                 out = nxt.setdefault(e[:i] + (e[i] + 1,) + e[i + 1 :], [None] * m)
                 for r in rows:
@@ -425,10 +422,24 @@ def torsion_polynomial(A: SeifertMatrix, degree: int) -> CommSeries:
                             acc = [a + v * b for a, b in zip(acc, row)]
                     out[r] = acc
         for e, mat in nxt.items():
-            trace = sum(row[r] for r, row in enumerate(mat) if row is not None)
-            if trace:
-                terms[e] = Fraction((-1) ** (k + 1) * trace, k)
-        level = nxt
+            traces[e] = sum(row[r] for r, row in enumerate(mat) if row is not None)
+        levels.append(nxt)
+    zero = [0] * m
+    lefts = [
+        (e1, [(r, row) for r, row in enumerate(mat) if row is not None])
+        for e1, mat in levels[h].items()
+    ]
+    for k in range(1, degree - h + 1):
+        # the rows of each transpose M_e2' for |e2| = k
+        rights = [(e2, list(zip(*[row or zero for row in mat]))) for e2, mat in levels[k].items()]
+        for e1, rows in lefts:
+            for e2, cols in rights:
+                e = tuple(a + b for a, b in zip(e1, e2))
+                trace = sum(sum(map(mul, row, cols[r])) for r, row in rows)
+                traces[e] = traces.get(e, 0) + trace
+    terms = {
+        e: Fraction((-1) ** (sum(e) + 1) * trace, sum(e)) for e, trace in traces.items() if trace
+    }
     for i, _ in blocks:
         g = st.genus(i + 1)
         for d in range(1, degree + 1):

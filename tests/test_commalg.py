@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -105,6 +106,37 @@ def test_log_exp_round_trip():
     one, x = one_var(4)
     f = one + x + x * x
     assert exp_positive(log_unit(f)) == f
+
+
+def random_positive_series(rng, n, trunc):
+    """Up to 6 terms of grade 1..trunc with small rational coefficients."""
+    terms = {}
+    for _ in range(rng.randint(0, 6) if trunc else 0):
+        expo = [0] * n
+        for _ in range(rng.randint(1, trunc)):
+            expo[rng.randrange(n)] += 1
+        terms[tuple(expo)] = Fraction(rng.randint(-4, 4), rng.randint(1, 5))
+    return CommSeries(n, trunc, terms)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_exp_recurrence_matches_power_series(n):
+    rng = random.Random(300 + n)
+    factorials = [Fraction(1, math.factorial(k)) for k in range(9)]
+    for trunc in range(9):
+        cases = [CommSeries.zero(n, trunc)] + [random_positive_series(rng, n, trunc) for _ in range(3)]
+        for u in cases:
+            f = exp_positive(u)
+            assert (f.n, f.trunc) == (n, trunc)
+            assert f == u.power_series(factorials[: trunc + 1])
+            assert log_unit(f) == u
+    assert exp_positive(CommSeries.zero(n, 4)) == CommSeries.one(n, 4)
+
+
+def test_exp_requires_zero_constant_term():
+    one, x = one_var(3)
+    with pytest.raises(ValueError):
+        exp_positive(one + x)
 
 
 # -- determinants ---------------------------------------------------------------

@@ -517,6 +517,23 @@ def test_torsion_matches_determinant_oracle(genera, degree, seed):
     assert torsion_polynomial(A, degree) == torsion_by_det(A, degree)
 
 
+def test_torsion_matches_oracle_at_every_degree_around_the_split():
+    # odd and even degrees, degree 1 (no product stage) and 2 (h = 1)
+    A = random_seifert_rng(random.Random(241), [2, 1], 2)
+    for degree in range(10):
+        assert torsion_polynomial(A, degree) == torsion_by_det(A, degree)
+
+
+@pytest.mark.parametrize(
+    "genera, degree, seed",
+    [([2, 0, 1], 7, 251), ([3, 3, 3], 6, 257), ([4, 4], 8, 263), ([8], 10, 269)],
+    ids=["201-d7", "333-d6", "44-d8", "8-d10"],
+)
+def test_torsion_matches_oracle_at_larger_sizes(genera, degree, seed):
+    A = random_seifert_rng(random.Random(seed), genera, 2)
+    assert torsion_polynomial(A, degree) == torsion_by_det(A, degree)
+
+
 def test_torsion_with_genus_zero_component_matches_oracle():
     rng = random.Random(11)
     for genera in ([2, 0, 1], [0, 2], [1, 0]):
