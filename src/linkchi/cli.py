@@ -8,6 +8,7 @@ I/O or parse error.  All randomness flows from the explicit --seed option.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -183,7 +184,9 @@ def cmd_selfcheck(args) -> int:
     return 0 if all_ok else 1
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process."""
     parser = _Parser(
         prog="linkchi",
         description="Exact trace invariants of boundary-link Seifert matrices.",

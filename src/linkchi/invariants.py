@@ -10,26 +10,25 @@ is a truncated noncommutative series in x_1..x_n with exact rational
 coefficients.
 
 ``trace_at`` (behind ``tr_series`` and ``chi``) computes tr f(X, Z) in
-integers by one of two routes.  When no two z's of any word are adjacent,
-also cyclically (delta, phi, every G(xz) and G(xz)x, and their
-tilde/hat/bar), it reads a necklace table: the trace of
-x^j1 z x^j2 z ... x^jk z x^j(k+1) is sum_v T(v) x_v1^j1 ... x_vk^jk x_v1^j(k+1)
-over block tuples v, with T(v) = tr(P_v1 Z ... P_vk Z) for the block
-projections P_i, and T is computed once per rotation class.  Every other
-f takes a walk over a trie of its monomials with one node per run x^r.
-``tr_monomial``, the oracle of both, evaluates the block-trace formula:
-for a monomial x^f0 z^e1 x^f1 ... z^ek x^fk the sum over block index
-tuples (i1..ik) of tr((Z^e1)_{i1 i2} ... (Z^ek)_{ik i1}) times the word
-x_{i1}^f0 x_{i2}^f1 ... x_{i1}^fk.
+integers from one necklace table.  The trace of x^j1 z^e1 x^j2 ... x^jk
+z^ek x^j(k+1) is sum_v T(v) x_v1^j1 ... x_vk^jk x_v1^j(k+1) over block
+tuples v, with T(v) = tr(P_v1 Z^e1 ... P_vk Z^ek) for the block
+projections P_i, and T is computed once per rotation class of the letters
+P_j Z^e.  A word that starts and ends with z sums position 0 over every
+block, which merges its first and last z-runs; z^e is the one letter
+P_j Z^e summed over j.  ``tr_monomial``, the oracle of the table, evaluates
+the block-trace formula: for a monomial x^f0 z^e1 x^f1 ... z^ek x^fk the
+sum over block index tuples (i1..ik) of tr((Z^e1)_{i1 i2} ...
+(Z^ek)_{ik i1}) times the word x_{i1}^f0 x_{i2}^f1 ... x_{i1}^fk.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
-from itertools import groupby
 from operator import itemgetter, mul
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from . import commalg, genfun, seifert
 from .commalg import CommSeries
@@ -40,36 +39,11 @@ from .seifert import BlockStructure, SeifertMatrix
 Word = tuple[int, ...]
 
 
-# -- run-collapsed trie walk ---------------------------------------------
+# -- necklace trace table ------------------------------------------------------
 #
-# X is block-scalar, so a run x^r only keeps the columns of one block,
-# whatever r is; r only lengthens the output word.
-
-
-def _build_trie(terms: dict[str, int], offsets: dict[str, int]) -> dict:
-    """Run-collapsed trie of monomials with integer coefficients.
-
-    A maximal run of a block-scalar letter (a key of ``offsets``) is one
-    node keyed by that letter's variable offset; every other letter is its
-    own "z" node.  The key None holds a list of (template, coefficient).
-    The template lists the run's position among the block-scalar runs once
-    per letter of the run, so the output word is the picked blocks read
-    through it.
-    """
-    root: dict = {}
-    for word, coeff in terms.items():
-        node, template, t = root, [], 0
-        for letter, group in groupby(word):
-            run = sum(1 for _ in group)
-            if letter in offsets:
-                node = node.setdefault(offsets[letter], {})
-                template += [t] * run
-                t += 1
-            else:
-                for _ in range(run):
-                    node = node.setdefault("z", {})
-        node.setdefault(None, []).append((template, coeff))
-    return root
+# X^j = sum_i x_i^j P_i, so a word meets Z only through its letters P_j Z^e.
+# The letter P_j Z^e is the int j + n (e - 1): with every power 1 the
+# letters are the blocks.
 
 
 def _times(rows, M, cols: range) -> list[list[int]]:
@@ -85,113 +59,107 @@ def _times(rows, M, cols: range) -> list[list[int]]:
     return out
 
 
-def _walk(trie: dict, structure: BlockStructure, M) -> dict[Word, int]:
-    """Sum of coeff * tr(monomial(X.., M)) over a trie of ``_build_trie``.
+def _necklace_traces(
+    structure: BlockStructure, powers: dict[int, Sequence[Sequence[int]]], patterns: Iterable[Word]
+) -> dict[Word, dict[Word, int]]:
+    """{pattern: {necklace v: T(v)}} over the letters P_j Z^e of these power patterns.
 
-    tr S = sum_i tr(P_i S P_i), so the walk from start block i carries only
-    the rows of block i of the partial product, and the column range
-    [lo, hi) outside which they are zero.  A block-scalar node picks a block
-    j, narrows the columns to block j and appends its letter offset + j.
+    ``powers`` maps e to Z^e, and j runs over the nonempty blocks.  Each
+    pattern must start with its least power, as the power pattern of every
+    necklace does.  Walks the prenecklace tree (Fredricksen-Kessler-
+    Maiorana): a_{t+1} >= a_{t+1-p} for the period p of a_1..a_t, a
+    necklace when t % p == 0.  The walk keeps to prefixes of the patterns
+    and carries the start block's rows of P_a1 Z^e1 ... P_at Z^et.
     """
-    m = structure.total
-    blocks = [
-        (j, structure.block_range(j)) for j in range(1, structure.n + 1) if structure.sizes[j - 1]
-    ]
-    out: dict[Word, int] = {}
+    n = structure.n
+    blocks = [j for j in range(1, n + 1) if structure.sizes[j - 1]]
+    letters = {e: [(j + n * (e - 1), structure.block_range(j)) for j in blocks] for e in powers}
+    table: dict[Word, dict[Word, int]] = {}
+    # a trie node is [the necklaces of a whole pattern or None, children]
+    trie: list = [None, {}]
+    for pattern in patterns:
+        node = trie
+        for e in pattern:
+            node = node[1].setdefault(e, [None, {}])
+        node[0] = table[pattern] = {}
 
-    def emit(tail, path: Word, trace: int) -> None:
-        if trace:
-            for template, coeff in tail:
-                word = tuple([path[t] for t in template])
-                out[word] = out.get(word, 0) + coeff * trace
-
-    def walk(own: range, node: dict, rows, lo: int, hi: int, path: Word) -> None:
-        tail = node.get(None)
-        if tail is not None:
-            emit(tail, path, sum(row[r] for r, row in zip(own, rows) if lo <= r < hi))
-        for key, child in node.items():
-            if key is None:
-                continue
-            if key != "z":
-                for j, rng in blocks:
-                    a, b = max(lo, rng.start), min(hi, rng.stop)
-                    if a < b:
-                        walk(own, child, rows, a, b, path + (key + j,))
-            elif child.keys() == {None}:
-                # last letter: only the diagonal of rows * M is needed
-                trace = sum(
-                    row[k] * M[k][r] for r, row in zip(own, rows) for k in range(lo, hi)
-                )
-                emit(child[None], path, trace)
-            else:
-                walk(own, child, _times(rows, M, range(lo, hi)), 0, m, path)
-
-    for _, own in blocks:
-        identity = [[int(r == c) for c in range(m)] for r in own]
-        walk(own, trie, identity, own.start, own.stop, ())
-    return out
-
-
-# -- necklace trace table (the route for isolated z's) ---------------------
-
-
-def _necklace_traces(structure: BlockStructure, M, k_max: int) -> dict[Word, int]:
-    """{necklace v: T(v)} over the nonempty blocks, for 1 <= len(v) <= k_max.
-
-    Walks the prenecklace tree (Fredricksen-Kessler-Maiorana): a_{t+1} >=
-    a_{t+1-p} for the period p of a_1..a_t, a necklace when t % p == 0.  A
-    walk carries the start block's rows of P_a1 Z P_a2 Z ... P_at Z.
-    """
-    blocks = [
-        (j, structure.block_range(j)) for j in range(1, structure.n + 1) if structure.sizes[j - 1]
-    ]
-    table: dict[Word, int] = {}
-
-    def walk(v: Word, p: int, own: range, rows) -> None:
+    def walk(v: Word, p: int, own: range, rows, node: list) -> None:
         t = len(v)
-        if t % p == 0:
-            table[v] = sum(row[r] for r, row in zip(own, rows))
-        if t == k_max:
-            return
-        for j, cols in blocks:
-            if j >= v[t - p]:
-                q = p if j == v[t - p] else t + 1
-                if t + 1 < k_max:
-                    walk(v + (j,), q, own, _times(rows, M, cols))
-                elif (t + 1) % q == 0:  # last letter: only the diagonal is needed
-                    table[v + (j,)] = sum(
-                        row[c] * M[c][r] for r, row in zip(own, rows) for c in cols
-                    )
+        if t % p == 0 and node[0] is not None:
+            node[0][v] = sum(row[r] for r, row in zip(own, rows))
+        floor = v[t - p]
+        for e, child in node[1].items():
+            M = powers[e]
+            for c, cols in letters[e]:
+                if c >= floor:
+                    q = p if c == floor else t + 1
+                    if child[1]:
+                        walk(v + (c,), q, own, _times(rows, M, cols), child)
+                    elif (t + 1) % q == 0:  # last letter: only the diagonal is needed
+                        child[0][v + (c,)] = sum(
+                            row[b] * M[b][r] for r, row in zip(own, rows) for b in cols
+                        )
 
-    if k_max:
-        for j, own in blocks:
-            walk((j,), 1, own, [list(M[r]) for r in own])
+    for e, child in trie[1].items():
+        for c, own in letters[e]:
+            walk((c,), 1, own, [list(powers[e][r]) for r in own], child)
     return table
 
 
+_Z_RUNS = re.compile("(z+)")
+
+
 def _trace_by_necklaces(terms: dict[str, int], structure: BlockStructure, M) -> dict[Word, int]:
-    """Sum of coeff * tr(word(X, M)) for words whose z's are cyclically isolated."""
+    """Sum of coeff * tr(word(X, M)) over integer-coefficient words."""
+    n = structure.n
     out: dict[Word, int] = {}
-    by_k: dict[int, list] = {}
+    by_pattern: dict[Word, list] = {}
     for word, coeff in terms.items():
-        runs = [len(r) for r in word.split("z")]  # j1, ..., j(k+1)
+        pieces = _Z_RUNS.split(word)
+        runs = [len(r) for r in pieces[::2]]  # j1, ..., j(k+1)
         if len(runs) == 1:  # tr X^j = sum_i size_i x_i^j
             for i, size in enumerate(structure.sizes, 1):
                 out[(i,) * runs[0]] = out.get((i,) * runs[0], 0) + coeff * size
             continue
+        # a word that starts and ends with z reads no block at position 0:
+        # its sum over that block merges the first and last z-runs
         template = [t for t, run in enumerate(runs[:-1]) for _ in range(run)] + [0] * runs[-1]
-        by_k.setdefault(len(runs) - 1, []).append((template, coeff))
-    rotations: dict[int, tuple[list, list]] = {k: ([], []) for k in by_k}
-    for v, trace in _necklace_traces(structure, M, max(by_k, default=0)).items():
-        k, vv = len(v), v + v
-        if trace and k in rotations:
-            p = next(p for p in range(1, k + 1) if vv[p : p + k] == v)  # the period
-            rotations[k][0].extend(vv[r : r + k] for r in range(p))
-            rotations[k][1].extend([trace] * p)
-    for k, words in by_k.items():
-        words_k, traces = rotations[k]
+        by_pattern.setdefault(tuple(map(len, pieces[1::2])), []).append((template, coeff))
+    powers = {1: M}
+    for e in range(2, max(map(max, by_pattern), default=1) + 1):
+        powers[e] = seifert.mat_mul(powers[e - 1], M)
+    # A necklace's power pattern is a rotation by r of a word's pattern that
+    # starts with its least power.  Rotating the necklace by s, s + q,
+    # s + 2q, ... (s = -r mod q, q the pattern's period) gives the word's.
+    rotations: dict[Word, tuple[list, list]] = {pattern: ([], []) for pattern in by_pattern}
+    targets: dict[Word, list] = {}
+    for pattern in by_pattern:
+        q = next(q for q in range(1, len(pattern) + 1) if pattern[q:] + pattern[:q] == pattern)
+        for r in range(q):
+            if pattern[r] == min(pattern):
+                targets.setdefault(pattern[r:] + pattern[:r], []).append(
+                    ((-r) % q, q, *rotations[pattern])
+                )
+    for rotated, necklaces in _necklace_traces(structure, powers, targets).items():
+        k, decode, mine = len(rotated), max(rotated) > 1, targets[rotated]
+        for v, trace in necklaces.items():
+            if trace:
+                vv = v + v
+                p = next(p for p in range(1, k + 1) if vv[p : p + k] == v)  # the period
+                if decode:  # else every letter is its block
+                    vv = tuple([(c - 1) % n + 1 for c in vv])
+                for s, q, words_k, traces in mine:
+                    words_k.extend(vv[r : r + k] for r in range(s, p, q))
+                    traces.extend([trace] * (p // q))
+    for pattern, words in by_pattern.items():
+        words_k, traces = rotations[pattern]
         for template, coeff in words:
-            keys = words_k if template == list(range(k)) else map(itemgetter(*template), words_k)
+            if template == list(range(len(pattern))):
+                keys = words_k
+            elif len(template) > 1:
+                keys = map(itemgetter(*template), words_k)
+            else:  # at most one x
+                keys = [tuple(u[t] for t in template) for u in words_k]
             for key, trace in zip(keys, traces):
                 out[key] = out.get(key, 0) + coeff * trace
     return out
@@ -222,10 +190,7 @@ def trace_at(
     terms = {w: c for w, c in f.terms.items() if genfun.xdegree(w) <= degree}
     scale = math.lcm(*(c.denominator for c in terms.values()))
     terms = {w: c.numerator * (scale // c.denominator) for w, c in terms.items()}
-    if all("zz" not in w + w[:1] for w in terms):
-        raw = _trace_by_necklaces(terms, structure, M)
-    else:
-        raw = _walk(_build_trie(terms, {"x": 0}), structure, M)
+    raw = _trace_by_necklaces(terms, structure, M)
     fractions = {v: Fraction(v, scale) for v in set(raw.values()) if v}
     # every emitted word has letters 1..n and length <= degree
     out = {w: fractions[v] for w, v in raw.items() if v}
@@ -456,28 +421,19 @@ def reconstruct_trace(word: str, A: SeifertMatrix, degree: int) -> NCSeries:
     """Recover tr f(X, Z) from the reduced monomial f'.
 
     The reduced monomial replaces each z-run z^e by (zy)^(e-1) z and each
-    x-run by one x.  Its trace is evaluated with a second block-scalar
-    variable family y_1..y_n, after which each y maps to 1 and the m-th
-    surviving x-letter is raised back to the m-th x-run length.
+    x-run by one x.  Its trace is read from the necklace table with each y
+    taken as an x, so every z is isolated; then the letters at the y
+    positions are dropped and the m-th surviving x-letter is raised back to
+    the m-th x-run length.
     """
     seifert.require_valid(A)
-    st = A.structure
-    n = st.n
     f0, pairs = word_runs(word)
     reduced = genfun.prime_word(word)
-    z = seifert.z_matrix(A)
-    raw = _walk(_build_trie({reduced: 1}, {"x": 0, "y": n}), st, z)
+    raw = _trace_by_necklaces({reduced.replace("y", "x"): 1}, A.structure, seifert.z_matrix(A))
     powers = [f0] + [f for _, f in pairs]
+    xs = [pos for pos, letter in enumerate(reduced.replace("z", "")) if letter == "x"]
     terms: dict[Word, int] = {}
     for w, coeff in raw.items():
-        letters: list[int] = []
-        pos = 0
-        for letter in w:
-            if letter <= n:
-                letters.extend([letter] * powers[pos])
-                pos += 1
-        if pos != len(powers):
-            raise AssertionError("reduced word lost an x position")
-        key = tuple(letters)
+        key = tuple([w[pos] for pos, run in zip(xs, powers) for _ in range(run)])
         terms[key] = terms.get(key, 0) + coeff
-    return NCSeries(n, degree, terms)
+    return NCSeries(A.n, degree, terms)

@@ -195,31 +195,17 @@ def involution(f: Series, kind: str) -> Series:
 
 
 def minimal_rotation(word: Word) -> Word:
-    """Lexicographically least cyclic rotation of a word (Booth's algorithm).
+    """Lexicographically least cyclic rotation of a word.
+
+    Every rotation is a window of the doubled word.
 
     >>> minimal_rotation((2, 1, 1))
     (1, 1, 2)
     >>> minimal_rotation(())
     ()
     """
-    if not word:
-        return word
     doubled = word + word
-    k = 0
-    fail = [-1] * (2 * len(word))
-    for j in range(1, 2 * len(word)):
-        i = fail[j - k - 1]
-        while i != -1 and doubled[j] != doubled[k + i + 1]:
-            if doubled[j] < doubled[k + i + 1]:
-                k = j - i - 1
-            i = fail[i]
-        if doubled[j] != doubled[k + i + 1]:
-            if doubled[j] < doubled[k + i + 1]:
-                k = j
-            fail[j - k] = -1
-        else:
-            fail[j - k] = i + 1
-    return doubled[k : k + len(word)]
+    return min([doubled[r : r + len(word)] for r in range(len(word))], default=word)
 
 
 class CyclicSeries(Series):

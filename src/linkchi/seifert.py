@@ -528,6 +528,8 @@ def parse(text: str) -> SeifertMatrix:
         ) from None
     except RecursionError:
         raise MatrixFormatError("JSON nested too deeply") from None
+    except ValueError as exc:  # an integer beyond CPython's int/str digit limit
+        raise MatrixFormatError("integer too long: %s" % exc) from None
     if not isinstance(doc, dict):
         raise MatrixFormatError("top level must be an object")
     for field in ("components", "block_sizes", "entries"):

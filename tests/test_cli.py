@@ -94,6 +94,18 @@ def test_deeply_nested_matrix_file_exits_2(capsys, tmp_path):
     assert "nested too deeply" in err
 
 
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="no int/str digit limit"
+)
+def test_matrix_integer_beyond_the_digit_limit_exits_2(capsys, tmp_path):
+    path = tmp_path / "long.json"
+    digits = "9" * (sys.get_int_max_str_digits() + 1)
+    path.write_text('{"components": 1, "block_sizes": [2], "entries": [[%s, 1], [0, -1]]}' % digits)
+    code, out, err = run(capsys, ["validate", str(path)])
+    assert code == 2 and out == ""
+    assert err.startswith(str(path)) and len(err.splitlines()) == 1
+
+
 @pytest.mark.parametrize(
     "doc",
     [

@@ -1,5 +1,4 @@
 import itertools
-import math
 import random
 from fractions import Fraction
 
@@ -186,15 +185,6 @@ def isolated_z_series(rng, degree):
     return BiSeries(degree, terms)
 
 
-def trace_by_walk(f, structure, M, degree):
-    """tr f(X, M) through the run-collapsed trie walk, whatever f is."""
-    terms = {w: c for w, c in f.terms.items() if w.count("x") <= degree}
-    scale = math.lcm(*(c.denominator for c in terms.values()))
-    ints = {w: c.numerator * (scale // c.denominator) for w, c in terms.items()}
-    raw = invariants._walk(invariants._build_trie(ints, {"x": 0}), structure, M)
-    return NCSeries(structure.n, degree, {w: Fraction(v, scale) for w, v in raw.items()})
-
-
 TABLE_SHAPES = [([3, 3, 3], 7, 211), ([1, 1, 1, 1], 7, 223), ([2, 1, 2], 6, 227)]
 TABLE_SERIES = {
     "delta": lambda d: delta_series(d),
@@ -207,7 +197,8 @@ TABLE_SERIES = {
 
 @pytest.mark.parametrize("genera, degree, seed", TABLE_SHAPES, ids=["333-d7", "1111-d7", "212-d6"])
 @pytest.mark.parametrize("name", list(TABLE_SERIES))
-def test_necklace_route_matches_walk_and_formula(genera, degree, seed, name, monkeypatch):
+def test_necklace_route_matches_walk_and_formula(genera, degree, seed, name):
+    # series whose z's are isolated, also cyclically: every letter is P_j Z
     A = random_seifert_rng(random.Random(seed), genera, 2)
     M = seifert.z_matrix(A)
     f = TABLE_SERIES[name](degree)
@@ -215,31 +206,57 @@ def test_necklace_route_matches_walk_and_formula(genera, degree, seed, name, mon
         words = [w for w in f.terms if w.count("x") <= degree]
         assert "" in words and "x" in words and any(w.startswith("z") for w in words)
         assert len({c.denominator for c in f.terms.values()}) > 2
-    by_walk = trace_by_walk(f, A.structure, M, degree)
-    by_formula = monomial_trace_sum(f, A, degree)
-    monkeypatch.setattr(invariants, "_walk", None)  # the table route must not walk
-    assert trace_at(f, A.structure, M, degree) == by_walk == by_formula
+    assert trace_at(f, A.structure, M, degree) == monomial_trace_sum(f, A, degree)
 
 
 @pytest.mark.parametrize("word", ["zz", "zxz", "xzzx", "zxxz"])
-def test_adjacent_zs_take_the_walk(word, monkeypatch):
+def test_adjacent_zs_take_the_walk(word):
+    # letters P_j Z^2, and first and last z-runs that meet cyclically
     A = random_seifert_rng(random.Random(233), [1, 2], 2)
     f = BiSeries(4, {word: 1, "xzx": Fraction(1, 2)})
-    monkeypatch.setattr(invariants, "_trace_by_necklaces", None)
     assert tr_series(f, A, 4) == monomial_trace_sum(f, A, 4)
+
+
+ADJACENT_Z_SERIES = {
+    "multi-run": lambda d: multi_run_series(random.Random(257), d),
+    "z": lambda d: monomial("z", d),
+    "zzz": lambda d: monomial("zzz", d),
+    "zzxzxz": lambda d: monomial("zzxzxz", d),
+}
+
+
+@pytest.mark.parametrize("genera, degree, seed", TABLE_SHAPES[:2], ids=["333-d7", "1111-d7"])
+@pytest.mark.parametrize("name", list(ADJACENT_Z_SERIES))
+def test_trace_matches_formula_with_adjacent_zs_at_large_sizes(genera, degree, seed, name):
+    A = random_seifert_rng(random.Random(seed), genera, 2)
+    f = ADJACENT_Z_SERIES[name](degree)
+    assert tr_series(f, A, degree) == monomial_trace_sum(f, A, degree)
 
 
 def test_necklace_table_has_one_trace_per_rotation_class():
     A = random_seifert_rng(random.Random(239), [1, 0, 1, 2], 2)
     M = seifert.z_matrix(A)
-    table = invariants._necklace_traces(A.structure, M, 6)
-    for k in range(1, 7):
-        # T(u) is the coefficient of u in tr (XZ)^k, read from its necklace
-        formula = tr_monomial("xz" * k, A, k)
-        words = list(itertools.product([1, 3, 4], repeat=k))
-        necklaces = {u: min(u[r:] + u[:r] for r in range(k)) for u in words}
-        assert {v for v in table if len(v) == k} == set(necklaces.values())
-        assert all(formula.coefficient(u) == table[necklaces[u]] for u in words)
+    # all-ones patterns, one whose period 2 is shorter than its length, and
+    # one with two rotations that start with its least power
+    cases = [("xz" * k, (1,) * k) for k in range(1, 7)]
+    cases += [("xzxzzxzxzz", (1, 2, 1, 2)), ("xzzxzxz", (2, 1, 1))]
+    powers = {1: M, 2: seifert.mat_mul(M, M)}
+    rotated = [(1,) * k for k in range(1, 7)] + [(1, 2, 1, 2), (1, 1, 2), (1, 2, 1)]
+    by_pattern = invariants._necklace_traces(A.structure, powers, rotated)
+    assert set(by_pattern) == set(rotated)
+    table = {v: trace for necklaces in by_pattern.values() for v, trace in necklaces.items()}
+    necklaces = set()
+    for word, pattern in cases:
+        # T(u) is the coefficient of u's blocks in the word's trace, read
+        # from the necklace of u's letters j + n (e - 1)
+        k = len(pattern)
+        formula = tr_monomial(word, A, k)
+        for u in itertools.product([1, 3, 4], repeat=k):
+            letters = tuple(j + 4 * (e - 1) for j, e in zip(u, pattern))
+            necklace = min(letters[r:] + letters[:r] for r in range(k))
+            assert formula.coefficient(u) == table[necklace]
+            necklaces.add(necklace)
+    assert set(table) == necklaces
 
 
 @pytest.mark.parametrize("genera, degree, seed", TABLE_SHAPES, ids=["333-d7", "1111-d7", "212-d6"])
@@ -404,8 +421,8 @@ def test_invariance_and_duality_at_large_sizes(genera, degree, seed):
     f = monomial(random_word(rng, degree), degree)
     dual = transform(transform(f, "tilde"), "z_to_one_minus_z")
     assert ncalg.tilde(chi(f, A, degree)) == chi(dual, A, degree)
-    walked = multi_run_series(rng, degree)  # adjacent z's: the trie walk
-    assert chi(walked, B, degree) == chi(walked, A, degree)
+    adjacent = multi_run_series(rng, degree)  # adjacent z's: letters P_j Z^e
+    assert chi(adjacent, B, degree) == chi(adjacent, A, degree)
     assert torsion_polynomial(B, degree) == torsion_polynomial(A, degree)
 
 
