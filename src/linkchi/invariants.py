@@ -24,7 +24,6 @@ sum over block index tuples (i1..ik) of tr((Z^e1)_{i1 i2} ...
 
 from __future__ import annotations
 
-import math
 import re
 from fractions import Fraction
 from operator import itemgetter, mul
@@ -35,6 +34,7 @@ from .commalg import CommSeries
 from .genfun import BiSeries, word_runs
 from .ncalg import NCSeries
 from .seifert import BlockStructure, SeifertMatrix
+from .series import scaled
 
 Word = tuple[int, ...]
 
@@ -187,14 +187,10 @@ def trace_at(
     if len(M) != m or any(len(row) != m for row in M):
         raise ValueError("M must be a square matrix of size %d" % m)
     # words whose x-degree exceeds the requested degree cannot contribute
-    terms = {w: c for w, c in f.terms.items() if genfun.xdegree(w) <= degree}
-    scale = math.lcm(*(c.denominator for c in terms.values()))
-    terms = {w: c.numerator * (scale // c.denominator) for w, c in terms.items()}
+    scale, terms = scaled({w: c for w, c in f.terms.items() if genfun.xdegree(w) <= degree})
     raw = _trace_by_necklaces(terms, structure, M)
-    fractions = {v: Fraction(v, scale) for v in set(raw.values()) if v}
     # every emitted word has letters 1..n and length <= degree
-    out = {w: fractions[v] for w, v in raw.items() if v}
-    return NCSeries.zero(structure.n, degree)._same(out, degree)
+    return NCSeries.zero(structure.n, degree)._unscaled(raw, scale, degree)
 
 
 def tr_series(f: BiSeries, A: SeifertMatrix, degree: int) -> NCSeries:

@@ -15,7 +15,8 @@ Besides ring arithmetic the module provides the three standard involutions
 matter only up to rotation, and the abelianization map into commutative
 series.  The involutions are the only ones in the package: they act on the
 generating series ``genfun.BiSeries`` as well, where ``hat`` substitutes
-only the letter ``x`` (grade 1) and fixes ``z`` (grade 0).
+only the letter ``x`` (grade 1) and fixes ``z`` (grade 0), and on no other
+series type.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ import operator
 from fractions import Fraction
 from itertools import groupby
 
-from . import commalg
-from .series import Series
+from . import commalg, genfun
+from .series import Series, scaled
 
 Word = tuple[int, ...]
 
@@ -135,8 +136,14 @@ def bar_variable(n: int, trunc: int, i: int) -> NCSeries:
     return NCSeries(n, trunc, terms)
 
 
+def _check_word_series(f: Series, name: str) -> None:
+    if not isinstance(f, (NCSeries, genfun.BiSeries)):
+        raise TypeError("%s acts on NCSeries and BiSeries, not %s" % (name, type(f).__name__))
+
+
 def tilde(f: Series) -> Series:
     """Anti-automorphism fixing the variables: reverse every word."""
+    _check_word_series(f, "tilde")
     return f._same({w[::-1]: c for w, c in f.terms.items()}, f.trunc)
 
 
@@ -144,44 +151,47 @@ def hat(f: Series) -> Series:
     """Automorphism substituting x -> -x (1 + x)^-1 for each letter x of grade 1.
 
     Letters of grade 0 (``z`` in a ``genfun.BiSeries``) are fixed; every
-    letter of an ``NCSeries`` has grade 1.  Each run x^r of a word maps to
-    (sum_j (-1)^j x^j)^r, which is sum_{s >= r} (-1)^s C(s-1, r-1) x^s.
-    Neighbouring runs have different letters, so the images of one word are
-    distinct words.
+    letter of an ``NCSeries`` has grade 1.  A run x^r maps to
+    (sum_j (-1)^j x^j)^r = sum_{s >= r} (-1)^s C(s-1, r-1) x^s.  Terms are
+    keyed ``(done, rest)``, in integers over one common denominator; each
+    pass replaces the first run of every ``rest`` by its images within the
+    truncation, and words that then share a key merge before the next pass.
 
     >>> print(hat(NCSeries(2, 3, {(1, 1, 2): 1})))
     -1 * x1.x1.x2
     """
+    _check_word_series(f, "hat")
     trunc, grade = f.trunc, f._grade
-    # integer arithmetic: coefficients times their common denominator
-    scale = math.lcm(*(c.denominator for c in f.terms.values()))
+    weight = [[(-1) ** s * math.comb(s - 1, r - 1) if s >= r > 0 else 0 for s in range(trunc + 1)]
+              for r in range(trunc + 1)]  # weight[r][s]: coefficient of x^s in the image of x^r
+    scale, raw = scaled(f.terms)
+    pending = {(word[:0], word): v for word, v in raw.items()}
     out: dict = {}
-    for word, coeff in f.terms.items():
-        # room: grade the runs still to come need at least
-        room = grade(word)
-        images = {word[:0]: coeff.numerator * (scale // coeff.denominator)}
-        start = 0
-        for _, group in groupby(word):
-            r = sum(1 for _ in group)
-            run = word[start : start + r]
-            start += r
-            if not grade(run):
-                images = {w + run: c for w, c in images.items()}
+    runs: dict = {}  # rest -> its first letter, that run's length, the rest after it, its grade
+    while pending:
+        after: dict = {}
+        for (done, rest), v in pending.items():
+            if not rest:
+                out[done] = out.get(done, 0) + v
                 continue
-            room -= r
-            letter = run[:1]
-            images = {
-                w + letter * s: c * (-1) ** s * math.comb(s - 1, r - 1)
-                for w, c in images.items()
-                for s in range(r, trunc - room - grade(w) + 1)
-            }
-        for w, c in images.items():
-            out[w] = out.get(w, 0) + c
-    return f._same({w: Fraction(v, scale) for w, v in out.items()}, trunc)
+            if rest not in runs:
+                r = sum(1 for _ in next(groupby(rest))[1])
+                runs[rest] = (rest[:1], r, rest[r:], grade(rest[r:]))
+            letter, r, tail, tail_grade = runs[rest]
+            if not grade(letter):
+                key = (done + rest[:r], tail)
+                after[key] = after.get(key, 0) + v
+                continue
+            for s in range(r, trunc - grade(done) - tail_grade + 1):
+                key = (done + letter * s, tail)
+                after[key] = after.get(key, 0) + v * weight[r][s]
+        pending = after
+    return f._unscaled(out, scale, trunc)
 
 
 def bar(f: Series) -> Series:
     """Anti-automorphism x -> -x (1 + x)^-1 with word reversal: tilde(hat(f))."""
+    _check_word_series(f, "bar")
     return tilde(hat(f))
 
 
@@ -204,8 +214,12 @@ def minimal_rotation(word: Word) -> Word:
     >>> minimal_rotation(())
     ()
     """
+    return min(_rotations(word), default=word)
+
+
+def _rotations(word: Word) -> list[Word]:
     doubled = word + word
-    return min([doubled[r : r + len(word)] for r in range(len(word))], default=word)
+    return [doubled[r : r + len(word)] for r in range(len(word))]
 
 
 class CyclicSeries(Series):
@@ -234,20 +248,28 @@ class CyclicSeries(Series):
 
 
 def cyclic_reduce(f: NCSeries) -> CyclicSeries:
-    """Image of a series in the cyclic quotient."""
-    return CyclicSeries(f.n, f.trunc, f.terms)
+    """Image of a series in the cyclic quotient: integer sums under least rotations."""
+    scale, raw = scaled(f.terms)
+    least: dict[Word, Word] = {}  # every rotation met so far -> the least one
+    out: dict[Word, int] = {}
+    for word, v in raw.items():
+        key = least.get(word)
+        if key is None:  # a new rotation class
+            rotations = _rotations(word)
+            key = min(rotations, default=word)
+            least.update(dict.fromkeys(rotations, key))
+        out[key] = out.get(key, 0) + v
+    return CyclicSeries(f.n, f.trunc)._unscaled(out, scale, f.trunc)
 
 
 def abelianize(f: NCSeries) -> "commalg.CommSeries":
-    """Send each word to its exponent vector, summing coefficients."""
-    terms: dict[tuple[int, ...], Fraction] = {}
-    for word, coeff in f.terms.items():
-        expo = [0] * f.n
-        for letter in word:
-            expo[letter - 1] += 1
-        key = tuple(expo)
-        terms[key] = terms.get(key, Fraction(0)) + coeff
-    return commalg.CommSeries(f.n, f.trunc, terms)
+    """Send each word to its exponent vector, summing coefficients in integers."""
+    scale, raw = scaled(f.terms)
+    out: dict[tuple[int, ...], int] = {}
+    for word, v in raw.items():
+        key = tuple(map(word.count, range(1, f.n + 1)))
+        out[key] = out.get(key, 0) + v
+    return commalg.CommSeries(f.n, f.trunc)._unscaled(out, scale, f.trunc)
 
 
 def shift_variables(f: NCSeries, offset: int, n_total: int) -> NCSeries:

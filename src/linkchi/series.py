@@ -18,6 +18,7 @@ operands.  Arithmetic is exact (``int``/``Fraction``) throughout.
 
 from __future__ import annotations
 
+import math
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
@@ -45,6 +46,12 @@ def format_coeff(c: Fraction) -> str:
     except ValueError:  # more digits than the int/str limit
         with unlimited_int_digits():
             return format_coeff(c)
+
+
+def scaled(terms: Mapping) -> tuple[int, dict]:
+    """``(scale, {key: c * scale})`` for the common denominator ``scale`` of ``terms``."""
+    scale = math.lcm(*(c.denominator for c in terms.values()))
+    return scale, {k: c.numerator * (scale // c.denominator) for k, c in terms.items()}
 
 
 class Series:
@@ -89,6 +96,11 @@ class Series:
         out.terms = {k: c for k, c in terms.items() if c and grade(k) <= trunc}
         return out
 
+    def _unscaled(self, raw: Mapping, scale: int, trunc: int) -> "Series":
+        """``_same`` of the integers ``raw`` over ``scale``, one Fraction per distinct value."""
+        fractions = {v: Fraction(v, scale) for v in set(raw.values()) if v}
+        return self._same({k: fractions[v] for k, v in raw.items() if v}, trunc)
+
     _sort_grade = None  # terms print by this grade if set, else by _grade; then by key
 
     # -- constructors and inspection ---------------------------------------
@@ -115,7 +127,9 @@ class Series:
         return not self.terms
 
     def truncated(self, trunc: int) -> "Series":
-        return self._same(self.terms, min(self.trunc, trunc))
+        if trunc >= self.trunc:  # no series keeps a key above its trunc
+            return self
+        return self._same(self.terms, trunc)
 
     def sorted_terms(self) -> list:
         keys = sorted(self.terms)
@@ -164,10 +178,7 @@ class Series:
         if self.n != other.n:
             return False
         t = min(self.trunc, other.trunc)
-        grade = self._grade
-        a = {k: c for k, c in self.terms.items() if grade(k) <= t}
-        b = {k: c for k, c in other.terms.items() if grade(k) <= t}
-        return a == b
+        return self.truncated(t).terms == other.truncated(t).terms
 
     def __add__(self, other: "Series") -> "Series":
         self._check_compatible(other)

@@ -9,6 +9,7 @@ from fractions import Fraction
 
 from linkchi import commalg, seifert, seifert_matrix
 from linkchi.commalg import CommMatrix, CommSeries
+from linkchi.genfun import BiSeries
 
 
 def u_trim(a, t):
@@ -136,3 +137,17 @@ def reflection_example():
                 row.extend(b[r])
             rows.append(row)
     return seifert_matrix([2, 2, 2], rows)
+
+
+def hat_by_ring_products(f):
+    """hat(f) by multiplying letter images: x -> sum_j (-1)^j x^j, z -> z."""
+    t = f.xtrunc
+    image = {"x": BiSeries(t, {"x" * j: (-1) ** j for j in range(1, t + 1)}),
+             "z": BiSeries(t, {"z": 1})}
+    out = BiSeries.zero(t)
+    for word, coeff in f.terms.items():
+        part = BiSeries.one(t)
+        for letter in word:
+            part = part * image[letter]
+        out = out + part.scale(coeff)
+    return out

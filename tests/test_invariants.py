@@ -7,6 +7,7 @@ import pytest
 from helpers import (
     comm_coeffs_1var,
     figure_eight,
+    hat_by_ring_products,
     reflection_example,
     series_coeffs_1var,
     stabilized_unknot,
@@ -286,20 +287,6 @@ def test_hat_matches_substitution_at_n3_degree_7():
     for f in (NCSeries(3, 7, terms), chi_delta(A, 7)):
         images = [ncalg.bar_variable(3, 7, i) for i in (1, 2, 3)]
         assert ncalg.hat(f) == ncalg.substitute(f, images)
-
-
-def hat_by_ring_products(f):
-    """hat(f) by multiplying letter images: x -> sum_j (-1)^j x^j, z -> z."""
-    t = f.xtrunc
-    image = {"x": BiSeries(t, {"x" * j: (-1) ** j for j in range(1, t + 1)}),
-             "z": BiSeries(t, {"z": 1})}
-    out = BiSeries.zero(t)
-    for word, coeff in f.terms.items():
-        part = BiSeries.one(t)
-        for letter in word:
-            part = part * image[letter]
-        out = out + part.scale(coeff)
-    return out
 
 
 @pytest.mark.parametrize(

@@ -1,10 +1,14 @@
 import doctest
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import hat_by_ring_products
 from linkchi import ncalg
+from linkchi.commalg import CommSeries
+from linkchi.genfun import BiSeries
 from linkchi.ncalg import (
     CyclicSeries,
     NCSeries,
@@ -185,6 +189,56 @@ def test_involution_dispatch_rejects_unknown():
         involution(var(1, 2, 1), "conj")
 
 
+@pytest.mark.parametrize(
+    "f",
+    [CyclicSeries(2, 3, {(1, 1, 2): 1}), CommSeries(2, 3, {(1, 0): 1, (0, 2): 3})],
+    ids=["cyclic", "comm"],
+)
+@pytest.mark.parametrize("kind", ["tilde", "hat", "bar"])
+def test_involutions_reject_other_series_types(f, kind):
+    with pytest.raises(TypeError, match=kind):
+        involution(f, kind)
+
+
+def random_runs_series(rng, n, trunc):
+    """Seeded words made of runs of length 1-3 (so most have a run >= 2),
+    the empty word, and coefficients with different denominators."""
+    terms = {(): Fraction(rng.randint(-3, 3), rng.randint(1, 4))}
+    for _ in range(rng.randint(0, 12)):
+        word = ()
+        for _ in range(rng.randint(1, 4)):
+            word += (rng.randint(1, n),) * rng.randint(1, 3)
+        terms[word[:trunc]] = Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+    return NCSeries(n, trunc, terms)
+
+
+def random_bi_series(rng, xtrunc):
+    terms = {"": Fraction(rng.randint(-3, 3), rng.randint(1, 4))}
+    for _ in range(rng.randint(0, 12)):
+        letters = rng.sample("xz", 2)
+        word = "".join(letters[i % 2] * rng.randint(1, 3) for i in range(rng.randint(1, 5)))
+        terms[word] = Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+    return BiSeries(xtrunc, terms)
+
+
+@pytest.mark.parametrize("trunc", range(9))
+def test_hat_matches_substitution_on_random_series(trunc):
+    rng = random.Random(700 + trunc)
+    for n in (1, 2, 3):
+        images = [bar_variable(n, trunc, i) for i in range(1, n + 1)]
+        for f in [NCSeries(n, trunc)] + [random_runs_series(rng, n, trunc) for _ in range(8)]:
+            assert hat(f) == substitute(f, images)
+            assert hat(hat(f)) == f
+
+
+@pytest.mark.parametrize("xtrunc", range(8))
+def test_hat_of_random_bi_series_matches_letter_images(xtrunc):
+    rng = random.Random(800 + xtrunc)
+    for f in [BiSeries(xtrunc)] + [random_bi_series(rng, xtrunc) for _ in range(8)]:
+        assert hat(f) == hat_by_ring_products(f)
+        assert hat(hat(f)) == f
+
+
 # -- cyclic quotient and abelianization --------------------------------------
 
 
@@ -202,6 +256,19 @@ def test_cyclic_minimal_rotation():
 def test_cyclic_fixed_point_on_letters():
     f = S(2, 3, {(1,): 1, (2,): 1})
     assert cyclic_reduce(f) == CyclicSeries(2, 3, {(1,): 1, (2,): 1})
+
+
+def test_cyclic_reduce_matches_the_constructor():
+    rng = random.Random(900)
+    cases = [S(2, 3, {(1, 2): 1, (2, 1): -1, (): Fraction(2, 3)}),
+             S(3, 4, {(3, 1, 2): Fraction(1, 2), (2, 3, 1): Fraction(1, 3), (1, 1): 5}),
+             NCSeries(2, 2)]
+    for trunc in range(7):
+        for n in (1, 2, 3):
+            cases.append(random_runs_series(rng, n, trunc))
+    for f in cases:
+        assert cyclic_reduce(f).terms == CyclicSeries(f.n, f.trunc, f.terms).terms
+    assert cyclic_reduce(cases[0]).terms == {(): Fraction(2, 3)}
 
 
 def test_abelianize_kills_commutators():
