@@ -10,7 +10,8 @@ Gaussian elimination needs no pivoting.
 Inverse and log are the power series of ``Series``; exp, behind the
 torsion series and ``unit_power``, is computed in one pass, grade by
 grade, from the recurrence that the grading derivation gives when the
-variables commute (see ``exp_positive``).
+variables commute (see ``exp_positive``).  Exp and matrix products run
+in integers, like series products, through ``Series._dot``.
 """
 
 from __future__ import annotations
@@ -87,23 +88,20 @@ def exp_positive(u: CommSeries) -> CommSeries:
         |e| f_e = sum over e1 + e2 = e, |e1| >= 1, of |e1| u_e1 f_e2,
 
     where every f_e2 has a lower grade than e.  This holds only because
-    the variables commute.
+    the variables commute.  In integers, with u = U / s, F_e = f_e k! s^k is
+    the sum of (k-1)!/(k-g)! s^(g-1) g U_e1 F_e2, g = |e1|; divided at the end.
     """
     if u.constant_term != 0:
         raise ValueError("exp_positive needs zero constant term")
-    du: list[list] = [[] for _ in range(u.trunc + 1)]  # |e1| u_e1, by grade
-    for e1, c in u.terms.items():
-        du[sum(e1)].append((e1, sum(e1) * c))
-    f = [[((0,) * u.n, Fraction(1))]]  # f_e by grade
+    s, terms = u._operand()
+    du = [[(e1, g, g * v) for e1, g, v in terms if g == k] for k in range(u.trunc + 1)]
+    levels = [(1, [((0,) * u.n, 0, 1)])]  # (k! s^k, F_e for |e| = k)
     for k in range(1, u.trunc + 1):
-        acc: dict[Expo, Fraction] = {}
-        for g in range(1, k + 1):
-            for e2, c2 in f[k - g]:
-                for e1, c1 in du[g]:
-                    e = _add_expos(e1, e2)
-                    acc[e] = acc.get(e, 0) + c1 * c2
-        f.append([(e, c / k) for e, c in acc.items() if c])
-    return u._same({e: c for level in f for e, c in level}, u.trunc)
+        raw, scale = u._dot([((s, du[g]), levels[k - g]) for g in range(1, k + 1)], k)
+        levels.append((k * scale, [(e, k, v) for e, v in raw.items() if v]))
+    top = levels[-1][0]
+    out = {e: v * (top // scale) for scale, level in levels for e, _, v in level}
+    return u._unscaled(out, top, u.trunc)
 
 
 def unit_power(f: CommSeries, e) -> CommSeries:
@@ -176,23 +174,21 @@ class CommMatrix:
     def __mul__(self, other: "CommMatrix") -> "CommMatrix":
         if self.size != other.size:
             raise ValueError("size mismatch")
-        cols = list(zip(*other.rows))
-        out = []
-        for row in self.rows:
-            out_row = []
-            for col in cols:
-                acc = CommSeries.zero(self.n, self.trunc)
-                for a, b in zip(row, col):
-                    acc = acc + a * b
-                out_row.append(acc)
-            out.append(out_row)
-        return CommMatrix(out)
+        if not self.size:
+            return CommMatrix([])
+        zero = CommSeries.zero(self.n, min(self.trunc, other.trunc))
+        zero._check_compatible(other.rows[0][0])
+        left = [[a._operand() for a in row] for row in self.rows]
+        cols = [[b._operand() for b in col] for col in zip(*other.rows)]
+        return CommMatrix([[zero._unscaled(*zero._dot(list(zip(row, col)), zero.trunc), zero.trunc)
+                            for col in cols] for row in left])
 
     def trace(self) -> CommSeries:
-        acc = CommSeries.zero(self.n, self.trunc)
-        for i in range(self.size):
-            acc = acc + self.rows[i][i]
-        return acc
+        terms: dict = {}
+        for i, row in enumerate(self.rows):
+            for k, c in row[i].terms.items():
+                terms[k] = terms.get(k, 0) + c
+        return CommSeries.zero(self.n, self.trunc)._same(terms, self.trunc)
 
     def is_unit_form(self) -> bool:
         """True when the matrix is I plus positive-degree entries."""

@@ -11,9 +11,10 @@ and how two keys multiply:
 
 ``Series`` holds everything else: construction and cleaning, equality at
 the common truncation, ring arithmetic, formatting, and the power series
-``sum_k a_k u^k`` behind the geometric inverse, log and exp.  Truncation is
+``sum_k a_k u^k`` behind the geometric inverse and log.  Truncation is
 part of the value: binary operations truncate to the smaller of the two
-operands.  Arithmetic is exact (``int``/``Fraction``) throughout.
+operands.  Arithmetic is exact: products and power series run in integers
+over one common denominator (``_dot``), one ``Fraction`` per result value.
 """
 
 from __future__ import annotations
@@ -58,8 +59,9 @@ class Series:
     """A truncated series in ``n`` variables; subclasses fix the key type.
 
     A subclass sets ``_grade`` (the degree of a key), ``_join`` (the key of
-    a product), ``_key`` (check, and normalize, a key from outside),
-    ``_format_key`` and ``_one_key``.  Only the public constructor
+    a product, ``None`` for a type without one; grades add under it),
+    ``_key`` (check, and normalize, a key from outside), ``_format_key``
+    and ``_one_key``.  Only the public constructor
     validates; results of operations on clean series are built by ``_same``.
     Instances are immutable by convention.
     """
@@ -197,26 +199,47 @@ class Series:
         scalar = Fraction(scalar)
         return self._same({k: c * scalar for k, c in self.terms.items()}, self.trunc)
 
+    def _check_product(self, other: "Series") -> None:
+        self._check_compatible(other)
+        if self._join is None:
+            raise TypeError("%s has no product" % type(self).__name__)
+
+    def _operand(self) -> tuple[int, list]:
+        """``(scale, [(key, grade, c * scale)])`` over the common denominator of the terms."""
+        scale, raw = scaled(self.terms)
+        grade = self._grade
+        return scale, [(k, grade(k), v) for k, v in raw.items()]
+
+    def _dot(self, pairs, trunc: int) -> tuple[dict, int]:
+        """``({key: int}, scale)`` of ``sum_j a_j * b_j`` up to ``trunc``, for
+        ``_operand`` pairs; ``scale`` is the lcm of the pairs' scale products."""
+        scale = math.lcm(*(sa * sb for (sa, _), (sb, _) in pairs))
+        join = self._join
+        out: dict = {}
+        get = out.get
+        for (sa, left), (sb, right) in pairs:
+            weight = scale // (sa * sb)
+            for ka, ga, va in left:
+                budget = trunc - ga
+                va *= weight
+                for kb, gb, vb in right:
+                    if gb <= budget:
+                        k = join(ka, kb)
+                        out[k] = get(k, 0) + va * vb
+        return out, scale
+
     def __mul__(self, other):
         if not isinstance(other, Series):
             return self.scale(other)
-        self._check_compatible(other)
+        self._check_product(other)
         trunc = min(self.trunc, other.trunc)
-        grade, join = self._grade, self._join
-        right = [(kb, grade(kb), cb) for kb, cb in other.terms.items()]
-        terms: dict = {}
-        for ka, ca in self.terms.items():
-            budget = trunc - grade(ka)
-            for kb, gb, cb in right:
-                if gb <= budget:
-                    k = join(ka, kb)
-                    terms[k] = terms.get(k, 0) + ca * cb
-        return self._same(terms, trunc)
+        return self._unscaled(*self._dot([(self._operand(), other._operand())], trunc), trunc)
 
     def __rmul__(self, scalar) -> "Series":
         return self.scale(scalar)
 
     def __pow__(self, k: int) -> "Series":
+        self._check_product(self)
         if k < 0:
             raise ValueError("negative powers need a series inverse")
         out = self._unit()
@@ -230,17 +253,30 @@ class Series:
         """sum_k coeffs[k] * u^k for u = self, every term of positive grade.
 
         ``coeffs`` needs entries 0..trunc; u^k vanishes beyond ``trunc``.
+        With u = U / s, the sum up to the last nonzero U^K is taken in
+        integers over d s^K, d the common denominator of the coefficients.
         """
-        out = {self._one_key(): Fraction(coeffs[0])}
-        power = self._unit()
-        for k in range(1, self.trunc + 1):
-            power = power * self
-            if not power.terms:
+        self._check_product(self)
+        grade = self._grade
+        if any(grade(k) == 0 for k in self.terms):
+            raise ValueError("power series need a series of positive grade")
+        u = self._operand()
+        powers = [(1, [(self._one_key(), 0, 1)])]  # (s^k, U^k)
+        while len(powers) <= self.trunc:
+            raw, scale = self._dot([(powers[-1], u)], self.trunc)
+            power = [(k, grade(k), v) for k, v in raw.items() if v]
+            if not power:
                 break
-            a = coeffs[k]
-            for key, c in power.terms.items():
-                out[key] = out.get(key, 0) + a * c
-        return self._same(out, self.trunc)
+            powers.append((scale, power))
+        top = powers[-1][0]
+        coeffs = [Fraction(a) for a in coeffs[: len(powers)]]
+        d = math.lcm(*(a.denominator for a in coeffs))
+        out: dict = {}
+        for a, (scale, power) in zip(coeffs, powers):
+            weight = a.numerator * (d // a.denominator) * (top // scale)
+            for k, _, v in power:
+                out[k] = out.get(k, 0) + weight * v
+        return self._unscaled(out, d * top, self.trunc)
 
     def geometric(self) -> "Series":
         """1 + u + u^2 + ..., the inverse of 1 - u, for u = self of positive grade."""

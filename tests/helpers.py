@@ -2,7 +2,10 @@
 
 The univariate helpers implement dense truncated series over Fraction as
 plain coefficient lists.  They deliberately share no code with the package
-so they can serve as independent oracles for single-variable values.
+so they can serve as independent oracles for single-variable values.  The
+``*_by_fractions`` helpers are the product, power-series, matrix-product
+and exp loops with one ``Fraction`` product and sum per pair of terms: the
+references for the package's integer loops.
 """
 
 from fractions import Fraction
@@ -151,3 +154,58 @@ def hat_by_ring_products(f):
             part = part * image[letter]
         out = out + part.scale(coeff)
     return out
+
+
+def mul_by_fractions(a, b):
+    """a * b of two series of one type, one Fraction product per pair of terms."""
+    trunc = min(a.trunc, b.trunc)
+    terms = {}
+    for ka, ca in a.terms.items():
+        for kb, cb in b.terms.items():
+            if a._grade(ka) + a._grade(kb) <= trunc:
+                k = a._join(ka, kb)
+                terms[k] = terms.get(k, 0) + ca * cb
+    return a._same(terms, trunc)
+
+
+def power_series_by_fractions(u, coeffs):
+    """sum_k coeffs[k] u^k, each power a ``mul_by_fractions`` of the last."""
+    out = {u._one_key(): Fraction(coeffs[0])}
+    power = u._unit()
+    for k in range(1, u.trunc + 1):
+        power = mul_by_fractions(power, u)
+        for key, c in power.terms.items():
+            out[key] = out.get(key, 0) + coeffs[k] * c
+    return u._same(out, u.trunc)
+
+
+def matmul_by_fractions(A, B):
+    """A B entry by entry as sums of ``mul_by_fractions`` products."""
+    trunc = min(A.trunc, B.trunc)
+    rows = []
+    for row in A.rows:
+        out_row = []
+        for col in zip(*B.rows):
+            acc = CommSeries.zero(A.n, trunc)
+            for a, b in zip(row, col):
+                acc = acc + mul_by_fractions(a, b)
+            out_row.append(acc)
+        rows.append(out_row)
+    return CommMatrix(rows)
+
+
+def exp_by_fractions(u):
+    """exp(u) for zero constant term: |e| f_e = sum |e1| u_e1 f_(e - e1), in Fractions."""
+    du = [[] for _ in range(u.trunc + 1)]
+    for e1, c in u.terms.items():
+        du[sum(e1)].append((e1, sum(e1) * c))
+    f = [[((0,) * u.n, Fraction(1))]]
+    for k in range(1, u.trunc + 1):
+        acc = {}
+        for g in range(1, k + 1):
+            for e2, c2 in f[k - g]:
+                for e1, c1 in du[g]:
+                    e = tuple(x + y for x, y in zip(e1, e2))
+                    acc[e] = acc.get(e, 0) + c1 * c2
+        f.append([(e, c / k) for e, c in acc.items() if c])
+    return u._same({e: c for level in f for e, c in level}, u.trunc)

@@ -4,8 +4,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from helpers import u_log, u_trim
+from helpers import exp_by_fractions, matmul_by_fractions, u_log, u_trim
 from linkchi.commalg import (
     CommMatrix,
     CommSeries,
@@ -242,3 +243,77 @@ def test_lu_recombines_and_tracks_det():
         for r in range(size):
             diag = diag * low.rows[r][r] * up.rows[r][r]
         assert diag == det_unit(M)
+
+
+# -- integer loops against their Fraction references -----------------------------
+
+COEFF = st.one_of(
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+    st.sampled_from([Fraction(1, 7919), Fraction(-1, 7907), Fraction(7919, 7907)]),
+)
+
+
+def comm_series(n, trunc, positive=False):
+    expo = st.lists(st.integers(0, 3), min_size=n, max_size=n).map(tuple)
+    if positive:
+        expo = expo.filter(any)
+    return st.dictionaries(expo, COEFF, max_size=4).map(lambda t: CommSeries(n, trunc, t))
+
+
+@st.composite
+def matrix_pairs(draw):
+    """Two square matrices of one size and n, each with its own truncation."""
+    size, n = draw(st.integers(0, 3)), draw(st.integers(1, 2))
+
+    def matrix(trunc):
+        entry = comm_series(n, trunc)
+        return CommMatrix([[draw(entry) for _ in range(size)] for _ in range(size)])
+
+    return matrix(draw(st.integers(0, 4))), matrix(draw(st.integers(0, 4)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrix_pairs())
+def test_matrix_product_matches_fraction_loop(pair):
+    A, B = pair
+    for P, Q in (A, B), (B, A), (A, A):
+        got, want = P * Q, matmul_by_fractions(P, Q)
+        assert got.size == want.size and got.trunc == want.trunc
+        for ra, rb in zip(got.rows, want.rows):
+            assert [(a.trunc, a.terms) for a in ra] == [(b.trunc, b.terms) for b in rb]
+
+
+def test_matrix_product_over_coprime_denominators():
+    p, q = Fraction(1, 7919), Fraction(1, 7907)
+    x = CommSeries.variable(1, 3, 1)
+    M = CommMatrix([[x.scale(p), x.scale(q)], [CommSeries.one(1, 3), x.scale(p * q)]])
+    square = M * M
+    assert square.rows[0][1].terms == {(2,): p * q * (1 + q)}
+    assert square.rows[1][0].terms == {(1,): p + p * q}
+    assert (M * CommMatrix.identity(2, 1, 2)).rows == tuple(
+        tuple(e.truncated(2) for e in row) for row in M.rows)
+
+
+def test_matrix_product_checks_size_and_n():
+    with pytest.raises(ValueError, match="size"):
+        CommMatrix.identity(2, 1, 3) * CommMatrix.identity(3, 1, 3)
+    with pytest.raises(ValueError, match="variable-count"):
+        CommMatrix.identity(2, 1, 3) * CommMatrix.identity(2, 2, 3)
+    empty = CommMatrix([])
+    assert (empty * empty).size == 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 3).flatmap(
+    lambda n: st.integers(0, 6).flatmap(lambda t: comm_series(n, t, positive=True))))
+def test_exp_matches_fraction_recurrence(u):
+    got, want = exp_positive(u), exp_by_fractions(u)
+    assert got.trunc == want.trunc and got.terms == want.terms
+
+
+def test_exp_over_coprime_denominators():
+    p, q = Fraction(1, 7919), Fraction(1, 7907)
+    u = CommSeries(2, 3, {(1, 0): p, (0, 2): q})
+    assert exp_positive(u).terms == {
+        (0, 0): 1, (1, 0): p, (2, 0): p * p / 2, (3, 0): p ** 3 / 6,
+        (0, 2): q, (1, 2): p * q}

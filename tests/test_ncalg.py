@@ -271,6 +271,36 @@ def test_cyclic_reduce_matches_the_constructor():
     assert cyclic_reduce(cases[0]).terms == {(): Fraction(2, 3)}
 
 
+CYCLIC = CyclicSeries(2, 3, {(1, 2): 1})
+
+
+@pytest.mark.parametrize(
+    "product",
+    [
+        lambda: CYCLIC * CYCLIC,
+        lambda: CYCLIC * CyclicSeries(2, 3),
+        lambda: CyclicSeries(2, 3) * CyclicSeries(2, 3),
+        lambda: CyclicSeries(2, 0, {(): 1}) * CyclicSeries(2, 0, {(): 1}),
+        lambda: CYCLIC * S(2, 3, {(1,): 1}),
+        lambda: S(2, 3, {(1,): 1}) * CYCLIC,
+        lambda: CYCLIC ** 0,
+        lambda: CYCLIC ** 2,
+        lambda: CYCLIC.geometric(),
+        lambda: CYCLIC.log1p(),
+        lambda: CyclicSeries(2, 3).geometric(),
+    ],
+    ids=["square", "zero-operand", "zeros", "constants", "with-nc", "nc-with",
+         "pow-0", "pow-2", "geometric", "log1p", "zero-geometric"],
+)
+def test_cyclic_series_have_no_product(product):
+    with pytest.raises(TypeError):
+        product()
+
+
+def test_cyclic_series_scale_by_scalars():
+    assert CYCLIC * 2 == 2 * CYCLIC == CYCLIC.scale(2) == CyclicSeries(2, 3, {(2, 1): 2})
+
+
 def test_abelianize_kills_commutators():
     f = S(2, 3, {(1, 2): 1, (2, 1): -1})
     assert abelianize(f).is_zero()

@@ -2,8 +2,10 @@
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import mul_by_fractions, power_series_by_fractions
 from linkchi.commalg import CommSeries
 from linkchi.genfun import BiSeries
 from linkchi.ncalg import NCSeries
@@ -27,8 +29,14 @@ def assert_clean(s):
     assert again.terms == s.terms and again.trunc == s.trunc
 
 
+SMALL = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+# coprime denominators far beyond the small ones, and their product
+WIDE = st.one_of(SMALL, st.sampled_from(
+    [Fraction(1, 7919), Fraction(-2, 7907), Fraction(7907, 7919), Fraction(3, 7919 * 7907)]))
+
+
 @st.composite
-def operands(draw):
+def operands(draw, coeff=SMALL):
     """Two series of one type and n, each with its own truncation, the second
     cancelling some terms of the first; a scalar and an exponent."""
     kind = draw(st.sampled_from([NCSeries, CommSeries, BiSeries]))
@@ -39,7 +47,6 @@ def operands(draw):
         key = st.lists(st.integers(0, 2), min_size=n, max_size=n).map(tuple)
     else:
         key = st.text("xz", max_size=5)
-    coeff = st.fractions(min_value=-3, max_value=3, max_denominator=3)
 
     def build(trunc, terms):
         return BiSeries(trunc, terms) if kind is BiSeries else kind(n, trunc, terms)
@@ -54,12 +61,24 @@ def operands(draw):
     return a, b, draw(coeff), draw(st.integers(0, 3))
 
 
+def positive_part(a):
+    grade = GRADE[type(a)]
+    return make(a, {key: c for key, c in a.terms.items() if grade(key) > 0})
+
+
+def log_coeffs(trunc):
+    return [0] + [Fraction((-1) ** (k + 1), k) for k in range(1, trunc + 1)]
+
+
+def assert_same(s, t):
+    assert type(s) is type(t) and s.trunc == t.trunc and s.terms == t.terms
+
+
 @settings(max_examples=150, deadline=None)
 @given(operands())
 def test_operation_results_are_clean(ops):
     a, b, q, k = ops
-    grade = GRADE[type(a)]
-    u = make(a, {key: c for key, c in a.terms.items() if grade(key) > 0})
+    u = positive_part(a)
     results = [a + b, a - b, b - a, -a, a.scale(q), q * a, a * b, b * a, a ** k,
                u.geometric(), u.log1p()]
     for r in results:
@@ -87,3 +106,60 @@ def test_terms_sort_by_grade_then_key(ops):
     order = len if isinstance(a, BiSeries) else GRADE[type(a)]
     expected = sorted(a.terms.items(), key=lambda kv: (order(kv[0]), kv[0]))
     assert a.sorted_terms() == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(operands(WIDE))
+def test_integer_products_match_fraction_loops(ops):
+    a, b, _, _ = ops
+    assert_same(a * b, mul_by_fractions(a, b))
+    assert_same(b * a, mul_by_fractions(b, a))
+    for u in positive_part(a), positive_part(b):
+        assert_same(u.geometric(), power_series_by_fractions(u, [1] * (u.trunc + 1)))
+        assert_same(u.log1p(), power_series_by_fractions(u, log_coeffs(u.trunc)))
+
+
+P, Q = Fraction(1, 7919), Fraction(1, 7907)
+
+
+def test_products_over_coprime_denominators():
+    x = NCSeries(1, 3, {(): Q, (1,): P})
+    y = NCSeries(1, 2, {(1,): Q, (1, 1): P})
+    assert_same(x * y, NCSeries(1, 2, {(1,): Q * Q, (1, 1): 2 * P * Q}))
+    u = CommSeries(2, 3, {(1, 0): P, (0, 1): Q})
+    assert u.log1p().terms == {
+        (1, 0): P, (0, 1): Q, (2, 0): -P * P / 2, (1, 1): -P * Q, (0, 2): -Q * Q / 2,
+        (3, 0): P ** 3 / 3, (2, 1): P * P * Q, (1, 2): P * Q * Q, (0, 3): Q ** 3 / 3}
+    # z runs are of grade 0 inside words of positive x-degree
+    v = BiSeries(2, {"zzx": P, "xz": Q})
+    assert v.geometric().terms == {
+        "": 1, "zzx": P, "xz": Q, "zzxzzx": P * P, "zzxxz": P * Q, "xzzzx": Q * P, "xzxz": Q * Q}
+    for s in x, y, u, v, positive_part(x):
+        for t in s, s.truncated(1), s.truncated(0):
+            assert_same(s * t, mul_by_fractions(s, t))
+
+
+@pytest.mark.parametrize("kind, shape", [(NCSeries, (2,)), (CommSeries, (2,)), (BiSeries, ())])
+def test_products_at_trunc_zero_and_of_empty_series(kind, shape):
+    one = kind.one(*shape, 3)
+    empty = kind.zero(*shape, 4)
+    assert_same(one.scale(P) * kind.one(*shape, 0).scale(Q), kind.one(*shape, 0).scale(P * Q))
+    assert_same(one * empty, kind.zero(*shape, 3))
+    assert_same(empty * empty, empty)
+    assert_same(empty.geometric(), kind.one(*shape, 4))
+    assert_same(empty.log1p(), empty)
+    assert_same(kind.zero(*shape, 0).geometric(), kind.one(*shape, 0))
+
+
+@pytest.mark.parametrize("u", [
+    NCSeries(1, 3, {(): Fraction(1, 2)}),
+    NCSeries(2, 3, {(): 1, (1,): 1}),
+    CommSeries(1, 2, {(0,): 3, (1,): 1}),
+    BiSeries(2, {"z": 1}),
+    BiSeries(2, {"zz": Fraction(1, 3), "x": 1}),
+])
+def test_power_series_reject_a_term_of_grade_zero(u):
+    with pytest.raises(ValueError):
+        u.geometric()
+    with pytest.raises(ValueError):
+        u.log1p()
