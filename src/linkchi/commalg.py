@@ -11,7 +11,8 @@ Inverse and log are the power series of ``Series``; exp, behind the
 torsion series and ``unit_power``, is computed in one pass, grade by
 grade, from the recurrence that the grading derivation gives when the
 variables commute (see ``exp_positive``).  Exp and matrix products run
-in integers, like series products, through ``Series._dot``.
+on the integer numerators of their operands, like series products,
+through ``Series._dot``, and reduce each result once.
 """
 
 from __future__ import annotations
@@ -101,7 +102,7 @@ def exp_positive(u: CommSeries) -> CommSeries:
         levels.append((k * scale, [(e, k, v) for e, v in raw.items() if v]))
     top = levels[-1][0]
     out = {e: v * (top // scale) for scale, level in levels for e, _, v in level}
-    return u._unscaled(out, top, u.trunc)
+    return u._same(out, top, u.trunc)
 
 
 def unit_power(f: CommSeries, e) -> CommSeries:
@@ -180,15 +181,14 @@ class CommMatrix:
         zero._check_compatible(other.rows[0][0])
         left = [[a._operand() for a in row] for row in self.rows]
         cols = [[b._operand() for b in col] for col in zip(*other.rows)]
-        return CommMatrix([[zero._unscaled(*zero._dot(list(zip(row, col)), zero.trunc), zero.trunc)
+        return CommMatrix([[zero._same(*zero._dot(list(zip(row, col)), zero.trunc), zero.trunc)
                             for col in cols] for row in left])
 
     def trace(self) -> CommSeries:
-        terms: dict = {}
+        out = CommSeries.zero(self.n, self.trunc)
         for i, row in enumerate(self.rows):
-            for k, c in row[i].terms.items():
-                terms[k] = terms.get(k, 0) + c
-        return CommSeries.zero(self.n, self.trunc)._same(terms, self.trunc)
+            out = out + row[i]
+        return out
 
     def is_unit_form(self) -> bool:
         """True when the matrix is I plus positive-degree entries."""

@@ -108,7 +108,7 @@ class BiSeries(Series):
 
 
 def monomial(word: BiWord, xtrunc: int, coeff=1) -> BiSeries:
-    return BiSeries(xtrunc, {word: Fraction(coeff)})
+    return BiSeries(xtrunc, {word: coeff})
 
 
 def delta_series(xtrunc: int) -> BiSeries:
@@ -139,9 +139,7 @@ def from_univariate(coeffs: Iterable, xtrunc: int) -> BiSeries:
     for k, c in enumerate(coeffs):
         if k > xtrunc:
             break
-        c = Fraction(c)
-        if c:
-            terms["xz" * k] = c
+        terms["xz" * k] = c
     return BiSeries(xtrunc, terms)
 
 

@@ -24,6 +24,7 @@ sum over block index tuples (i1..ik) of tr((Z^e1)_{i1 i2} ...
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 from operator import itemgetter, mul
@@ -34,7 +35,6 @@ from .commalg import CommSeries
 from .genfun import BiSeries, word_runs
 from .ncalg import NCSeries
 from .seifert import BlockStructure, SeifertMatrix
-from .series import scaled
 
 Word = tuple[int, ...]
 
@@ -187,10 +187,10 @@ def trace_at(
     if len(M) != m or any(len(row) != m for row in M):
         raise ValueError("M must be a square matrix of size %d" % m)
     # words whose x-degree exceeds the requested degree cannot contribute
-    scale, terms = scaled({w: c for w, c in f.terms.items() if genfun.xdegree(w) <= degree})
+    terms = {w: v for w, v in f.num.items() if genfun.xdegree(w) <= degree}
     raw = _trace_by_necklaces(terms, structure, M)
     # every emitted word has letters 1..n and length <= degree
-    return NCSeries.zero(structure.n, degree)._unscaled(raw, scale, degree)
+    return NCSeries.zero(structure.n, degree)._same(raw, f.den, degree)
 
 
 def tr_series(f: BiSeries, A: SeifertMatrix, degree: int) -> NCSeries:
@@ -217,16 +217,16 @@ def i_half_trace(
     else:
         seifert.check_half_pattern(structure, pattern)
     # by x-degree: f(x, 1) keeps every word, f(x, 0) the words without z
-    by_degree: dict[int, Fraction] = {}
-    for w, c in f.terms.items():
+    by_degree: dict[int, int] = {}
+    for w, v in f.num.items():
         d = genfun.xdegree(w)
         if d <= degree:
-            by_degree[d] = by_degree.get(d, 0) + (c if "z" in w else 2 * c)
-    terms: dict[Word, Fraction] = {}
+            by_degree[d] = by_degree.get(d, 0) + (v if "z" in w else 2 * v)
+    terms: dict[Word, int] = {}
     for i in range(1, structure.n + 1):
-        for d, c in by_degree.items():
-            terms[(i,) * d] = terms.get((i,) * d, 0) + structure.genus(i) * c
-    return NCSeries(structure.n, degree, terms)
+        for d, v in by_degree.items():
+            terms[(i,) * d] = terms.get((i,) * d, 0) + structure.genus(i) * v
+    return NCSeries.zero(structure.n, degree)._same(terms, f.den, degree)
 
 
 def chi(
@@ -357,8 +357,8 @@ def torsion_polynomial(A: SeifertMatrix, degree: int) -> CommSeries:
     splits in exactly one way after its h-th letter, so for |e| > h
     tr M_e = sum over e1 <= e with |e1| = h of tr(M_e1 M_(e - e1)), with
     |e - e1| <= h.  Each tr(A B) is sum_r row_r(A) . row_r(B'), skipping the
-    zero rows of A.  Traces stay integers until the one Fraction per e; exp
-    is ``commalg.exp_positive``.
+    zero rows of A.  L is built in integers over lcm(1..degree); exp is
+    ``commalg.exp_positive``.
     """
     seifert.require_valid(A)
     st = A.structure
@@ -398,16 +398,15 @@ def torsion_polynomial(A: SeifertMatrix, degree: int) -> CommSeries:
                 e = tuple(a + b for a, b in zip(e1, e2))
                 trace = sum(sum(map(mul, row, cols[r])) for r, row in rows)
                 traces[e] = traces.get(e, 0) + trace
-    terms = {
-        e: Fraction((-1) ** (sum(e) + 1) * trace, sum(e)) for e, trace in traces.items() if trace
-    }
+    den = math.lcm(*range(1, degree + 1))
+    num = {e: (-1) ** (sum(e) + 1) * trace * (den // sum(e)) for e, trace in traces.items()}
     for i, _ in blocks:
         g = st.genus(i + 1)
         for d in range(1, degree + 1):
             # g_i log(1 + x_i) = sum_d g_i (-1)^(d+1)/d x_i^d
             e = (0,) * i + (d,) + (0,) * (n - i - 1)
-            terms[e] = terms.get(e, Fraction(0)) - Fraction((-1) ** (d + 1) * g, d)
-    return commalg.exp_positive(CommSeries(n, degree, terms))
+            num[e] = num.get(e, 0) - (-1) ** (d + 1) * g * (den // d)
+    return commalg.exp_positive(CommSeries.zero(n, degree)._same(num, den, degree))
 
 
 # -- reconstruction through the three-letter reduction ----------------------

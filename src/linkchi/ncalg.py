@@ -2,8 +2,9 @@
 
 The ring is Q<<x1,...,xn>> cut off at a fixed total degree.  A series is a
 finite map from words (tuples of 1-based variable indices) to nonzero
-rationals.  Everything here is exact: coefficients are ``fractions.Fraction``
-and no operation ever rounds.
+rationals.  Everything here is exact: a series holds integer numerators
+over one denominator (``series.Series``), its ``terms`` read as
+``fractions.Fraction``, and no operation ever rounds.
 
 Truncation is part of the value, not a global setting.  Binary operations
 truncate to the minimum of the two operands, and two series compare equal
@@ -28,7 +29,7 @@ from fractions import Fraction
 from itertools import groupby
 
 from . import commalg, genfun
-from .series import Series, scaled
+from .series import Series
 
 Word = tuple[int, ...]
 
@@ -118,16 +119,15 @@ def substitute(f: NCSeries, images: list[NCSeries]) -> NCSeries:
         if img.n != target_n:
             raise ValueError("variable-count mismatch among images")
         trunc = min(trunc, img.trunc)
-    out: dict[Word, Fraction] = {}
-    for word, coeff in f.terms.items():
-        part = NCSeries.one(target_n, trunc)
+    out = NCSeries.zero(target_n, trunc)
+    for word, v in f.num.items():
+        part = NCSeries.one(target_n, trunc).scale(v)
         for letter in word:
             part = part * images[letter - 1]
             if part.is_zero():
                 break
-        for w, c in part.terms.items():
-            out[w] = out.get(w, 0) + coeff * c
-    return NCSeries.zero(target_n, trunc)._same(out, trunc)
+        out = out + part
+    return out.scale(Fraction(1, f.den))
 
 
 def bar_variable(n: int, trunc: int, i: int) -> NCSeries:
@@ -144,7 +144,7 @@ def _check_word_series(f: Series, name: str) -> None:
 def tilde(f: Series) -> Series:
     """Anti-automorphism fixing the variables: reverse every word."""
     _check_word_series(f, "tilde")
-    return f._same({w[::-1]: c for w, c in f.terms.items()}, f.trunc)
+    return f._same({w[::-1]: v for w, v in f.num.items()}, f.den, f.trunc)
 
 
 def hat(f: Series) -> Series:
@@ -164,8 +164,7 @@ def hat(f: Series) -> Series:
     trunc, grade = f.trunc, f._grade
     weight = [[(-1) ** s * math.comb(s - 1, r - 1) if s >= r > 0 else 0 for s in range(trunc + 1)]
               for r in range(trunc + 1)]  # weight[r][s]: coefficient of x^s in the image of x^r
-    scale, raw = scaled(f.terms)
-    pending = {(word[:0], word): v for word, v in raw.items()}
+    pending = {(word[:0], word): v for word, v in f.num.items()}
     out: dict = {}
     runs: dict = {}  # rest -> its first letter, that run's length, the rest after it, its grade
     while pending:
@@ -186,7 +185,7 @@ def hat(f: Series) -> Series:
                 key = (done + letter * s, tail)
                 after[key] = after.get(key, 0) + v * weight[r][s]
         pending = after
-    return f._unscaled(out, scale, trunc)
+    return f._same(out, f.den, trunc)
 
 
 def bar(f: Series) -> Series:
@@ -247,35 +246,30 @@ class CyclicSeries(Series):
 
 def cyclic_reduce(f: NCSeries) -> CyclicSeries:
     """Image of a series in the cyclic quotient: integer sums under least rotations."""
-    scale, raw = scaled(f.terms)
     least: dict[Word, Word] = {}  # every rotation met so far -> the least one
     out: dict[Word, int] = {}
-    for word, v in raw.items():
+    for word, v in f.num.items():
         key = least.get(word)
         if key is None:  # a new rotation class
             rotations = _rotations(word)
             key = min(rotations, default=word)
             least.update(dict.fromkeys(rotations, key))
         out[key] = out.get(key, 0) + v
-    return CyclicSeries(f.n, f.trunc)._unscaled(out, scale, f.trunc)
+    return CyclicSeries(f.n, f.trunc)._same(out, f.den, f.trunc)
 
 
 def abelianize(f: NCSeries) -> "commalg.CommSeries":
     """Send each word to its exponent vector, summing coefficients in integers."""
-    scale, raw = scaled(f.terms)
     out: dict[tuple[int, ...], int] = {}
-    for word, v in raw.items():
+    for word, v in f.num.items():
         key = tuple(map(word.count, range(1, f.n + 1)))
         out[key] = out.get(key, 0) + v
-    return commalg.CommSeries(f.n, f.trunc)._unscaled(out, scale, f.trunc)
+    return commalg.CommSeries(f.n, f.trunc)._same(out, f.den, f.trunc)
 
 
 def shift_variables(f: NCSeries, offset: int, n_total: int) -> NCSeries:
     """Reindex x_i -> x_{i+offset} inside a ring with ``n_total`` variables."""
     if f.n + offset > n_total:
         raise ValueError("shifted letters exceed the target variable count")
-    return NCSeries(
-        n_total,
-        f.trunc,
-        {tuple(i + offset for i in w): c for w, c in f.terms.items()},
-    )
+    return NCSeries(n_total, f.trunc)._same(
+        {tuple(i + offset for i in w): v for w, v in f.num.items()}, f.den, f.trunc)

@@ -208,31 +208,30 @@ def intersection_form(A: SeifertMatrix) -> IntMatrix:
 
 
 def _invert_unimodular_block(rows: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Inverse of an integer matrix with determinant 1 (exact, integral)."""
+    """Inverse of an integer matrix with determinant +-1 (exact, integral).
+
+    Fraction-free Gauss-Jordan (Bareiss) on [A | I]: each step's division
+    by the previous pivot is exact, and the last pivot d = +-det A leaves
+    [d I | d A^-1], so A^-1 is integral exactly when d is a unit.
+    """
     size = len(rows)
-    work = [[Fraction(v) for v in row] + [Fraction(int(r == c)) for c in range(size)]
-            for r, row in enumerate(rows)]
+    work = [list(row) + [int(r == c) for c in range(size)] for r, row in enumerate(rows)]
+    prev = d = 1
     for c in range(size):
-        if work[c][c] == 0:
-            for r in range(c + 1, size):
-                if work[r][c]:
-                    work[c], work[r] = work[r], work[c]
-                    break
-        piv = work[c][c]
-        work[c] = [v / piv for v in work[c]]
+        if not work[c][c]:
+            swap = next((r for r in range(c + 1, size) if work[r][c]), None)
+            if swap is None:
+                raise ValueError("block is singular")
+            work[c], work[swap] = work[swap], work[c]
+        d, pivot_row = work[c][c], work[c]
         for r in range(size):
-            if r != c and work[r][c]:
-                factor = work[r][c]
-                work[r] = [a - factor * b for a, b in zip(work[r], work[c])]
-    inv = []
-    for r in range(size):
-        row = []
-        for v in work[r][size:]:
-            if v.denominator != 1:
-                raise ValueError("block inverse is not integral")
-            row.append(v.numerator)
-        inv.append(row)
-    return inv
+            if r != c:
+                f = work[r][c]
+                work[r] = [(d * a - f * b) // prev for a, b in zip(work[r], pivot_row)]
+        prev = d
+    if d not in (1, -1):
+        raise ValueError("block inverse is not integral")
+    return [[v * d for v in row[size:]] for row in work]
 
 
 @functools.lru_cache(maxsize=256)

@@ -13,8 +13,11 @@ and how two keys multiply:
 the common truncation, ring arithmetic, formatting, and the power series
 ``sum_k a_k u^k`` behind the geometric inverse and log.  Truncation is
 part of the value: binary operations truncate to the smaller of the two
-operands.  Arithmetic is exact: products and power series run in integers
-over one common denominator (``_dot``), one ``Fraction`` per result value.
+operands.  Arithmetic is exact and stays in integers: a series holds
+integer numerators over one denominator in lowest terms, each operation
+works on the numerators and reduces its result by one gcd, and
+``Fraction`` appears only in the ``terms`` view and in ``coefficient``.
+Coefficients from outside must be ``int`` or ``Fraction``.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ import math
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
+from numbers import Rational
 from typing import Iterator, Mapping, Sequence
 
 
@@ -39,24 +43,32 @@ def unlimited_int_digits() -> Iterator[None]:
             sys.set_int_max_str_digits(old)
 
 
-def format_coeff(c: Fraction) -> str:
+def format_coeff(num: int, den: int) -> str:
+    """``num / den`` in lowest terms, or the integer it is."""
+    g = math.gcd(num, den)
     try:
-        if c.denominator == 1:
-            return str(c.numerator)
-        return "%d/%d" % (c.numerator, c.denominator)
+        if den == g:
+            return str(num // g)
+        return "%d/%d" % (num // g, den // g)
     except ValueError:  # more digits than the int/str limit
         with unlimited_int_digits():
-            return format_coeff(c)
+            return format_coeff(num, den)
 
 
-def scaled(terms: Mapping) -> tuple[int, dict]:
-    """``(scale, {key: c * scale})`` for the common denominator ``scale`` of ``terms``."""
-    scale = math.lcm(*(c.denominator for c in terms.values()))
-    return scale, {k: c.numerator * (scale // c.denominator) for k, c in terms.items()}
+def _rational(c) -> Rational:
+    """``c`` if it is an exact rational (``int`` or ``Fraction``), else TypeError."""
+    if not isinstance(c, Rational):
+        raise TypeError("coefficients are int or Fraction, not %s" % type(c).__name__)
+    return c
 
 
 class Series:
     """A truncated series in ``n`` variables; subclasses fix the key type.
+
+    The value is ``{key: num[key] / den}``: integer numerators over one
+    denominator, in lowest terms (``den > 0``, no zero numerator, and
+    ``gcd(den, *num.values()) == 1``), so equal series have equal
+    ``(num, den)``.  ``terms`` is a ``Fraction`` view built on each access.
 
     A subclass sets ``_grade`` (the degree of a key), ``_join`` (the key of
     a product, ``None`` for a type without one; grades add under it),
@@ -66,7 +78,7 @@ class Series:
     Instances are immutable by convention.
     """
 
-    __slots__ = ("n", "trunc", "terms")
+    __slots__ = ("n", "trunc", "num", "den")
 
     def __init__(self, n: int, trunc: int, terms: Mapping | None = None):
         if n < 0:
@@ -78,30 +90,27 @@ class Series:
         clean: dict = {}
         for key, coeff in (terms or {}).items():
             key = self._key(key)
-            if self._grade(key) > trunc:
-                continue
-            coeff = Fraction(coeff)
-            if coeff:
-                coeff += clean.get(key, 0)
-                if coeff:
-                    clean[key] = coeff
-                else:
-                    del clean[key]
-        self.terms = clean
+            if _rational(coeff) and self._grade(key) <= trunc:
+                clean[key] = clean.get(key, 0) + coeff
+        # the lcm of reduced denominators leaves no common factor
+        self.den = math.lcm(*(c.denominator for c in clean.values()))
+        self.num = {k: c.numerator * (self.den // c.denominator) for k, c in clean.items() if c}
 
-    def _same(self, terms: Mapping, trunc: int) -> "Series":
-        """A series of this type from keys already checked: drop zeros and keys above ``trunc``."""
+    def _same(self, num: dict, den: int, trunc: int) -> "Series":
+        """A series of this type from integers ``num`` over ``den > 0``, reduced
+        to lowest terms; every key is checked and of grade at most ``trunc``."""
+        if 0 in num.values():
+            num = {k: v for k, v in num.items() if v}
+        g = math.gcd(den, *num.values())
+        if g > 1:
+            den //= g
+            num = {k: v // g for k, v in num.items()}
         out = object.__new__(type(self))
         out.n = self.n
         out.trunc = trunc
-        grade = self._grade
-        out.terms = {k: c for k, c in terms.items() if c and grade(k) <= trunc}
+        out.num = num
+        out.den = den
         return out
-
-    def _unscaled(self, raw: Mapping, scale: int, trunc: int) -> "Series":
-        """``_same`` of the integers ``raw`` over ``scale``, one Fraction per distinct value."""
-        fractions = {v: Fraction(v, scale) for v in set(raw.values()) if v}
-        return self._same({k: fractions[v] for k, v in raw.items() if v}, trunc)
 
     _sort_grade = None  # terms print by this grade if set, else by _grade; then by key
 
@@ -116,46 +125,52 @@ class Series:
         return cls(*shape)._unit()
 
     def _unit(self) -> "Series":
-        return self._same({self._one_key(): Fraction(1)}, self.trunc)
+        return self._same({self._one_key(): 1}, 1, self.trunc)
+
+    @property
+    def terms(self) -> dict:
+        """``{key: Fraction}``, built on each access, one Fraction per distinct value."""
+        fractions = {v: Fraction(v, self.den) for v in set(self.num.values())}
+        return {k: fractions[v] for k, v in self.num.items()}
 
     def coefficient(self, key) -> Fraction:
-        return self.terms.get(self._key(key), Fraction(0))
+        return Fraction(self.num.get(self._key(key), 0), self.den)
 
     @property
     def constant_term(self) -> Fraction:
-        return self.terms.get(self._one_key(), Fraction(0))
+        return Fraction(self.num.get(self._one_key(), 0), self.den)
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.num
 
     def truncated(self, trunc: int) -> "Series":
         if trunc >= self.trunc:  # no series keeps a key above its trunc
             return self
-        return self._same(self.terms, trunc)
+        grade = self._grade
+        return self._same({k: v for k, v in self.num.items() if grade(k) <= trunc}, self.den, trunc)
+
+    def _sorted_keys(self) -> list:
+        keys = sorted(self.num)
+        keys.sort(key=self._sort_grade or self._grade)  # stable
+        return keys
 
     def sorted_terms(self) -> list:
-        keys = sorted(self.terms)
-        keys.sort(key=self._sort_grade or self._grade)  # stable
-        return [(k, self.terms[k]) for k in keys]
+        terms = self.terms
+        return [(k, terms[k]) for k in self._sorted_keys()]
 
     # -- text and structured forms -------------------------------------------
 
     def to_lines(self) -> list[str]:
-        coeffs: dict[tuple[int, int], str] = {}  # one string per distinct value
+        num, den = self.num, self.den
+        coeffs = {v: format_coeff(v, den) + " * " for v in set(num.values())}
         format_key = self._format_key
-        lines = []
-        for k, c in self.sorted_terms():
-            nd = (c.numerator, c.denominator)
-            if nd not in coeffs:
-                coeffs[nd] = format_coeff(c) + " * "
-            lines.append(coeffs[nd] + format_key(k))
-        return lines
+        return [coeffs[num[k]] + format_key(k) for k in self._sorted_keys()]
 
     def to_triples(self) -> list[tuple[int, int, list]]:
         return [(c.numerator, c.denominator, list(k)) for k, c in self.sorted_terms()]
 
     def __str__(self) -> str:
-        if not self.terms:
+        if not self.num:
             return "0"
         return " + ".join(self.to_lines())
 
@@ -180,24 +195,34 @@ class Series:
         if self.n != other.n:
             return False
         t = min(self.trunc, other.trunc)
-        return self.truncated(t).terms == other.truncated(t).terms
+        a, b = self.truncated(t), other.truncated(t)  # dropping keys can change the gcd
+        return a.den == b.den and a.num == b.num
+
+    def _combine(self, other: "Series", sign: int) -> "Series":
+        """``self + sign * other`` over the lcm of the two denominators."""
+        self._check_compatible(other)
+        trunc = min(self.trunc, other.trunc)
+        a, b = self.truncated(trunc), other.truncated(trunc)
+        den = math.lcm(a.den, b.den)
+        wa, wb = den // a.den, sign * (den // b.den)
+        num = dict(a.num) if wa == 1 else {k: v * wa for k, v in a.num.items()}
+        get = num.get
+        for k, v in b.num.items():
+            num[k] = get(k, 0) + v * wb
+        return self._same(num, den, trunc)
 
     def __add__(self, other: "Series") -> "Series":
-        self._check_compatible(other)
-        terms = dict(self.terms)
-        for k, c in other.terms.items():
-            terms[k] = terms.get(k, 0) + c
-        return self._same(terms, min(self.trunc, other.trunc))
+        return self._combine(other, 1)
 
     def __sub__(self, other: "Series") -> "Series":
-        return self + (-other)
+        return self._combine(other, -1)
 
     def __neg__(self) -> "Series":
-        return self._same({k: -c for k, c in self.terms.items()}, self.trunc)
+        return self._same({k: -v for k, v in self.num.items()}, self.den, self.trunc)
 
     def scale(self, scalar) -> "Series":
-        scalar = Fraction(scalar)
-        return self._same({k: c * scalar for k, c in self.terms.items()}, self.trunc)
+        p, q = _rational(scalar).numerator, scalar.denominator
+        return self._same({k: v * p for k, v in self.num.items()}, self.den * q, self.trunc)
 
     def _check_product(self, other: "Series") -> None:
         self._check_compatible(other)
@@ -205,10 +230,9 @@ class Series:
             raise TypeError("%s has no product" % type(self).__name__)
 
     def _operand(self) -> tuple[int, list]:
-        """``(scale, [(key, grade, c * scale)])`` over the common denominator of the terms."""
-        scale, raw = scaled(self.terms)
+        """``(den, [(key, grade, numerator)])``, the form ``_dot`` multiplies."""
         grade = self._grade
-        return scale, [(k, grade(k), v) for k, v in raw.items()]
+        return self.den, [(k, grade(k), v) for k, v in self.num.items()]
 
     def _dot(self, pairs, trunc: int) -> tuple[dict, int]:
         """``({key: int}, scale)`` of ``sum_j a_j * b_j`` up to ``trunc``, for
@@ -233,7 +257,7 @@ class Series:
             return self.scale(other)
         self._check_product(other)
         trunc = min(self.trunc, other.trunc)
-        return self._unscaled(*self._dot([(self._operand(), other._operand())], trunc), trunc)
+        return self._same(*self._dot([(self._operand(), other._operand())], trunc), trunc)
 
     def __rmul__(self, scalar) -> "Series":
         return self.scale(scalar)
@@ -258,7 +282,7 @@ class Series:
         """
         self._check_product(self)
         grade = self._grade
-        if any(grade(k) == 0 for k in self.terms):
+        if any(grade(k) == 0 for k in self.num):
             raise ValueError("power series need a series of positive grade")
         u = self._operand()
         powers = [(1, [(self._one_key(), 0, 1)])]  # (s^k, U^k)
@@ -276,7 +300,7 @@ class Series:
             weight = a.numerator * (d // a.denominator) * (top // scale)
             for k, _, v in power:
                 out[k] = out.get(k, 0) + weight * v
-        return self._unscaled(out, d * top, self.trunc)
+        return self._same(out, d * top, self.trunc)
 
     def geometric(self) -> "Series":
         """1 + u + u^2 + ..., the inverse of 1 - u, for u = self of positive grade."""

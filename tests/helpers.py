@@ -5,9 +5,12 @@ plain coefficient lists.  They deliberately share no code with the package
 so they can serve as independent oracles for single-variable values.  The
 ``*_by_fractions`` helpers are the product, power-series, matrix-product
 and exp loops with one ``Fraction`` product and sum per pair of terms: the
-references for the package's integer loops.
+references for the package's integer loops.  ``invert_by_fractions`` is
+Gauss-Jordan elimination in ``Fraction``s, the reference for the
+fraction-free ``seifert._invert_unimodular_block``.
 """
 
+import math
 from fractions import Fraction
 
 from linkchi import commalg, seifert, seifert_matrix
@@ -156,6 +159,28 @@ def hat_by_ring_products(f):
     return out
 
 
+def assert_lowest_terms(s, want=None):
+    """``s`` holds nonzero integer numerators over ``den > 0`` with no common
+    factor, of grade at most ``trunc``; its ``terms`` view reads them as
+    Fractions, and equals the Fraction map ``want`` when one is given."""
+    assert type(s.den) is int and s.den > 0, s.den
+    assert all(type(v) is int and v for v in s.num.values()), s.num
+    assert math.gcd(s.den, *s.num.values()) == 1, (s.num, s.den)
+    assert all(s._grade(k) <= s.trunc for k in s.num), (s.trunc, s.num)
+    terms = s.terms
+    assert all(type(c) is Fraction for c in terms.values())
+    assert terms == {k: Fraction(v, s.den) for k, v in s.num.items()}
+    if want is not None:
+        assert terms == {k: c for k, c in want.items() if c}
+
+
+def same_from_fractions(s, terms, trunc):
+    """A series of the type and n of ``s`` from the Fraction ``terms``, through ``_same``."""
+    terms = {k: Fraction(c) for k, c in terms.items()}
+    den = math.lcm(*(c.denominator for c in terms.values()))
+    return s._same({k: c.numerator * (den // c.denominator) for k, c in terms.items()}, den, trunc)
+
+
 def mul_by_fractions(a, b):
     """a * b of two series of one type, one Fraction product per pair of terms."""
     trunc = min(a.trunc, b.trunc)
@@ -165,7 +190,7 @@ def mul_by_fractions(a, b):
             if a._grade(ka) + a._grade(kb) <= trunc:
                 k = a._join(ka, kb)
                 terms[k] = terms.get(k, 0) + ca * cb
-    return a._same(terms, trunc)
+    return same_from_fractions(a, terms, trunc)
 
 
 def power_series_by_fractions(u, coeffs):
@@ -176,7 +201,7 @@ def power_series_by_fractions(u, coeffs):
         power = mul_by_fractions(power, u)
         for key, c in power.terms.items():
             out[key] = out.get(key, 0) + coeffs[k] * c
-    return u._same(out, u.trunc)
+    return same_from_fractions(u, out, u.trunc)
 
 
 def matmul_by_fractions(A, B):
@@ -208,4 +233,30 @@ def exp_by_fractions(u):
                     e = tuple(x + y for x, y in zip(e1, e2))
                     acc[e] = acc.get(e, 0) + c1 * c2
         f.append([(e, c / k) for e, c in acc.items() if c])
-    return u._same({e: c for level in f for e, c in level}, u.trunc)
+    return same_from_fractions(u, {e: c for level in f for e, c in level}, u.trunc)
+
+
+def invert_by_fractions(rows):
+    """Inverse of an integer matrix by Gauss-Jordan in Fractions; ValueError
+    when it is singular or its inverse is not integral."""
+    size = len(rows)
+    work = [[Fraction(v) for v in row] + [Fraction(int(r == c)) for c in range(size)]
+            for r, row in enumerate(rows)]
+    for c in range(size):
+        if work[c][c] == 0:
+            for r in range(c + 1, size):
+                if work[r][c]:
+                    work[c], work[r] = work[r], work[c]
+                    break
+            else:
+                raise ValueError("singular")
+        piv = work[c][c]
+        work[c] = [v / piv for v in work[c]]
+        for r in range(size):
+            if r != c and work[r][c]:
+                factor = work[r][c]
+                work[r] = [a - factor * b for a, b in zip(work[r], work[c])]
+    inv = [row[size:] for row in work]
+    if any(v.denominator != 1 for row in inv for v in row):
+        raise ValueError("inverse is not integral")
+    return [[int(v) for v in row] for row in inv]

@@ -2,14 +2,16 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from helpers import stabilized_unknot, trefoil
+from helpers import invert_by_fractions, stabilized_unknot, trefoil
 from linkchi import invariants
 from linkchi.genfun import monomial
 from linkchi.ncalg import NCSeries
 from linkchi.seifert import (
     BlockStructure,
     MatrixFormatError,
+    _invert_unimodular_block,
     SeifertMatrix,
     apply_random_moves,
     balanced_patterns,
@@ -32,31 +34,54 @@ from linkchi.seifert import (
 )
 
 
-def frac_inverse(rows):
-    """Test-local exact inverse over Fraction (independent of the package)."""
-    size = len(rows)
-    work = [
-        [Fraction(v) for v in row] + [Fraction(int(r == c)) for c in range(size)]
-        for r, row in enumerate(rows)
-    ]
-    for c in range(size):
-        if work[c][c] == 0:
-            for r in range(c + 1, size):
-                if work[r][c]:
-                    work[c], work[r] = work[r], work[c]
-                    break
-        piv = work[c][c]
-        work[c] = [v / piv for v in work[c]]
-        for r in range(size):
-            if r != c and work[r][c]:
-                f = work[r][c]
-                work[r] = [a - f * b for a, b in zip(work[r], work[c])]
-    return [row[size:] for row in work]
-
-
 def frac_mul(a, b):
     cols = list(zip(*b))
     return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
+
+
+@st.composite
+def unimodular_blocks(draw):
+    """An integer block of determinant +-1 from row additions, swaps and sign flips of I."""
+    size = draw(st.integers(0, 8))
+    rows = [[int(r == c) for c in range(size)] for r in range(size)]
+    for _ in range(draw(st.integers(0, 3 * size))):
+        r, c = draw(st.integers(0, size - 1)), draw(st.integers(0, size - 1))
+        kind = draw(st.sampled_from(["add", "swap", "negate"]))
+        if kind == "add" and r != c:
+            k = draw(st.integers(-3, 3))
+            rows[r] = [a + k * b for a, b in zip(rows[r], rows[c])]
+        elif kind == "swap":
+            rows[r], rows[c] = rows[c], rows[r]
+        else:
+            rows[r] = [-a for a in rows[r]]
+    return rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(unimodular_blocks())
+def test_unimodular_inverse_matches_fraction_elimination(rows):
+    inv = _invert_unimodular_block(rows)
+    assert inv == invert_by_fractions(rows)
+    assert frac_mul(rows, inv) == [[int(r == c) for c in range(len(rows))] for r in range(len(rows))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda k: st.lists(
+    st.lists(st.integers(-3, 3), min_size=k, max_size=k), min_size=k, max_size=k)))
+def test_block_inverse_is_integral_or_raises(rows):
+    try:
+        want = invert_by_fractions(rows)
+    except ValueError:
+        with pytest.raises(ValueError):
+            _invert_unimodular_block(rows)
+    else:
+        assert _invert_unimodular_block(rows) == want
+
+
+@pytest.mark.parametrize("rows", [[[2]], [[2, 1], [1, 2]], [[1, 2], [2, 4]], [[0, 0], [0, 1]]])
+def test_block_without_integral_inverse_raises(rows):
+    with pytest.raises(ValueError):
+        _invert_unimodular_block(rows)
 
 
 def random_batch(seed, count, max_genus=2, bound=2):
@@ -120,7 +145,7 @@ def test_z_satisfies_duality_identity():
     for A in random_batch(101, 10):
         z = z_matrix(A)
         s = intersection_form(A)
-        s_inv = frac_inverse(s)
+        s_inv = invert_by_fractions(s)
         size = A.size
         i_minus_zt = [
             [Fraction(int(r == c)) - z[c][r] for c in range(size)] for r in range(size)
@@ -176,7 +201,7 @@ def test_s1_conjugates_z():
         P = random_block_unimodular(rng, A.structure)
         B = move_s1(A, P)
         assert validate(B) == []
-        p_inv = frac_inverse(P)
+        p_inv = invert_by_fractions(P)
         conj = frac_mul(frac_mul([list(map(Fraction, row)) for row in P], z_matrix(A)), p_inv)
         zb = z_matrix(B)
         assert all(
@@ -274,7 +299,7 @@ def test_reflect_is_involutive():
 def test_reflect_z_conjugation_identity():
     for A in random_batch(19, 8):
         s = intersection_form(A)
-        s_inv = frac_inverse(s)
+        s_inv = invert_by_fractions(s)
         z = z_matrix(A)
         zt = [[Fraction(z[c][r]) for c in range(A.size)] for r in range(A.size)]
         conj = frac_mul(frac_mul([list(map(Fraction, row)) for row in s], zt), s_inv)

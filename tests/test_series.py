@@ -1,14 +1,18 @@
-"""Results of series operations are clean without passing the public constructor."""
+"""Results of series operations are clean without passing the public constructor:
+integer numerators over one denominator in lowest terms, equal to the
+Fraction reference."""
 
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import mul_by_fractions, power_series_by_fractions
+from helpers import assert_lowest_terms, mul_by_fractions, power_series_by_fractions
+from linkchi import genfun
 from linkchi.commalg import CommSeries
 from linkchi.genfun import BiSeries
-from linkchi.ncalg import NCSeries
+from linkchi.ncalg import CyclicSeries, NCSeries
 
 GRADE = {NCSeries: len, CommSeries: sum, BiSeries: lambda w: w.count("x")}
 
@@ -20,11 +24,8 @@ def make(s, terms):
     return type(s)(s.n, s.trunc, terms)
 
 
-def assert_clean(s):
-    grade = GRADE[type(s)]
-    for key, coeff in s.terms.items():
-        assert type(coeff) is Fraction and coeff != 0, (key, coeff)
-        assert grade(key) <= s.trunc, key
+def assert_clean(s, want=None):
+    assert_lowest_terms(s, want)
     again = make(s, s.terms)
     assert again.terms == s.terms and again.trunc == s.trunc
 
@@ -71,6 +72,7 @@ def log_coeffs(trunc):
 
 
 def assert_same(s, t):
+    assert_clean(s)
     assert type(s) is type(t) and s.trunc == t.trunc and s.terms == t.terms
 
 
@@ -79,10 +81,23 @@ def assert_same(s, t):
 def test_operation_results_are_clean(ops):
     a, b, q, k = ops
     u = positive_part(a)
-    results = [a + b, a - b, b - a, -a, a.scale(q), q * a, a * b, b * a, a ** k,
-               u.geometric(), u.log1p()]
+    results = [a * b, b * a, a ** k, u.geometric(), u.log1p()]
     for r in results:
         assert_clean(r)
+    t = min(a.trunc, b.trunc)
+    low = {key: c for key, c in a.terms.items() if GRADE[type(a)](key) <= t}
+    plus, minus = dict(low), dict(low)
+    for key, c in b.terms.items():
+        if GRADE[type(b)](key) <= t:
+            plus[key] = plus.get(key, 0) + c
+            minus[key] = minus.get(key, 0) - c
+    assert_clean(a.truncated(t), low)
+    assert_clean(a + b, plus)
+    assert_clean(a - b, minus)
+    assert_clean(b - a, {key: -c for key, c in minus.items()})
+    assert_clean(-a, {key: -c for key, c in a.terms.items()})
+    for r in a.scale(q), q * a, a * q:
+        assert_clean(r, {key: c * q for key, c in a.terms.items()})
     assert (a + b).trunc == (a * b).trunc == min(a.trunc, b.trunc)
     one = a ** 0
     assert u.geometric() * (one - u) == one
@@ -163,3 +178,39 @@ def test_power_series_reject_a_term_of_grade_zero(u):
         u.geometric()
     with pytest.raises(ValueError):
         u.log1p()
+
+
+@pytest.mark.parametrize("bad", [0.1, "1/3", Decimal("0.1"), 1j, None])
+def test_scalars_and_coefficients_are_int_or_fraction(bad):
+    x = NCSeries.variable(1, 2, 1)
+    calls = [lambda: x * bad, lambda: bad * x, lambda: x.scale(bad),
+             lambda: NCSeries(1, 2, {(1,): bad}), lambda: CyclicSeries(1, 2, {(1,): bad}),
+             lambda: CommSeries(1, 2, {(1,): bad}), lambda: BiSeries(2, {"x": bad}),
+             lambda: genfun.monomial("xz", 2, bad), lambda: genfun.from_univariate([1, bad], 2)]
+    for call in calls:
+        with pytest.raises(TypeError):
+            call()
+    assert (x * True).terms == (x * Fraction(3, 3)).terms == {(1,): 1}
+
+
+def test_truncation_that_changes_the_gcd():
+    f = NCSeries(2, 2, {(1,): Fraction(1, 2), (1, 2): Fraction(1, 3)})
+    half = NCSeries(2, 1, {(1,): Fraction(1, 2)})
+    assert (f.num, f.den) == ({(1,): 3, (1, 2): 2}, 6)
+    assert_clean(f.truncated(1), half.terms)
+    assert f.truncated(1) == half and f == half and half == f
+    assert f != NCSeries(2, 2, {(1,): Fraction(1, 2)})
+    assert f - half == NCSeries(2, 1)
+    assert f + NCSeries(2, 1, {(1,): Fraction(-1, 2)}) == NCSeries.zero(2, 5)
+
+
+@settings(max_examples=100, deadline=None)
+@given(operands(WIDE))
+def test_equal_values_along_different_routes(ops):
+    a, b, q, _ = ops
+    assert (a + b) - b == a == b + (a - b)
+    assert -(-a) == a == a.scale(2).scale(Fraction(1, 2))
+    if q:
+        assert a.scale(q).scale(1 / q) == a
+    assert make(a, {key: 3 * c for key, c in a.terms.items()}) == a + a + a
+    assert a * a ** 0 == a == a ** 0 * a
