@@ -42,3 +42,12 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # linkchi.selfcheck loads on first use: only the selfcheck command runs it
+    if name == "selfcheck":
+        import importlib
+
+        return importlib.import_module(".selfcheck", __name__)
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))

@@ -13,7 +13,7 @@ import json
 import sys
 from fractions import Fraction
 
-from . import genfun, invariants, seifert, selfcheck
+from . import genfun, invariants, seifert
 from .series import unlimited_int_digits
 
 
@@ -171,6 +171,8 @@ def cmd_move(args) -> int:
 
 
 def cmd_selfcheck(args) -> int:
+    from . import selfcheck  # the other commands do not load the suites
+
     results = selfcheck.run_selfcheck(args.seed, args.degree)
     all_ok = True
     for res in results:

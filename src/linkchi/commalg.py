@@ -18,8 +18,8 @@ through ``Series._dot``, and reduce each result once.
 from __future__ import annotations
 
 import operator
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence
 
 from .series import Series
 

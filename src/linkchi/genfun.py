@@ -16,9 +16,9 @@ are ``ncalg``'s involutions, which act on these series too.
 from __future__ import annotations
 
 import operator
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from itertools import groupby
-from typing import Iterable, Mapping
 
 from . import ncalg
 from .series import Series

@@ -26,9 +26,9 @@ from __future__ import annotations
 
 import math
 import re
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from operator import itemgetter, mul
-from typing import Iterable, Sequence
 
 from . import commalg, genfun, seifert
 from .commalg import CommSeries

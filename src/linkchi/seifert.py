@@ -19,9 +19,8 @@ import functools
 import itertools
 import json
 import random
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
 
 from .ncalg import NCSeries
 
@@ -75,16 +74,52 @@ def mat_transpose(a: Sequence[Sequence[int]]) -> IntMatrix:
     return tuple(zip(*a)) if a else ()
 
 
-@dataclass(frozen=True)
-class BlockStructure:
+class _Frozen:
+    """An immutable value: equal, hashed and shown by the fields ``_fields``.
+
+    Assigning or deleting an attribute raises ``AttributeError``; a
+    constructor sets its slots with ``object.__setattr__``.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join("%s=%r" % (name, getattr(self, name)) for name in self._fields)
+        return "%s(%s)" % (type(self).__name__, fields)
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % name)
+
+
+class BlockStructure(_Frozen):
     """Component count and per-component block sizes."""
 
-    sizes: tuple[int, ...]
+    __slots__ = ("sizes",)
+    _fields = __slots__
 
-    def __post_init__(self):
-        object.__setattr__(self, "sizes", tuple(int(s) for s in self.sizes))
-        if any(s < 0 for s in self.sizes):
+    def __init__(self, sizes: Iterable[int]):
+        sizes = tuple(int(s) for s in sizes)
+        if any(s < 0 for s in sizes):
             raise ValueError("block sizes must be >= 0")
+        object.__setattr__(self, "sizes", sizes)
 
     @property
     def n(self) -> int:
@@ -115,22 +150,27 @@ class BlockStructure:
         raise IndexError(index)
 
 
-@dataclass(frozen=True)
-class SeifertMatrix:
-    """An integer matrix with a block partition; axioms checked by validate."""
+class SeifertMatrix(_Frozen):
+    """An integer matrix with a block partition; axioms checked by validate.
 
-    structure: BlockStructure
-    entries: IntMatrix
+    ``validate`` keeps the list of violated axioms in the ``_problems``
+    slot, so a matrix is checked once however often it is validated.
+    """
 
-    def __post_init__(self):
-        entries = _as_int_matrix(self.entries)
-        object.__setattr__(self, "entries", entries)
-        total = self.structure.total
+    __slots__ = ("structure", "entries", "_problems")
+    _fields = ("structure", "entries")
+
+    def __init__(self, structure: BlockStructure, entries):
+        entries = _as_int_matrix(entries)
+        total = structure.total
         if len(entries) != total or any(len(row) != total for row in entries):
             raise ValueError(
                 "entries are %dx? but structure totals %d"
                 % (len(entries), total)
             )
+        object.__setattr__(self, "structure", structure)
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "_problems", None)
 
     @property
     def n(self) -> int:
@@ -157,6 +197,12 @@ def seifert_matrix(block_sizes: Iterable[int], entries) -> SeifertMatrix:
 
 def validate(A: SeifertMatrix) -> list[str]:
     """Return the list of violated Seifert axioms (empty means valid)."""
+    if A._problems is None:
+        object.__setattr__(A, "_problems", tuple(_violated_axioms(A)))
+    return list(A._problems)
+
+
+def _violated_axioms(A: SeifertMatrix) -> list[str]:
     problems = []
     st = A.structure
     for i in range(1, st.n + 1):

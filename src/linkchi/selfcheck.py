@@ -9,7 +9,6 @@ check fails.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import commalg, genfun, invariants, ncalg, seifert
@@ -17,11 +16,25 @@ from .commalg import CommMatrix, CommSeries
 from .ncalg import NCSeries
 
 
-@dataclass
 class SuiteResult:
-    name: str
-    checks: int = 0
-    failures: list[str] = field(default_factory=list)
+    """A suite's name, its count of checks and the messages of those that failed."""
+
+    __slots__ = ("name", "checks", "failures")
+
+    def __init__(self, name: str, checks: int = 0, failures: list[str] | None = None):
+        self.name = name
+        self.checks = checks
+        self.failures = [] if failures is None else failures
+
+    def __repr__(self) -> str:
+        return "SuiteResult(name=%r, checks=%r, failures=%r)" % (
+            self.name, self.checks, self.failures)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.name, self.checks, self.failures) == (
+            other.name, other.checks, other.failures)
 
     def record(self, ok: bool, message: str) -> None:
         self.checks += 1

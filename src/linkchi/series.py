@@ -24,10 +24,10 @@ from __future__ import annotations
 
 import math
 import sys
+from collections.abc import Iterator, Mapping, Sequence
 from contextlib import contextmanager
 from fractions import Fraction
 from numbers import Rational
-from typing import Iterator, Mapping, Sequence
 
 
 @contextmanager

@@ -1,14 +1,18 @@
 import json
+import os
+import subprocess
 import sys
 from fractions import Fraction
 
 import pytest
 
 from helpers import reflection_example, stabilized_unknot, trefoil
+import linkchi
 from linkchi import invariants, seifert
 from linkchi.cli import main
 from linkchi.genfun import BiSeries
 from linkchi.ncalg import NCSeries, format_word
+from linkchi.selfcheck import SuiteResult
 from linkchi.series import unlimited_int_digits
 
 
@@ -387,3 +391,66 @@ def test_selfcheck_detects_injected_fault(capsys, monkeypatch):
     code, out, _ = run(capsys, ["selfcheck", "--seed", "2", "--degree", "3"])
     assert code == 1
     assert "FAIL" in out
+
+
+def test_suite_result_counts_checks_and_failures():
+    res = SuiteResult("probe")
+    assert (res.checks, res.failures, res.passed) == (0, [], True)
+    res.record(True, "first")
+    res.record(False, "second")
+    res.record(False, "third")
+    assert (res.checks, res.failures, res.passed) == (3, ["second", "third"], False)
+    assert res == SuiteResult("probe", 3, ["second", "third"])
+    assert res != SuiteResult("probe", 3, ["second"])
+    assert repr(res) == "SuiteResult(name='probe', checks=3, failures=['second', 'third'])"
+    assert SuiteResult("a").failures is not SuiteResult("b").failures
+
+
+# -- start-up -----------------------------------------------------------------
+#
+# Other tests of this process have loaded every module already, so only a
+# fresh interpreter shows what importing the CLI loads.
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(linkchi.__file__)))
+
+STARTUP_PROBE = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import linkchi.cli
+linkchi.cli.build_parser()
+print(sorted({"dataclasses", "inspect", "typing", "linkchi.selfcheck"} & set(sys.modules)))
+suites = linkchi.selfcheck
+print(suites is sys.modules["linkchi.selfcheck"])
+suites.SUITES = (lambda seed, degree: suites.SuiteResult("probe", 7),)
+print(linkchi.cli.main(["selfcheck"]))
+try:
+    linkchi.nosuch
+except AttributeError as exc:
+    print(exc)
+"""
+
+
+def test_cli_start_up_loads_only_what_its_commands_run(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", STARTUP_PROBE, SRC],
+        capture_output=True, text=True, cwd=tmp_path, timeout=60,
+    )
+    assert proc.stderr == ""
+    assert proc.stdout.splitlines() == [
+        "[]",
+        "True",
+        "probe                  7 checks  ok",
+        "1 suites, 7 checks, all passed",
+        "0",
+        "module 'linkchi' has no attribute 'nosuch'",
+    ]
+
+
+def test_selfcheck_in_a_fresh_interpreter_prints_what_it_prints_in_process(capsys, tmp_path):
+    argv = ["selfcheck", "--seed", "0", "--degree", "3"]
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run(
+        [sys.executable, "-S", "-m", "linkchi.cli"] + argv,
+        capture_output=True, text=True, cwd=tmp_path, env=env, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == run(capsys, argv)

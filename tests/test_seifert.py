@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -5,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import invert_by_fractions, stabilized_unknot, trefoil
-from linkchi import invariants
+from linkchi import invariants, seifert
 from linkchi.genfun import monomial
 from linkchi.ncalg import NCSeries
 from linkchi.seifert import (
@@ -128,6 +130,94 @@ def test_odd_block_size_gets_dedicated_diagnostic():
     A = seifert_matrix([3], [[0, 1, 0], [0, 0, 0], [0, 0, 0]])
     problems = validate(A)
     assert any("odd" in p for p in problems)
+
+
+def test_validate_returns_a_fresh_list_of_one_check():
+    A = seifert_matrix([2], [[0, 0], [0, 0]])
+    problems = validate(A)
+    problems.append("changed by the caller")
+    assert validate(A) == problems[:1]
+    assert validate(A) is not validate(A)
+
+
+def test_chi_and_torsion_on_one_matrix_validate_it_once(monkeypatch):
+    calls = []
+    real = seifert.int_det
+
+    def spy(rows):
+        calls.append(len(rows))
+        return real(rows)
+
+    monkeypatch.setattr(seifert, "int_det", spy)
+    A = random_seifert(4, [1, 2], 2)
+    invariants.chi_delta(A, 3)
+    invariants.chi_phi(A, 3)
+    invariants.torsion_polynomial(A, 3)
+    # one determinant per diagonal block, for the first validation only
+    assert calls == [2, 4]
+
+
+# -- value semantics -------------------------------------------------------------
+
+
+def test_equal_matrices_hash_equal_and_share_the_z_cache():
+    A = random_seifert(5, [1, 2], 2)
+    B = parse(serialize(A))
+    assert A is not B and A == B and hash(A) == hash(B)
+    assert A.structure == B.structure and hash(A.structure) == hash(B.structure)
+    assert A != reflect(A) and A != A.entries and A.structure != A.structure.sizes
+    z_matrix(A)
+    hits = z_matrix.cache_info().hits
+    assert z_matrix(B) is z_matrix(A)
+    assert z_matrix.cache_info().hits == hits + 2
+
+
+def test_validating_leaves_the_value_unchanged():
+    A, B = trefoil(), trefoil()
+    validate(A)
+    assert A == B and hash(A) == hash(B)
+    assert repr(A) == repr(B)
+
+
+def test_keyword_construction_and_repr_round_trip():
+    A = SeifertMatrix(structure=BlockStructure(sizes=[2]), entries=[[-1, 1], [0, -1]])
+    assert A == trefoil()
+    assert A.structure.sizes == (2,) and A.entries == ((-1, 1), (0, -1))
+    assert repr(A) == (
+        "SeifertMatrix(structure=BlockStructure(sizes=(2,)), entries=((-1, 1), (0, -1)))"
+    )
+    assert eval(repr(A), {"SeifertMatrix": SeifertMatrix, "BlockStructure": BlockStructure}) == A
+
+
+def test_copies_and_pickles_are_equal_values():
+    A = random_seifert(6, [1, 1], 2)
+    for B in (copy.copy(A), copy.deepcopy(A), pickle.loads(pickle.dumps(A))):
+        assert B == A and hash(B) == hash(A)
+        assert validate(B) == []
+
+
+@pytest.mark.parametrize(
+    "owner, name",
+    [("matrix", "entries"), ("matrix", "structure"), ("matrix", "other"), ("structure", "sizes")],
+)
+def test_matrices_and_structures_are_immutable(owner, name):
+    A = trefoil()
+    target = A if owner == "matrix" else A.structure
+    with pytest.raises(AttributeError):
+        setattr(target, name, ())
+    with pytest.raises(AttributeError):
+        delattr(target, name)
+    assert A == trefoil()
+
+
+def test_constructor_checks_raise_value_error():
+    with pytest.raises(ValueError, match="block sizes"):
+        BlockStructure((2, -2))
+    for entries in (((1, 0.5), (0, 1)), ((1, True), (0, 1)), ((1, "1"), (0, 1))):
+        with pytest.raises(ValueError, match="integers"):
+            SeifertMatrix(BlockStructure((2,)), entries)
+    with pytest.raises(ValueError, match="structure totals"):
+        SeifertMatrix(BlockStructure((2,)), ((1,),))
 
 
 # -- derived matrices --------------------------------------------------------------
