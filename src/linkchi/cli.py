@@ -132,8 +132,9 @@ def _print_series(series, as_json: bool) -> None:
         with unlimited_int_digits():
             print(json.dumps(series.to_triples()))
     else:
-        for line in series.to_lines():
-            print(line)
+        lines = series.to_lines()
+        if lines:
+            sys.stdout.write("\n".join(lines) + "\n")
 
 
 def cmd_validate(args) -> int:

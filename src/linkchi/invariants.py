@@ -349,29 +349,34 @@ def torsion_polynomial(A: SeifertMatrix, degree: int) -> CommSeries:
     det((I + X)^(-1/2) (I + X Z)); the constant term is 1 and the series is
     fixed by every t_i -> 1/t_i.  Computed as exp(L - sum_i g_i log(1 + x_i))
     with L = log det(I + X Z) = sum_{k>=1} (-1)^(k+1)/k tr((X Z)^k), where
-    (X Z)^k = sum_{|e|=k} x^e M_e over the integer matrices M_0 = I and
-    M_e = sum_{i: e_i > 0} P_i Z M_{e - e_i}, P_i keeping the rows of block i.
+    (X Z)^k = sum_{|e|=k} x^e M_e over the integer matrices M_(e_i) = P_i Z
+    (the rows of block i of Z, P_i keeping the rows of block i) and
+    M_e = sum_{i: e_i > 0} P_i Z M_{e - e_i}.
 
     M_e is the sum of P_w1 Z ... P_wk Z over the words w of content e.  The
     recurrence runs only to |e| <= h = ceil(degree/2): each longer word
     splits in exactly one way after its h-th letter, so for |e| > h
     tr M_e = sum over e1 <= e with |e1| = h of tr(M_e1 M_(e - e1)), with
     |e - e1| <= h.  Each tr(A B) is sum_r row_r(A) . row_r(B'), skipping the
-    zero rows of A.  L is built in integers over lcm(1..degree); exp is
-    ``commalg.exp_positive``.
+    zero rows of A.  At even degree the last stage multiplies level h by
+    itself, and as tr(A B) = tr(B A) each unordered pair {e1, e2} is
+    computed once and counted twice when e1 != e2.  L is built in integers
+    over lcm(1..degree); exp is ``commalg.exp_positive``.
     """
     seifert.require_valid(A)
     st = A.structure
     n = st.n
+    if not degree:
+        return CommSeries.one(n, 0)
     m = st.total
     z = seifert.z_matrix(A)
     blocks = [(i - 1, st.block_range(i)) for i in range(1, n + 1) if st.sizes[i - 1]]
     h = (degree + 1) // 2
-    traces: dict[commalg.Expo, int] = {}
-    # levels[k] = {e: M_e} for |e| = k <= h, M_e as a list of rows; a row of
-    # a block i with e_i = 0 is None (zero)
-    levels = [{(0,) * n: [[int(r == c) for c in range(m)] for r in range(m)]}]
-    for _ in range(h):
+    # levels[k - 1] = {e: M_e} for |e| = k <= h, M_e as a list of rows; a
+    # row of a block i with e_i = 0 is None (zero).  Level 1 is read off Z.
+    unit = [(0,) * i + (1,) + (0,) * (n - i - 1) for i in range(n)]
+    levels = [{unit[i]: [z[r] if r in rows else None for r in range(m)] for i, rows in blocks}]
+    for _ in range(h - 1):
         nxt: dict[commalg.Expo, list] = {}
         for e, mat in levels[-1].items():
             for i, rows in blocks:
@@ -382,22 +387,28 @@ def torsion_polynomial(A: SeifertMatrix, degree: int) -> CommSeries:
                         if v and row is not None:
                             acc = [a + v * b for a, b in zip(acc, row)]
                     out[r] = acc
-        for e, mat in nxt.items():
-            traces[e] = sum(row[r] for r, row in enumerate(mat) if row is not None)
         levels.append(nxt)
+    traces: dict[commalg.Expo, int] = {
+        e: sum(row[r] for r, row in enumerate(mat) if row is not None)
+        for level in levels
+        for e, mat in level.items()
+    }
     zero = [0] * m
     lefts = [
         (e1, [(r, row) for r, row in enumerate(mat) if row is not None])
-        for e1, mat in levels[h].items()
+        for e1, mat in levels[-1].items()
     ]
     for k in range(1, degree - h + 1):
         # the rows of each transpose M_e2' for |e2| = k
-        rights = [(e2, list(zip(*[row or zero for row in mat]))) for e2, mat in levels[k].items()]
-        for e1, rows in lefts:
-            for e2, cols in rights:
-                e = tuple(a + b for a, b in zip(e1, e2))
+        rights = [
+            (e2, list(zip(*[row or zero for row in mat]))) for e2, mat in levels[k - 1].items()
+        ]
+        for a, (e1, rows) in enumerate(lefts):
+            # at k == h, tr(M_e1 M_e2) = tr(M_e2 M_e1): each unordered pair once
+            for b, (e2, cols) in enumerate(rights[a:] if k == h else rights):
+                e = tuple(x + y for x, y in zip(e1, e2))
                 trace = sum(sum(map(mul, row, cols[r])) for r, row in rows)
-                traces[e] = traces.get(e, 0) + trace
+                traces[e] = traces.get(e, 0) + (2 * trace if k == h and b else trace)
     den = math.lcm(*range(1, degree + 1))
     num = {e: (-1) ** (sum(e) + 1) * trace * (den // sum(e)) for e, trace in traces.items()}
     for i, _ in blocks:

@@ -18,7 +18,6 @@ from __future__ import annotations
 import functools
 import itertools
 import json
-import random
 from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 
@@ -475,6 +474,8 @@ def random_seifert_rng(rng: random.Random, genera: Sequence[int], bound: int) ->
 
 
 def random_seifert(seed: int, genera: Sequence[int], bound: int) -> SeifertMatrix:
+    import random  # only the seeded helpers need it, not every CLI start
+
     return random_seifert_rng(random.Random(seed), genera, bound)
 
 
@@ -516,6 +517,8 @@ def random_move_rng(rng: random.Random, A: SeifertMatrix, bound: int = 2) -> Sei
 
 
 def apply_random_moves(A: SeifertMatrix, seed: int, count: int) -> SeifertMatrix:
+    import random
+
     rng = random.Random(seed)
     for _ in range(count):
         A = random_move_rng(rng, A)

@@ -62,6 +62,18 @@ def _rational(c) -> Rational:
     return c
 
 
+def _lowest_terms(num: dict, den: int) -> tuple[dict, int]:
+    """Integers ``num`` over ``den > 0`` without zero numerators and divided by
+    their gcd with ``den``: the one form of that value."""
+    if 0 in num.values():
+        num = {k: v for k, v in num.items() if v}
+    g = math.gcd(den, *num.values())
+    if g > 1:
+        den //= g
+        num = {k: v // g for k, v in num.items()}
+    return num, den
+
+
 class Series:
     """A truncated series in ``n`` variables; subclasses fix the key type.
 
@@ -87,29 +99,24 @@ class Series:
             raise ValueError("truncation degree must be >= 0")
         self.n = n
         self.trunc = trunc
-        clean: dict = {}
+        kept = []
         for key, coeff in (terms or {}).items():
             key = self._key(key)
             if _rational(coeff) and self._grade(key) <= trunc:
-                clean[key] = clean.get(key, 0) + coeff
-        # the lcm of reduced denominators leaves no common factor
-        self.den = math.lcm(*(c.denominator for c in clean.values()))
-        self.num = {k: c.numerator * (self.den // c.denominator) for k, c in clean.items() if c}
+                kept.append((key, coeff))
+        den = math.lcm(*(c.denominator for _, c in kept))
+        num: dict = {}
+        for key, c in kept:  # keys that normalize alike add up
+            num[key] = num.get(key, 0) + c.numerator * (den // c.denominator)
+        self.num, self.den = _lowest_terms(num, den)
 
     def _same(self, num: dict, den: int, trunc: int) -> "Series":
         """A series of this type from integers ``num`` over ``den > 0``, reduced
         to lowest terms; every key is checked and of grade at most ``trunc``."""
-        if 0 in num.values():
-            num = {k: v for k, v in num.items() if v}
-        g = math.gcd(den, *num.values())
-        if g > 1:
-            den //= g
-            num = {k: v // g for k, v in num.items()}
         out = object.__new__(type(self))
         out.n = self.n
         out.trunc = trunc
-        out.num = num
-        out.den = den
+        out.num, out.den = _lowest_terms(num, den)
         return out
 
     _sort_grade = None  # terms print by this grade if set, else by _grade; then by key

@@ -418,7 +418,7 @@ import sys
 sys.path.insert(0, sys.argv[1])
 import linkchi.cli
 linkchi.cli.build_parser()
-print(sorted({"dataclasses", "inspect", "typing", "linkchi.selfcheck"} & set(sys.modules)))
+print(sorted({"dataclasses", "inspect", "random", "typing", "linkchi.selfcheck"} & set(sys.modules)))
 suites = linkchi.selfcheck
 print(suites is sys.modules["linkchi.selfcheck"])
 suites.SUITES = (lambda seed, degree: suites.SuiteResult("probe", 7),)

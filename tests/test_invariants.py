@@ -538,6 +538,18 @@ def test_torsion_matches_oracle_at_larger_sizes(genera, degree, seed):
     assert torsion_polynomial(A, degree) == torsion_by_det(A, degree)
 
 
+@pytest.mark.parametrize(
+    "genera, degree, seed",
+    [([2, 0, 1], 8, 271), ([1, 1, 1, 1], 8, 277), ([1, 1], 2, 281)],
+    ids=["201-d8", "1111-d8", "11-d2"],
+)
+def test_torsion_matches_oracle_on_unordered_last_products(genera, degree, seed):
+    # even degree: the last product stage pairs level h with itself, where
+    # tr(M_e1 M_e2) for e1 != e2 is computed once and counted twice
+    A = random_seifert_rng(random.Random(seed), genera, 2)
+    assert torsion_polynomial(A, degree) == torsion_by_det(A, degree)
+
+
 def test_torsion_with_genus_zero_component_matches_oracle():
     rng = random.Random(11)
     for genera in ([2, 0, 1], [0, 2], [1, 0]):

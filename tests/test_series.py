@@ -193,6 +193,22 @@ def test_scalars_and_coefficients_are_int_or_fraction(bad):
     assert (x * True).terms == (x * Fraction(3, 3)).terms == {(1,): 1}
 
 
+def test_constructor_sums_mixed_denominators_to_lowest_terms():
+    f = NCSeries(2, 3, {(1,): Fraction(1, 6), (2,): Fraction(-3, 4), (1, 2): 2, (2, 2, 2): 0})
+    assert (f.num, f.den) == ({(1,): 2, (2,): -9, (1, 2): 24}, 12)
+    # rotations of one word are one key of a CyclicSeries: 1/6 + 1/3 = 1/2
+    g = CyclicSeries(2, 3, {(1, 2): Fraction(1, 6), (2, 1): Fraction(1, 3), (1, 1, 2): Fraction(3, 2)})
+    assert (g.num, g.den) == ({(1, 2): 1, (1, 1, 2): 3}, 2)
+    # terms that cancel leave no key, and take their denominator with them
+    h = CyclicSeries(2, 3, {(1, 2): Fraction(1, 6), (2, 1): Fraction(-1, 6), (1,): Fraction(5, 3)})
+    assert (h.num, h.den) == ({(1,): 5}, 3)
+    c = CommSeries(2, 2, {(1, 0): Fraction(1, 4), (0, 1): Fraction(1, 9), (2, 1): Fraction(1, 7)})
+    assert (c.num, c.den) == ({(1, 0): 9, (0, 1): 4}, 36)
+    assert CyclicSeries(2, 3, {(1, 2): Fraction(2, 5), (2, 1): Fraction(-2, 5)}).den == 1
+    for s in (f, g, h, c):
+        assert_clean(s)
+
+
 def test_truncation_that_changes_the_gcd():
     f = NCSeries(2, 2, {(1,): Fraction(1, 2), (1, 2): Fraction(1, 3)})
     half = NCSeries(2, 1, {(1,): Fraction(1, 2)})
