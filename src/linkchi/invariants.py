@@ -10,13 +10,14 @@ is a truncated noncommutative series in x_1..x_n with exact rational
 coefficients.
 
 ``trace_at`` (behind ``tr_series`` and ``chi``) computes tr f(X, Z) in
-integers from one necklace table.  The trace of x^j1 z^e1 x^j2 ... x^jk
-z^ek x^j(k+1) is sum_v T(v) x_v1^j1 ... x_vk^jk x_v1^j(k+1) over block
-tuples v, with T(v) = tr(P_v1 Z^e1 ... P_vk Z^ek) for the block
-projections P_i, and T is computed once per rotation class of the letters
-P_j Z^e.  A word that starts and ends with z sums position 0 over every
-block, which merges its first and last z-runs; z^e is the one letter
-P_j Z^e summed over j.  ``tr_monomial``, the oracle of the table, evaluates
+integers from one table of half products.  The trace of x^j1 z^e1 x^j2
+... x^jk z^ek x^j(k+1) is sum_v T(v) x_v1^j1 ... x_vk^jk x_v1^j(k+1) over
+block tuples v, with T(v) = tr(P_v1 Z^e1 ... P_vk Z^ek) for the block
+projections P_i.  Each T(v) is one dot product of the products of the
+first ceil(k/2) letters P_j Z^e and of the rest.  A word that starts and
+ends with z sums position 0 over every block, which merges its first and
+last z-runs; z^e is the one letter P_j Z^e summed over j.
+``tr_monomial``, the oracle of the table, evaluates
 the block-trace formula: for a monomial x^f0 z^e1 x^f1 ... z^ek x^fk the
 sum over block index tuples (i1..ik) of tr((Z^e1)_{i1 i2} ...
 (Z^ek)_{ik i1}) times the word x_{i1}^f0 x_{i2}^f1 ... x_{i1}^fk.
@@ -39,11 +40,15 @@ from .seifert import BlockStructure, SeifertMatrix
 Word = tuple[int, ...]
 
 
-# -- necklace trace table ------------------------------------------------------
+# -- half-product trace table --------------------------------------------------
 #
 # X^j = sum_i x_i^j P_i, so a word meets Z only through its letters P_j Z^e.
-# The letter P_j Z^e is the int j + n (e - 1): with every power 1 the
-# letters are the blocks.
+# For a split of a block tuple v into halves u and w,
+# T(v) = tr(L_u R_w) with L_u = P_u1 Z^e1 ... P_uh Z^eh the product of the
+# first h = ceil(k/2) letters and R_w that of the rest.  L_u is zero outside
+# the rows B(u1) of block u1 and R_w outside B(w1), so
+# T(u w) = sum_{r in B(u1), c in B(w1)} L_u[r][c] R_w[c][r]; at k = 1 it is
+# the diagonal of L_u.
 
 
 def _times(rows, M, cols: range) -> list[list[int]]:
@@ -59,59 +64,67 @@ def _times(rows, M, cols: range) -> list[list[int]]:
     return out
 
 
-def _necklace_traces(
+def _pattern_traces(
     structure: BlockStructure, powers: dict[int, Sequence[Sequence[int]]], patterns: Iterable[Word]
-) -> dict[Word, dict[Word, int]]:
-    """{pattern: {necklace v: T(v)}} over the letters P_j Z^e of these power patterns.
+) -> dict[Word, tuple[list[Word], list[int]]]:
+    """{pattern: (the block tuples v with T(v) != 0, their T(v))} for these power patterns.
 
-    ``powers`` maps e to Z^e, and j runs over the nonempty blocks.  Each
-    pattern must start with its least power, as the power pattern of every
-    necklace does.  Walks the prenecklace tree (Fredricksen-Kessler-
-    Maiorana): a_{t+1} >= a_{t+1-p} for the period p of a_1..a_t, a
-    necklace when t % p == 0.  The walk keeps to prefixes of the patterns
-    and carries the start block's rows of P_a1 Z^e1 ... P_at Z^et.
+    ``powers`` maps e to Z^e, and v runs over tuples of nonempty blocks.
+    The half products of all patterns form one trie: {half: {u: the block-u1
+    rows of P_u1 Z^e1 ... P_ut Z^et}}, each half extending its one-shorter
+    prefix by one letter.  A product whose rows are all zero is dropped, as
+    every extension of it is zero too.
     """
     n = structure.n
-    blocks = [j for j in range(1, n + 1) if structure.sizes[j - 1]]
-    letters = {e: [(j + n * (e - 1), structure.block_range(j)) for j in blocks] for e in powers}
-    table: dict[Word, dict[Word, int]] = {}
-    # a trie node is [the necklaces of a whole pattern or None, children]
-    trie: list = [None, {}]
-    for pattern in patterns:
-        node = trie
-        for e in pattern:
-            node = node[1].setdefault(e, [None, {}])
-        node[0] = table[pattern] = {}
-
-    def walk(v: Word, p: int, own: range, rows, node: list) -> None:
-        t = len(v)
-        if t % p == 0 and node[0] is not None:
-            node[0][v] = sum(row[r] for r, row in zip(own, rows))
-        floor = v[t - p]
-        for e, child in node[1].items():
-            M = powers[e]
-            for c, cols in letters[e]:
-                if c >= floor:
-                    q = p if c == floor else t + 1
-                    if child[1]:
-                        walk(v + (c,), q, own, _times(rows, M, cols), child)
-                    elif (t + 1) % q == 0:  # last letter: only the diagonal is needed
-                        child[0][v + (c,)] = sum(
-                            row[b] * M[b][r] for r, row in zip(own, rows) for b in cols
-                        )
-
-    for e, child in trie[1].items():
-        for c, own in letters[e]:
-            walk((c,), 1, own, [list(powers[e][r]) for r in own], child)
+    ranges = {j: structure.block_range(j) for j in range(1, n + 1) if structure.sizes[j - 1]}
+    spans = {j: slice(rs.start, rs.stop) for j, rs in ranges.items()}
+    splits = {pattern: (len(pattern) + 1) // 2 for pattern in patterns}
+    # the empty half stands for the identity: P_j Z^e extends it to the rows B(j) of Z^e
+    halves: dict[Word, dict[Word, list]] = {(): {(): None}}
+    for half in [p[:h] for p, h in splits.items()] + [p[h:] for p, h in splits.items()]:
+        for t in range(1, len(half) + 1):
+            if half[:t] not in halves:
+                M, products = powers[half[t - 1]], {}
+                for u, rows in halves[half[: t - 1]].items():
+                    for j, cols in ranges.items():
+                        rows_j = [M[r] for r in cols] if rows is None else _times(rows, M, cols)
+                        if any(map(any, rows_j)):
+                            products[u + (j,)] = rows_j
+                halves[half[:t]] = products
+    table = {}
+    for pattern, h in splits.items():
+        words, traces = table[pattern] = [], []
+        if h == len(pattern):  # k = 1: the diagonal of P_u1 Z^e1
+            for u, rows in halves[pattern].items():
+                trace = sum(row[r] for r, row in zip(ranges[u[0]], rows))
+                if trace:
+                    words.append(u)
+                    traces.append(trace)
+            continue
+        # L_u[r][c] and R_w[c][r] for r in B(a), c in B(b), flattened r-major
+        lefts = [
+            (u, {b: [x for row in rows for x in row[s]] for b, s in spans.items()})
+            for u, rows in halves[pattern[:h]].items()
+        ]
+        rights = []
+        for w, rows in halves[pattern[h:]].items():
+            columns = list(zip(*rows))
+            flat = {a: [x for col in columns[s] for x in col] for a, s in spans.items()}
+            rights.append((w, flat))
+        for u, left in lefts:
+            for w, right in rights:
+                trace = sum(map(mul, left[w[0]], right[u[0]]))
+                if trace:
+                    words.append(u + w)
+                    traces.append(trace)
     return table
 
 
 _Z_RUNS = re.compile("(z+)")
 
 
-def _trace_by_necklaces(terms: dict[str, int], structure: BlockStructure, M) -> dict[Word, int]:
+def _trace_by_halves(terms: dict[str, int], structure: BlockStructure, M) -> dict[Word, int]:
     """Sum of coeff * tr(word(X, M)) over integer-coefficient words."""
-    n = structure.n
     out: dict[Word, int] = {}
     by_pattern: dict[Word, list] = {}
     for word, coeff in terms.items():
@@ -128,32 +141,8 @@ def _trace_by_necklaces(terms: dict[str, int], structure: BlockStructure, M) -> 
     powers = {1: M}
     for e in range(2, max(map(max, by_pattern), default=1) + 1):
         powers[e] = seifert.mat_mul(powers[e - 1], M)
-    # A necklace's power pattern is a rotation by r of a word's pattern that
-    # starts with its least power.  Rotating the necklace by s, s + q,
-    # s + 2q, ... (s = -r mod q, q the pattern's period) gives the word's.
-    rotations: dict[Word, tuple[list, list]] = {pattern: ([], []) for pattern in by_pattern}
-    targets: dict[Word, list] = {}
-    for pattern in by_pattern:
-        q = next(q for q in range(1, len(pattern) + 1) if pattern[q:] + pattern[:q] == pattern)
-        for r in range(q):
-            if pattern[r] == min(pattern):
-                targets.setdefault(pattern[r:] + pattern[:r], []).append(
-                    ((-r) % q, q, *rotations[pattern])
-                )
-    for rotated, necklaces in _necklace_traces(structure, powers, targets).items():
-        k, decode, mine = len(rotated), max(rotated) > 1, targets[rotated]
-        for v, trace in necklaces.items():
-            if trace:
-                vv = v + v
-                p = next(p for p in range(1, k + 1) if vv[p : p + k] == v)  # the period
-                if decode:  # else every letter is its block
-                    vv = tuple([(c - 1) % n + 1 for c in vv])
-                for s, q, words_k, traces in mine:
-                    words_k.extend(vv[r : r + k] for r in range(s, p, q))
-                    traces.extend([trace] * (p // q))
-    for pattern, words in by_pattern.items():
-        words_k, traces = rotations[pattern]
-        for template, coeff in words:
+    for pattern, (words_k, traces) in _pattern_traces(structure, powers, by_pattern).items():
+        for template, coeff in by_pattern[pattern]:
             if template == list(range(len(pattern))):
                 keys = words_k
             elif len(template) > 1:
@@ -188,7 +177,7 @@ def trace_at(
         raise ValueError("M must be a square matrix of size %d" % m)
     # words whose x-degree exceeds the requested degree cannot contribute
     terms = {w: v for w, v in f.num.items() if genfun.xdegree(w) <= degree}
-    raw = _trace_by_necklaces(terms, structure, M)
+    raw = _trace_by_halves(terms, structure, M)
     # every emitted word has letters 1..n and length <= degree
     return NCSeries.zero(structure.n, degree)._same(raw, f.den, degree)
 
@@ -427,15 +416,15 @@ def reconstruct_trace(word: str, A: SeifertMatrix, degree: int) -> NCSeries:
     """Recover tr f(X, Z) from the reduced monomial f'.
 
     The reduced monomial replaces each z-run z^e by (zy)^(e-1) z and each
-    x-run by one x.  Its trace is read from the necklace table with each y
-    taken as an x, so every z is isolated; then the letters at the y
+    x-run by one x.  Its trace is read from the half-product table with
+    each y taken as an x, so every z is isolated; then the letters at the y
     positions are dropped and the m-th surviving x-letter is raised back to
     the m-th x-run length.
     """
     seifert.require_valid(A)
     f0, pairs = word_runs(word)
     reduced = genfun.prime_word(word)
-    raw = _trace_by_necklaces({reduced.replace("y", "x"): 1}, A.structure, seifert.z_matrix(A))
+    raw = _trace_by_halves({reduced.replace("y", "x"): 1}, A.structure, seifert.z_matrix(A))
     powers = [f0] + [f for _, f in pairs]
     xs = [pos for pos, letter in enumerate(reduced.replace("z", "")) if letter == "x"]
     terms: dict[Word, int] = {}

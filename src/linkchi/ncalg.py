@@ -22,7 +22,6 @@ series type.
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 from fractions import Fraction
@@ -34,13 +33,15 @@ from .series import Series
 Word = tuple[int, ...]
 
 
-_letter_name = functools.lru_cache(maxsize=None)("x{}".format)  # 3 -> "x3"
+_WORD_FORMATS = {0: "1"}  # by word length: 2 -> "x%d.x%d"
 
 
 def format_word(word: Word) -> str:
-    if not word:
-        return "1"
-    return ".".join(map(_letter_name, word))
+    try:
+        fmt = _WORD_FORMATS[len(word)]
+    except KeyError:
+        fmt = _WORD_FORMATS[len(word)] = ".".join(["x%d"] * len(word))
+    return fmt % word
 
 
 class NCSeries(Series):

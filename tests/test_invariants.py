@@ -234,30 +234,45 @@ def test_trace_matches_formula_with_adjacent_zs_at_large_sizes(genera, degree, s
     assert tr_series(f, A, degree) == monomial_trace_sum(f, A, degree)
 
 
-def test_necklace_table_has_one_trace_per_rotation_class():
+def test_half_product_table_holds_every_nonzero_trace():
     A = random_seifert_rng(random.Random(239), [1, 0, 1, 2], 2)
     M = seifert.z_matrix(A)
-    # all-ones patterns, one whose period 2 is shorter than its length, and
-    # one with two rotations that start with its least power
+    # all-ones patterns of odd and even length, and two with a power 2 in
+    # either half
     cases = [("xz" * k, (1,) * k) for k in range(1, 7)]
     cases += [("xzxzzxzxzz", (1, 2, 1, 2)), ("xzzxzxz", (2, 1, 1))]
     powers = {1: M, 2: seifert.mat_mul(M, M)}
-    rotated = [(1,) * k for k in range(1, 7)] + [(1, 2, 1, 2), (1, 1, 2), (1, 2, 1)]
-    by_pattern = invariants._necklace_traces(A.structure, powers, rotated)
-    assert set(by_pattern) == set(rotated)
-    table = {v: trace for necklaces in by_pattern.values() for v, trace in necklaces.items()}
-    necklaces = set()
+    table = invariants._pattern_traces(A.structure, powers, [pattern for _, pattern in cases])
+    assert set(table) == {pattern for _, pattern in cases}
     for word, pattern in cases:
-        # T(u) is the coefficient of u's blocks in the word's trace, read
-        # from the necklace of u's letters j + n (e - 1)
+        # T(u) is the coefficient of u's blocks in the word's trace
         k = len(pattern)
         formula = tr_monomial(word, A, k)
+        traces = dict(zip(*table[pattern]))
+        assert len(traces) == len(table[pattern][0])
+        nonzero = set()
         for u in itertools.product([1, 3, 4], repeat=k):
-            letters = tuple(j + 4 * (e - 1) for j, e in zip(u, pattern))
-            necklace = min(letters[r:] + letters[:r] for r in range(k))
-            assert formula.coefficient(u) == table[necklace]
-            necklaces.add(necklace)
-    assert set(table) == necklaces
+            assert formula.coefficient(u) == traces.get(u, 0)
+            if formula.coefficient(u):
+                nonzero.add(u)
+        assert set(traces) == nonzero
+
+
+BLOCK_DIAGONAL_SERIES = {
+    "delta": delta_series,
+    "phi": phi_series,
+    "multi-run": lambda d: multi_run_series(random.Random(263), d),
+}
+
+
+@pytest.mark.parametrize("name", list(BLOCK_DIAGONAL_SERIES))
+def test_trace_matches_formula_when_whole_halves_vanish(name):
+    # Z of a direct sum is block diagonal, so every product that passes
+    # from one summand's blocks to the other's is zero
+    rng = random.Random(269)
+    A = direct_sum(random_seifert_rng(rng, [1, 2], 2), random_seifert_rng(rng, [2, 1], 2))
+    f = BLOCK_DIAGONAL_SERIES[name](7)
+    assert tr_series(f, A, 7) == monomial_trace_sum(f, A, 7)
 
 
 @pytest.mark.parametrize("genera, degree, seed", TABLE_SHAPES, ids=["333-d7", "1111-d7", "212-d6"])
