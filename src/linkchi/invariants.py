@@ -27,9 +27,11 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from operator import itemgetter, mul
+from itertools import chain
+from operator import add, itemgetter, mul
 
 from . import commalg, genfun, seifert
 from .commalg import CommSeries
@@ -342,15 +344,28 @@ def torsion_polynomial(A: SeifertMatrix, degree: int) -> CommSeries:
     (the rows of block i of Z, P_i keeping the rows of block i) and
     M_e = sum_{i: e_i > 0} P_i Z M_{e - e_i}.
 
+    Each row of M_e is held as one integer, entry c in slot c of a fixed
+    width (Kronecker substitution), so row_r(P_i Z M_e) = sum_c Z[r][c]
+    row_c(M_e) is one sum of big-int products.  Every entry of M_e, and
+    every partial sum of a row, is at most ||Z||^|e| in absolute value,
+    ||Z|| the largest absolute row sum of Z; a width of bits(||Z||^h) + 2,
+    in whole bytes and at least 8, keeps the slots from carrying into each
+    other.  Every row is decoded once, all into one flat list: adding
+    2^(width-1) to each slot makes it non-negative, and XOR with the same
+    bias leaves each slot its entry in two's complement, read by
+    ``memoryview.cast("q")`` at 8 bytes and ``int.from_bytes`` per slot
+    when wider.
+
     M_e is the sum of P_w1 Z ... P_wk Z over the words w of content e.  The
     recurrence runs only to |e| <= h = ceil(degree/2): each longer word
     splits in exactly one way after its h-th letter, so for |e| > h
     tr M_e = sum over e1 <= e with |e1| = h of tr(M_e1 M_(e - e1)), with
-    |e - e1| <= h.  Each tr(A B) is sum_r row_r(A) . row_r(B'), skipping the
-    zero rows of A.  At even degree the last stage multiplies level h by
-    itself, and as tr(A B) = tr(B A) each unordered pair {e1, e2} is
-    computed once and counted twice when e1 != e2.  L is built in integers
-    over lcm(1..degree); exp is ``commalg.exp_positive``.
+    |e - e1| <= h.  M_e is zero outside the rows R(e) of the blocks i with
+    e_i > 0, so tr(M_e1 M_e2) is one dot product of the rows R(e2) of M_e2
+    with the columns R(e2) of M_e1.  At even degree the last stage
+    multiplies level h by itself, and as tr(A B) = tr(B A) each unordered
+    pair {e1, e2} is computed once and counted twice when e1 != e2.  L is
+    built in integers over lcm(1..degree); exp is ``commalg.exp_positive``.
     """
     seifert.require_valid(A)
     st = A.structure
@@ -359,53 +374,96 @@ def torsion_polynomial(A: SeifertMatrix, degree: int) -> CommSeries:
         return CommSeries.one(n, 0)
     m = st.total
     z = seifert.z_matrix(A)
-    blocks = [(i - 1, st.block_range(i)) for i in range(1, n + 1) if st.sizes[i - 1]]
+    blocks = [(i, st.block_range(i + 1)) for i in range(n) if st.sizes[i]]
+    full = (1 << n) - 1
     h = (degree + 1) // 2
-    # levels[k - 1] = {e: M_e} for |e| = k <= h, M_e as a list of rows; a
-    # row of a block i with e_i = 0 is None (zero).  Level 1 is read off Z.
-    unit = [(0,) * i + (1,) + (0,) * (n - i - 1) for i in range(n)]
-    levels = [{unit[i]: [z[r] if r in rows else None for r in range(m)] for i, rows in blocks}]
-    for _ in range(h - 1):
-        nxt: dict[commalg.Expo, list] = {}
-        for e, mat in levels[-1].items():
-            for i, rows in blocks:
-                out = nxt.setdefault(e[:i] + (e[i] + 1,) + e[i + 1 :], [None] * m)
-                for r in rows:
-                    acc = [0] * m
-                    for v, row in zip(z[r], mat):
-                        if v and row is not None:
-                            acc = [a + v * b for a, b in zip(acc, row)]
-                    out[r] = acc
-        levels.append(nxt)
-    traces: dict[commalg.Expo, int] = {
-        e: sum(row[r] for r, row in enumerate(mat) if row is not None)
-        for level in levels
-        for e, mat in level.items()
-    }
-    zero = [0] * m
-    lefts = [
-        (e1, [(r, row) for r, row in enumerate(mat) if row is not None])
-        for e1, mat in levels[-1].items()
+    norm = max([sum(map(abs, row)) for row in z], default=0)
+    size = max(8, ((norm**h).bit_length() + 9) // 8)
+    shifts = [1 << 8 * size * c for c in range(m)]
+    bias = sum(shifts) << (8 * size - 1)
+
+    def pick(seq, s, width):
+        """The entries at the rows R(s) of the blocks i in the bit set s, of a
+        sequence holding ``width`` entries per row."""
+        if s == full:
+            return seq
+        out = []
+        for i, rows in blocks:
+            if s >> i & 1:
+                out += seq[rows.start * width : rows.stop * width]
+        return out
+
+    # levels[k - 1] = {e: (s, M_e)} for |e| = k <= h, with s the bit set of
+    # the blocks i with e_i > 0 and M_e a list of packed rows, 0 outside the
+    # rows R(s).  Level 1 is read off Z.
+    levels = [
+        {
+            (0,) * i + (1,) + (0,) * (n - i - 1): (
+                1 << i,
+                [sum(map(mul, z[r], shifts)) if r in rows else 0 for r in range(m)],
+            )
+            for i, rows in blocks
+        }
     ]
-    for k in range(1, degree - h + 1):
-        # the rows of each transpose M_e2' for |e2| = k
-        rights = [
-            (e2, list(zip(*[row or zero for row in mat]))) for e2, mat in levels[k - 1].items()
+    z_at: dict[int, Sequence[Sequence[int]]] = {full: z}
+    for _ in range(h - 1):
+        nxt: dict[commalg.Expo, tuple[int, list[int]]] = {}
+        for e, (s, mat) in levels[-1].items():
+            if s not in z_at:
+                z_at[s] = [pick(row, s, 1) for row in z]
+            zs, src = z_at[s], pick(mat, s, 1)
+            for i, rows in blocks:
+                out = nxt.setdefault(e[:i] + (e[i] + 1,) + e[i + 1 :], (s | 1 << i, [0] * m))[1]
+                for r in rows:
+                    out[r] = sum(map(mul, zs[r], src))
+        levels.append(nxt)
+    # decode every row of every level at once, M_e after M_e
+    data = b"".join(
+        [
+            ((row + bias) ^ bias).to_bytes(m * size, sys.byteorder)
+            for level in levels
+            for _, mat in level.values()
+            for row in mat
         ]
-        for a, (e1, rows) in enumerate(lefts):
+    )
+    if size == 8:
+        entries = memoryview(data).cast("q").tolist()
+    else:
+        entries = [
+            int.from_bytes(data[i : i + size], sys.byteorder, signed=True)
+            for i in range(0, len(data), size)
+        ]
+    flats = []
+    traces: dict[commalg.Expo, int] = {}
+    at = 0
+    for level in levels:
+        flats.append([])
+        for e, (s, _) in level.items():
+            flat = entries[at : at + m * m]
+            at += m * m
+            traces[e] = sum(flat[:: m + 1])
+            flats[-1].append((e, s, flat))
+    # tr(M_e1 M_e2) = sum over c in R(e2) of row c of M_e2 . column c of M_e1;
+    # lefts hold the columns of each M_e1, one after another
+    lefts = [(e1, list(chain.from_iterable(zip(*zip(*[iter(f)] * m))))) for e1, _, f in flats[-1]]
+    for k in range(1, degree - h + 1):
+        rights = [(e2, s2, pick(f, s2, m)) for e2, s2, f in flats[k - 1]]
+        for a, (e1, cols) in enumerate(lefts):
             # at k == h, tr(M_e1 M_e2) = tr(M_e2 M_e1): each unordered pair once
-            for b, (e2, cols) in enumerate(rights[a:] if k == h else rights):
-                e = tuple(x + y for x, y in zip(e1, e2))
-                trace = sum(sum(map(mul, row, cols[r])) for r, row in rows)
+            for b, (e2, s2, rows) in enumerate(rights[a:] if k == h else rights):
+                e = tuple(map(add, e1, e2))
+                trace = sum(map(mul, rows, pick(cols, s2, m)))
                 traces[e] = traces.get(e, 0) + (2 * trace if k == h and b else trace)
     den = math.lcm(*range(1, degree + 1))
-    num = {e: (-1) ** (sum(e) + 1) * trace * (den // sum(e)) for e, trace in traces.items()}
+    # log(1 + x) = sum_k coef[k] x^k / den
+    coef = [0] + [den // k if k % 2 else -den // k for k in range(1, degree + 1)]
+    num = {e: coef[sum(e)] * trace for e, trace in traces.items()}
     for i, _ in blocks:
         g = st.genus(i + 1)
         for d in range(1, degree + 1):
-            # g_i log(1 + x_i) = sum_d g_i (-1)^(d+1)/d x_i^d
+            # minus g_i log(1 + x_i)
             e = (0,) * i + (d,) + (0,) * (n - i - 1)
-            num[e] = num.get(e, 0) - (-1) ** (d + 1) * g * (den // d)
+            num[e] = num.get(e, 0) - g * coef[d]
     return commalg.exp_positive(CommSeries.zero(n, degree)._same(num, den, degree))
 
 

@@ -20,6 +20,7 @@ import itertools
 import json
 from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
+from operator import mul, sub
 
 from .ncalg import NCSeries
 
@@ -64,9 +65,7 @@ def int_det(rows: Sequence[Sequence[int]]) -> int:
 
 def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> IntMatrix:
     cols = list(zip(*b)) if b else []
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in cols) for row in a
-    )
+    return tuple(tuple([sum(map(mul, row, col)) for col in cols]) for row in a)
 
 
 def mat_transpose(a: Sequence[Sequence[int]]) -> IntMatrix:
@@ -201,36 +200,38 @@ def validate(A: SeifertMatrix) -> list[str]:
     return list(A._problems)
 
 
+def _block_slices(structure: BlockStructure) -> list[slice]:
+    """The rows of each block, as slices."""
+    return [slice(r.start, r.stop) for r in map(structure.block_range, range(1, structure.n + 1))]
+
+
+def _skew_block(e: IntMatrix, t: Sequence[Sequence[int]], b: slice) -> list[list[int]]:
+    """B - B' for the diagonal block B of A on ``b``, with ``t`` the rows of A'."""
+    return [list(map(sub, e[r][b], t[r][b])) for r in range(b.start, b.stop)]
+
+
 def _violated_axioms(A: SeifertMatrix) -> list[str]:
-    problems = []
     st = A.structure
-    for i in range(1, st.n + 1):
-        if st.sizes[i - 1] % 2:
-            problems.append(
-                "component %d: block size %d is odd" % (i, st.sizes[i - 1])
-            )
-    for i in range(1, st.n + 1):
-        blk = A.block(i, i)
-        skew = tuple(
-            tuple(blk[r][c] - blk[c][r] for c in range(len(blk)))
-            for r in range(len(blk))
-        )
-        d = int_det(skew)
+    e = A.entries
+    t = list(zip(*e))
+    spans = _block_slices(st)
+    problems = [
+        "component %d: block size %d is odd" % (i, size)
+        for i, size in enumerate(st.sizes, start=1)
+        if size % 2
+    ]
+    for i, b in enumerate(spans, start=1):
+        d = int_det(_skew_block(e, t, b))
         if d != 1:
             problems.append(
                 "component %d: det(A_%d%d - A_%d%d') = %d, expected 1"
                 % (i, i, i, i, i, d)
             )
-    for i in range(1, st.n + 1):
-        for j in range(i + 1, st.n + 1):
-            bij = A.block(i, j)
-            bji = A.block(j, i)
-            symmetric = all(
-                bij[r][c] == bji[c][r]
-                for r in range(len(bij))
-                for c in range(len(bij[r]))
-            )
-            if not symmetric:
+    for i, bi in enumerate(spans, start=1):
+        for j, bj in enumerate(spans[i:], start=i + 1):
+            # block (i, j) is the transpose of block (j, i): rows B_i of A
+            # and of A' agree on the columns B_j
+            if any(e[r][bj] != t[r][bj] for r in range(bi.start, bi.stop)):
                 problems.append(
                     "blocks (%d,%d) and (%d,%d) are not transposes" % (i, j, j, i)
                 )
@@ -283,21 +284,20 @@ def _invert_unimodular_block(rows: Sequence[Sequence[int]]) -> list[list[int]]:
 def z_matrix(A: SeifertMatrix) -> IntMatrix:
     """Z = A (A - A')^-1; integral because det(A - A') = 1.
 
-    Satisfies Z + S Z' S^-1 = I with S the intersection form.
+    A - A' is block diagonal, so the columns of block i of Z are
+    A[:, B_i] (A_ii - A_ii')^-1.  Satisfies Z + S Z' S^-1 = I with S the
+    intersection form.
     """
     require_valid(A)
-    st = A.structure
-    size = A.size
-    s = intersection_form(A)
-    s_inv = [[0] * size for _ in range(size)]
-    for i in range(1, st.n + 1):
-        rng = st.block_range(i)
-        blk = [[s[r][c] for c in rng] for r in rng]
-        inv = _invert_unimodular_block(blk)
-        for a, r in enumerate(rng):
-            for b, c in enumerate(rng):
-                s_inv[r][c] = inv[a][b]
-    return mat_mul(A.entries, s_inv)
+    e = A.entries
+    t = list(zip(*e))
+    parts = [
+        (b, list(zip(*_invert_unimodular_block(_skew_block(e, t, b)))))
+        for b in _block_slices(A.structure)
+    ]
+    return tuple(
+        tuple([sum(map(mul, row[b], col)) for b, cols in parts for col in cols]) for row in e
+    )
 
 
 def default_half_pattern(structure: BlockStructure) -> tuple[int, ...]:

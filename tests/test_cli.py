@@ -68,6 +68,28 @@ def test_validate_reports_odd_block(capsys, tmp_path):
     assert "component 1" in out and "odd" in out
 
 
+def test_validate_reports_every_broken_axiom_in_order(capsys, tmp_path):
+    # block 1 is odd and singular, block 2 has det 4, blocks (1,3) and (3,1)
+    # differ; blocks (2,3) and (3,2) agree
+    entries = [[0] * 7 for _ in range(7)]
+    entries[0][1] = 1
+    entries[3][3:5] = [1, 2]
+    entries[4][4] = 1
+    entries[5][6] = 1
+    entries[0][5] = 1
+    entries[3][6] = entries[6][3] = 2
+    path = tmp_path / "broken_axioms.json"
+    path.write_text(json.dumps({"components": 3, "block_sizes": [3, 2, 2], "entries": entries}))
+    code, out, err = run(capsys, ["validate", str(path)])
+    assert (code, err) == (1, "")
+    assert out == (
+        "component 1: block size 3 is odd\n"
+        "component 1: det(A_11 - A_11') = 0, expected 1\n"
+        "component 2: det(A_22 - A_22') = 4, expected 1\n"
+        "blocks (1,3) and (3,1) are not transposes\n"
+    )
+
+
 def test_validate_malformed_file_exits_2(capsys, tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{ nope")

@@ -541,6 +541,10 @@ def test_torsion_matches_oracle_at_every_degree_around_the_split():
     A = random_seifert_rng(random.Random(241), [2, 1], 2)
     for degree in range(10):
         assert torsion_polynomial(A, degree) == torsion_by_det(A, degree)
+    # one block of genus 1: 2 x 2 matrices, where per-call overhead dominates
+    B = random_seifert_rng(random.Random(307), [1], 2)
+    for degree in range(1, 7):
+        assert torsion_polynomial(B, degree) == torsion_by_det(B, degree)
 
 
 @pytest.mark.parametrize(
@@ -565,9 +569,20 @@ def test_torsion_matches_oracle_on_unordered_last_products(genera, degree, seed)
     assert torsion_polynomial(A, degree) == torsion_by_det(A, degree)
 
 
+@pytest.mark.parametrize(
+    "genera, degree, seed", [([2, 2], 8, 283), ([1, 1, 1], 6, 293)], ids=["22-d8", "111-d6"]
+)
+def test_torsion_matches_oracle_with_entries_near_10_to_the_12(genera, degree, seed):
+    # ||Z||^h needs more than 62 bits, so each packed slot is wider than 8 bytes
+    A = random_seifert_rng(random.Random(seed), genera, 10**12)
+    norm = max(sum(map(abs, row)) for row in seifert.z_matrix(A))
+    assert (norm ** ((degree + 1) // 2)).bit_length() + 2 > 64
+    assert torsion_polynomial(A, degree) == torsion_by_det(A, degree)
+
+
 def test_torsion_with_genus_zero_component_matches_oracle():
     rng = random.Random(11)
-    for genera in ([2, 0, 1], [0, 2], [1, 0]):
+    for genera in ([2, 0, 1], [0, 2], [1, 0], [0, 1]):
         A = random_seifert_rng(rng, genera, 2)
         out = torsion_polynomial(A, 5)
         assert out.n == len(genera)
