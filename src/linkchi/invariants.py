@@ -186,27 +186,19 @@ def trace_at(
 
 def tr_series(f: BiSeries, A: SeifertMatrix, degree: int) -> NCSeries:
     """tr f(X, Z) by matrix substitution, truncated at ``degree``."""
-    seifert.require_valid(A)
     return trace_at(f, A.structure, seifert.z_matrix(A), degree)
 
 
-def i_half_trace(
-    f: BiSeries,
-    structure: BlockStructure,
-    degree: int,
-    pattern: Sequence[int] | None = None,
-) -> NCSeries:
-    """tr f(X, H) for the half-ones diagonal H with the given pattern.
+def i_half_trace(f: BiSeries, structure: BlockStructure, degree: int) -> NCSeries:
+    """tr f(X, H) for a half-ones diagonal H.
 
-    X and H are diagonal, and a balanced pattern gives block i exactly g_i
-    rows with h = 0 and g_i rows with h = 1.  So whatever the pattern,
-    tr f(X, H) = sum_i g_i (f(x_i, 0) + f(x_i, 1)).
+    X and H are diagonal, and every balanced H gives block i exactly g_i
+    rows with h = 0 and g_i rows with h = 1.  So tr f(X, H) =
+    sum_i g_i (f(x_i, 0) + f(x_i, 1)), read off f without H; an odd
+    block, which has no H, raises ``ValueError``.
     """
     _require_complete(f, degree)
-    if pattern is None:
-        seifert.default_half_pattern(structure)
-    else:
-        seifert.check_half_pattern(structure, pattern)
+    seifert.default_half_pattern(structure)
     # by x-degree: f(x, 1) keeps every word, f(x, 0) the words without z
     by_degree: dict[int, int] = {}
     for w, v in f.num.items():
@@ -220,18 +212,13 @@ def i_half_trace(
     return NCSeries.zero(structure.n, degree)._same(terms, f.den, degree)
 
 
-def chi(
-    f: BiSeries,
-    A: SeifertMatrix,
-    degree: int,
-    pattern: Sequence[int] | None = None,
-) -> NCSeries:
+def chi(f: BiSeries, A: SeifertMatrix, degree: int) -> NCSeries:
     """The invariant tr f(X, Z) - tr f(X, H).
 
-    Independent of the balanced pattern choice, and unchanged under the
-    two Seifert moves.
+    The same for every balanced half-ones H, and unchanged under the two
+    Seifert moves.
     """
-    return tr_series(f, A, degree) - i_half_trace(f, A.structure, degree, pattern)
+    return tr_series(f, A, degree) - i_half_trace(f, A.structure, degree)
 
 
 def chi_delta(A: SeifertMatrix, degree: int) -> NCSeries:
@@ -479,10 +466,10 @@ def reconstruct_trace(word: str, A: SeifertMatrix, degree: int) -> NCSeries:
     positions are dropped and the m-th surviving x-letter is raised back to
     the m-th x-run length.
     """
-    seifert.require_valid(A)
+    z = seifert.z_matrix(A)
     f0, pairs = word_runs(word)
     reduced = genfun.prime_word(word)
-    raw = _trace_by_halves({reduced.replace("y", "x"): 1}, A.structure, seifert.z_matrix(A))
+    raw = _trace_by_halves({reduced.replace("y", "x"): 1}, A.structure, z)
     powers = [f0] + [f for _, f in pairs]
     xs = [pos for pos, letter in enumerate(reduced.replace("z", "")) if letter == "x"]
     terms: dict[Word, int] = {}

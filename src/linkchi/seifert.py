@@ -27,15 +27,27 @@ from .ncalg import NCSeries
 IntMatrix = tuple[tuple[int, ...], ...]
 
 
-def _as_int_matrix(rows) -> IntMatrix:
-    out = []
-    for row in rows:
-        row = tuple(row)
-        for entry in row:
-            if not isinstance(entry, int) or isinstance(entry, bool):
-                raise ValueError("matrix entries must be integers")
-        out.append(row)
-    return tuple(out)
+def _int_matrix(rows, size: int) -> IntMatrix:
+    """``rows`` as a size x size tuple of int tuples; ValueError if they are not one.
+
+    This is the one check of a matrix's shape and entries: an entry is an
+    ``int`` and not a ``bool``.
+    """
+    try:
+        out = tuple(map(tuple, rows))
+    except TypeError:  # rows, or one of them, is not iterable
+        out = None
+    if (
+        out is None
+        or len(out) != size
+        or any(len(row) != size for row in out)
+        or not all(
+            issubclass(t, int) and t is not bool
+            for t in set(map(type, itertools.chain.from_iterable(out)))
+        )
+    ):
+        raise ValueError("not a %dx%d integer matrix" % (size, size))
+    return out
 
 
 def int_det(rows: Sequence[Sequence[int]]) -> int:
@@ -114,9 +126,9 @@ class BlockStructure(_Frozen):
     _fields = __slots__
 
     def __init__(self, sizes: Iterable[int]):
-        sizes = tuple(int(s) for s in sizes)
-        if any(s < 0 for s in sizes):
-            raise ValueError("block sizes must be >= 0")
+        sizes = tuple(sizes)
+        if not all(isinstance(s, int) and not isinstance(s, bool) and s >= 0 for s in sizes):
+            raise ValueError("block sizes must be non-negative integers")
         object.__setattr__(self, "sizes", sizes)
 
     @property
@@ -159,15 +171,8 @@ class SeifertMatrix(_Frozen):
     _fields = ("structure", "entries")
 
     def __init__(self, structure: BlockStructure, entries):
-        entries = _as_int_matrix(entries)
-        total = structure.total
-        if len(entries) != total or any(len(row) != total for row in entries):
-            raise ValueError(
-                "entries are %dx? but structure totals %d"
-                % (len(entries), total)
-            )
         object.__setattr__(self, "structure", structure)
-        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "entries", _int_matrix(entries, structure.total))
         object.__setattr__(self, "_problems", None)
 
     @property
@@ -190,7 +195,7 @@ class SeifertMatrix(_Frozen):
 
 
 def seifert_matrix(block_sizes: Iterable[int], entries) -> SeifertMatrix:
-    return SeifertMatrix(BlockStructure(tuple(block_sizes)), _as_int_matrix(entries))
+    return SeifertMatrix(BlockStructure(block_sizes), entries)
 
 
 def validate(A: SeifertMatrix) -> list[str]:
@@ -310,29 +315,21 @@ def default_half_pattern(structure: BlockStructure) -> tuple[int, ...]:
     return tuple(bits)
 
 
-def check_half_pattern(structure: BlockStructure, pattern: Sequence[int]) -> tuple[int, ...]:
+def i_half(structure: BlockStructure, pattern: Sequence[int] | None = None) -> IntMatrix:
+    """Diagonal 0/1 matrix with half ones per block, by default the last half."""
+    if pattern is None:
+        pattern = default_half_pattern(structure)
     pattern = tuple(int(b) for b in pattern)
     if len(pattern) != structure.total:
         raise ValueError("pattern length != matrix size")
     if any(b not in (0, 1) for b in pattern):
         raise ValueError("pattern bits must be 0 or 1")
-    for i in range(1, structure.n + 1):
-        rng = structure.block_range(i)
-        ones = sum(pattern[r] for r in rng)
-        if 2 * ones != len(rng):
+    for i, b in enumerate(_block_slices(structure), start=1):
+        ones, width = sum(pattern[b]), b.stop - b.start
+        if 2 * ones != width:
             raise ValueError(
-                "pattern unbalanced on component %d: %d ones in size %d"
-                % (i, ones, len(rng))
+                "pattern unbalanced on component %d: %d ones in size %d" % (i, ones, width)
             )
-    return pattern
-
-
-def i_half(structure: BlockStructure, pattern: Sequence[int] | None = None) -> IntMatrix:
-    """Diagonal 0/1 matrix with half ones per block."""
-    if pattern is None:
-        pattern = default_half_pattern(structure)
-    else:
-        pattern = check_half_pattern(structure, pattern)
     size = structure.total
     return tuple(
         tuple(pattern[r] if r == c else 0 for c in range(size)) for r in range(size)
@@ -357,20 +354,15 @@ def balanced_patterns(structure: BlockStructure) -> Iterator[tuple[int, ...]]:
 
 def move_s1(A: SeifertMatrix, P: Sequence[Sequence[int]]) -> SeifertMatrix:
     """Congruence B = P A P' for a block-diagonal unimodular integer P."""
-    P = _as_int_matrix(P)
-    st = A.structure
-    if len(P) != A.size or any(len(row) != A.size for row in P):
-        raise ValueError("P has the wrong shape")
-    for r in range(A.size):
-        for c in range(A.size):
-            if st.component_of(r) != st.component_of(c) and P[r][c]:
-                raise ValueError("P is not block diagonal")
-    for i in range(1, st.n + 1):
-        rng = st.block_range(i)
-        blk = [[P[r][c] for c in rng] for r in rng]
-        if int_det(blk) not in (1, -1):
+    P = _int_matrix(P, A.size)
+    spans = _block_slices(A.structure)
+    rows = [(b, P[r]) for b in spans for r in range(b.start, b.stop)]
+    if any(any(row[: b.start]) or any(row[b.stop :]) for b, row in rows):
+        raise ValueError("P is not block diagonal")
+    for i, b in enumerate(spans, start=1):
+        if int_det([P[r][b] for r in range(b.start, b.stop)]) not in (1, -1):
             raise ValueError("P block %d is not unimodular" % i)
-    return SeifertMatrix(st, mat_mul(mat_mul(P, A.entries), mat_transpose(P)))
+    return SeifertMatrix(A.structure, mat_mul(mat_mul(P, A.entries), mat_transpose(P)))
 
 
 def move_s2(
@@ -388,34 +380,15 @@ def move_s2(
         raise ValueError("component %d out of range 1..%d" % (component, st.n))
     if variant not in ("a", "b"):
         raise ValueError("variant must be 'a' or 'b'")
-    rho = [int(v) for v in rho]
+    rho = tuple(int(v) for v in rho)
     if len(rho) != A.size:
         raise ValueError("rho must have length %d" % A.size)
     corner = ((0, 1), (0, 0)) if variant == "a" else ((0, 0), (1, 0))
-
-    insert_at = st.offset(component) + st.sizes[component - 1]
-    old_positions = list(range(A.size))
-    new_sizes = list(st.sizes)
-    new_sizes[component - 1] += 2
-    new_total = A.size + 2
-
-    # position map: old index -> new index
-    remap = [p if p < insert_at else p + 2 for p in old_positions]
-    new1, new2 = insert_at, insert_at + 1
-
-    entries = [[0] * new_total for _ in range(new_total)]
-    for r in old_positions:
-        for c in old_positions:
-            entries[remap[r]][remap[c]] = A.entries[r][c]
-    for r in old_positions:
-        entries[remap[r]][new1] = rho[r]
-    for c in old_positions:
-        entries[new1][remap[c]] = rho[c]
-    entries[new1][new1] = corner[0][0]
-    entries[new1][new2] = corner[0][1]
-    entries[new2][new1] = corner[1][0]
-    entries[new2][new2] = corner[1][1]
-    return SeifertMatrix(BlockStructure(tuple(new_sizes)), tuple(map(tuple, entries)))
+    k = st.offset(component) + st.sizes[component - 1]
+    rows = [row[:k] + (v, 0) + row[k:] for row, v in zip(A.entries, rho)]
+    rows[k:k] = [rho[:k] + corner[0] + rho[k:], (0,) * k + corner[1] + (0,) * (A.size - k)]
+    sizes = st.sizes[: component - 1] + (st.sizes[component - 1] + 2,) + st.sizes[component:]
+    return SeifertMatrix(BlockStructure(sizes), rows)
 
 
 def reflect(A: SeifertMatrix) -> SeifertMatrix:
@@ -425,52 +398,33 @@ def reflect(A: SeifertMatrix) -> SeifertMatrix:
 
 def direct_sum(A: SeifertMatrix, B: SeifertMatrix) -> SeifertMatrix:
     """Block-diagonal sum on the concatenated component structure."""
-    sizes = A.structure.sizes + B.structure.sizes
-    total = A.size + B.size
-    entries = [[0] * total for _ in range(total)]
-    for r in range(A.size):
-        for c in range(A.size):
-            entries[r][c] = A.entries[r][c]
-    for r in range(B.size):
-        for c in range(B.size):
-            entries[A.size + r][A.size + c] = B.entries[r][c]
-    return SeifertMatrix(BlockStructure(sizes), tuple(map(tuple, entries)))
-
-
-def _symplectic_seed(genus: int) -> list[list[int]]:
-    size = 2 * genus
-    out = [[0] * size for _ in range(size)]
-    for g in range(genus):
-        out[2 * g][2 * g + 1] = 1
-    return out
+    rows = [row + (0,) * B.size for row in A.entries] + [(0,) * A.size + row for row in B.entries]
+    return SeifertMatrix(BlockStructure(A.structure.sizes + B.structure.sizes), rows)
 
 
 def random_seifert_rng(rng: random.Random, genera: Sequence[int], bound: int) -> SeifertMatrix:
-    """Random valid matrix: diagonal blocks Q + Q' + J, symmetric off-diagonal."""
+    """Random valid matrix: diagonal blocks Q + Q' + J, symmetric off-diagonal.
+
+    J is the symplectic seed, with a 1 at (2g, 2g + 1) for each g < genus.
+    """
     if bound < 0:
         raise ValueError("bound must be >= 0")
-    sizes = [2 * g for g in genera]
-    st = BlockStructure(tuple(sizes))
-    total = st.total
-    entries = [[0] * total for _ in range(total)]
-    for i in range(1, st.n + 1):
-        rng_i = st.block_range(i)
-        s = len(rng_i)
+    st = BlockStructure([2 * g for g in genera])
+    spans = _block_slices(st)
+    entries = [[0] * st.total for _ in range(st.total)]
+    for b in spans:
+        s = b.stop - b.start
         q = [[rng.randint(-bound, bound) for _ in range(s)] for _ in range(s)]
-        j = _symplectic_seed(s // 2)
-        for a, r in enumerate(rng_i):
-            for b, c in enumerate(rng_i):
-                entries[r][c] = q[a][b] + q[b][a] + j[a][b]
-    for i in range(1, st.n + 1):
-        for jj in range(i + 1, st.n + 1):
-            rows = st.block_range(i)
-            cols = st.block_range(jj)
-            for r in rows:
-                for c in cols:
-                    v = rng.randint(-bound, bound)
-                    entries[r][c] = v
-                    entries[c][r] = v
-    return SeifertMatrix(st, tuple(map(tuple, entries)))
+        for a in range(s):
+            entries[b.start + a][b] = [x + y for x, y in zip(q[a], (row[a] for row in q))]
+        for a in range(b.start, b.stop, 2):
+            entries[a][a + 1] += 1
+    for i, bi in enumerate(spans):
+        for bj in spans[i + 1 :]:
+            for r in range(bi.start, bi.stop):
+                for c in range(bj.start, bj.stop):
+                    entries[r][c] = entries[c][r] = rng.randint(-bound, bound)
+    return SeifertMatrix(st, entries)
 
 
 def random_seifert(seed: int, genera: Sequence[int], bound: int) -> SeifertMatrix:
@@ -531,10 +485,9 @@ def presentation_matrix(A: SeifertMatrix, trunc: int) -> list[list[NCSeries]]:
     X is block scalar (variable x_i on block i), so row r of X Z is row r
     of Z scaled on the left by the variable of r's component.
     """
-    require_valid(A)
+    z = z_matrix(A)
     st = A.structure
     n = st.n
-    z = z_matrix(A)
     size = A.size
     out = []
     for r in range(size):
@@ -588,26 +541,17 @@ def parse(text: str) -> SeifertMatrix:
     entries = doc["entries"]
     if not isinstance(components, int) or isinstance(components, bool):
         raise MatrixFormatError("components must be an integer")
-    if not isinstance(sizes, list) or any(
-        not isinstance(s, int) or isinstance(s, bool) or s < 0 for s in sizes
-    ):
-        raise MatrixFormatError("block_sizes must be a list of non-negative integers")
+    # only a list is a matrix or a list of sizes: "" and {} would pass as empty
+    try:
+        structure = BlockStructure(sizes if isinstance(sizes, list) else None)
+    except (TypeError, ValueError):
+        raise MatrixFormatError("block_sizes must be a list of non-negative integers") from None
     if len(sizes) != components:
         raise MatrixFormatError(
             "components=%d but block_sizes has %d entries" % (components, len(sizes))
         )
-    total = sum(sizes)
-    if not isinstance(entries, list) or len(entries) != total:
-        raise MatrixFormatError("entries must be a %dx%d integer matrix" % (total, total))
-    for row in entries:
-        if (
-            not isinstance(row, list)
-            or len(row) != total
-            or any(not isinstance(v, int) or isinstance(v, bool) for v in row)
-        ):
-            raise MatrixFormatError(
-                "entries must be a %dx%d integer matrix" % (total, total)
-            )
-    return SeifertMatrix(
-        BlockStructure(tuple(sizes)), tuple(tuple(row) for row in entries)
-    )
+    try:
+        return SeifertMatrix(structure, entries if isinstance(entries, list) else None)
+    except ValueError:
+        total = structure.total
+        raise MatrixFormatError("entries must be a %dx%d integer matrix" % (total, total)) from None

@@ -26,11 +26,13 @@ from linkchi.invariants import (
     torsion_polynomial,
     tr_monomial,
     tr_series,
+    trace_at,
     reconstruct_trace,
 )
 from linkchi.seifert import (
     balanced_patterns,
     direct_sum,
+    i_half,
     random_move_rng,
     random_seifert_rng,
     reflect,
@@ -190,10 +192,12 @@ def test_criterion_7_edge_cases():
         assert chi(monomial("x" * d, degree), A, degree).is_zero()
     for _ in range(5):
         A = random_matrix(rng, max_genus=2, bound=2)
-        base = chi(delta_series(degree), A, degree)
+        f, st = delta_series(degree), A.structure
+        base = chi(f, A, degree)
         count = 0
-        for pattern in balanced_patterns(A.structure):
-            assert chi(delta_series(degree), A, degree, pattern) == base
+        for pattern in balanced_patterns(st):
+            # tr f(X, H) straight from the explicit H of this pattern
+            assert tr_series(f, A, degree) - trace_at(f, st, i_half(st, pattern), degree) == base
             count += 1
         assert count >= 1
     refl = reflection_example()

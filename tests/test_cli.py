@@ -147,6 +147,36 @@ def test_boolean_structure_fields_exit_2(capsys, tmp_path, doc):
     assert "must be" in err
 
 
+@pytest.mark.parametrize(
+    "entries",
+    [
+        ["ab", "cd"],
+        [{"a": 1, "b": 2}, {"c": 3, "d": 4}],
+        [1, 2],
+        [None, None],
+        None,
+        [[[1], [0]], [[0], [1]]],
+        [[True, False], [False, True]],
+        [[1.0, 0], [0, 1]],
+        [[1, 0], [0]],
+        [[1, 0, 0], [0, 1, 0]],
+        [[1, 0], [0, 1], [0, 0]],
+        {"ab": [1, 0], "cd": [0, 1]},
+        "ab",
+    ],
+    ids=[
+        "string-rows", "object-rows", "number-rows", "null-rows", "null", "nested-lists",
+        "bools", "floats", "ragged-short", "ragged-long", "three-rows", "object", "string",
+    ],
+)
+def test_malformed_entries_exit_2_with_one_message(capsys, tmp_path, entries):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"components": 1, "block_sizes": [2], "entries": entries}))
+    code, out, err = run(capsys, ["validate", str(path)])
+    assert (code, out) == (2, "")
+    assert err == "%s: entries must be a 2x2 integer matrix\n" % path
+
+
 def usage_error(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
@@ -382,6 +412,65 @@ def test_move_deterministic(capsys, trefoil_file):
     _, first, _ = run(capsys, ["move", trefoil_file, "--seed", "21", "--count", "4"])
     _, second, _ = run(capsys, ["move", trefoil_file, "--seed", "21", "--count", "4"])
     assert first == second
+
+
+# n = 4 with a genus-0 component: random_seifert_rng(Random(1), [1, 0, 2, 1], 2)
+M4_ENTRIES = [
+    [-2, 1, -2, -2, 2, -2, 2, -1],
+    [0, 0, 1, -1, 1, -2, 1, 1],
+    [-2, 1, -4, 3, -1, -1, 2, -1],
+    [-2, -1, 2, -2, -1, 2, 0, -1],
+    [2, 1, -1, -1, 2, 3, -1, 1],
+    [-2, -2, -1, 2, 2, -2, 0, -2],
+    [2, 1, 2, 0, -1, 0, 4, -1],
+    [-1, 1, -1, -1, 1, -2, -2, -4],
+]
+
+
+@pytest.mark.parametrize(
+    "sizes, entries, seed, out_sizes, out_entries",
+    [
+        # moves s1, s2, s1, s1, s2, s1 on the trefoil
+        (
+            [2], [[-1, 1], [0, -1]], 1, [6],
+            [
+                [0, 0, 0, 0, 0, 0],
+                [0, -7, 9, 0, -3, 2],
+                [0, 9, -11, 0, 5, -2],
+                [0, 0, 1, 0, 0, -2],
+                [0, -2, 4, 0, -1, 2],
+                [1, 2, -2, -2, 2, 0],
+            ],
+        ),
+        # s1, s2 on component 1, s1, s2 on the genus-0 component 2, s1, s1:
+        # both stabilizations insert their rows mid-matrix
+        (
+            [2, 0, 4, 2], M4_ENTRIES, 9, [4, 2, 4, 2],
+            [
+                [0, 0, -1, -1, -2, 2, 0, 6, -4, 12, 1, -3],
+                [2, 0, -1, -2, 2, -2, 0, 0, 0, 0, 0, 0],
+                [-1, 0, 0, 2, -1, 1, -1, -2, 0, -2, 1, 0],
+                [-2, 0, 2, 3, 1, -1, -1, -12, 5, -13, -3, 4],
+                [-2, 2, -1, 1, -1, 1, -1, 1, 1, 1, 2, 2],
+                [2, -2, 1, -1, 0, 0, 1, -1, -1, -1, -2, -2],
+                [0, 0, -1, -1, -1, 1, -8, -15, -5, 5, 1, -3],
+                [6, 0, -2, -12, 1, -1, -16, -39, -6, 2, 5, -8],
+                [-4, 0, 0, 5, 1, -1, -5, -6, -4, 5, -1, -1],
+                [12, 0, -2, -13, 1, -1, 6, 3, 6, -8, 1, 3],
+                [1, 0, 1, -3, 2, -2, 1, 5, -1, 1, -3, 5],
+                [-3, 0, 0, 4, 2, -2, -3, -8, -1, 3, 6, -4],
+            ],
+        ),
+    ],
+    ids=["trefoil", "n4-genus0"],
+)
+def test_move_golden_bytes(capsys, tmp_path, sizes, entries, seed, out_sizes, out_entries):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"components": len(sizes), "block_sizes": sizes, "entries": entries}))
+    code, out, err = run(capsys, ["move", str(path), "--seed", str(seed), "--count", "6"])
+    doc = {"components": len(out_sizes), "block_sizes": out_sizes, "entries": out_entries}
+    assert (code, err) == (0, "")
+    assert out == json.dumps(doc, indent=1) + "\n"
 
 
 def test_chi_deterministic(capsys, refl_file):

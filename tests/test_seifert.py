@@ -214,10 +214,19 @@ def test_constructor_checks_raise_value_error():
     with pytest.raises(ValueError, match="block sizes"):
         BlockStructure((2, -2))
     for entries in (((1, 0.5), (0, 1)), ((1, True), (0, 1)), ((1, "1"), (0, 1))):
-        with pytest.raises(ValueError, match="integers"):
+        with pytest.raises(ValueError, match="not a 2x2 integer matrix"):
             SeifertMatrix(BlockStructure((2,)), entries)
-    with pytest.raises(ValueError, match="structure totals"):
-        SeifertMatrix(BlockStructure((2,)), ((1,),))
+    for entries in (((1,),), ((1, 0), (0, 1), (0, 0)), (1, 2), None):
+        with pytest.raises(ValueError, match="not a 2x2 integer matrix"):
+            SeifertMatrix(BlockStructure((2,)), entries)
+
+
+@pytest.mark.parametrize("sizes", [(2.9,), (2.0,), (True, 2), ("2",), (2, None)])
+def test_block_sizes_must_be_ints(sizes):
+    with pytest.raises(ValueError, match="block sizes must be non-negative integers"):
+        BlockStructure(sizes)
+    with pytest.raises(ValueError, match="block sizes"):
+        seifert_matrix(sizes, [[0, 1], [0, 0]])
 
 
 # -- derived matrices --------------------------------------------------------------
@@ -303,8 +312,9 @@ def test_s1_rejects_bad_p():
     A = trefoil()
     with pytest.raises(ValueError, match="unimodular"):
         move_s1(A, [[2, 0], [0, 1]])
-    with pytest.raises(ValueError, match="shape"):
-        move_s1(A, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    for P in ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[1, 0], [0, 1.0]], [[1, 0], [0, True]]):
+        with pytest.raises(ValueError, match="not a 2x2 integer matrix"):
+            move_s1(A, P)
     B = random_seifert(1, [1, 1], 1)
     bad = [[1, 0, 1, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
     with pytest.raises(ValueError, match="block diagonal"):
@@ -507,6 +517,12 @@ def test_parse_rejects_missing_fields_and_shapes():
         parse('{"components": 1}')
     with pytest.raises(MatrixFormatError, match="block_sizes"):
         parse('{"components": 1, "block_sizes": [-2], "entries": []}')
+    for sizes in ("[2.5]", "[2.0]", "[true]", '["2"]', '"2"', "{}", '""', "2", "null"):
+        with pytest.raises(MatrixFormatError, match="block_sizes must be a list"):
+            parse('{"components": 1, "block_sizes": %s, "entries": [[0, 1], [0, 0]]}' % sizes)
+    for entries in ('""', "{}", "null"):
+        with pytest.raises(MatrixFormatError, match="entries must be a 0x0 integer matrix"):
+            parse('{"components": 1, "block_sizes": [0], "entries": %s}' % entries)
     with pytest.raises(MatrixFormatError, match="integer matrix"):
         parse('{"components": 1, "block_sizes": [2], "entries": [[1, 2], [3]]}')
     with pytest.raises(MatrixFormatError, match="integer matrix"):
