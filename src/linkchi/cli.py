@@ -102,7 +102,7 @@ def _load_series_file(path: str, degree: int) -> genfun.BiSeries:
             word = genfun.parse_word(parts[1])
         except (ValueError, ZeroDivisionError) as exc:
             raise _CliError(2, "%s:%d: %s" % (path, lineno, exc)) from None
-        terms[word] = terms.get(word, Fraction(0)) + coeff
+        terms[word] = terms[word] + coeff if word in terms else coeff
     return genfun.BiSeries(degree, terms)
 
 

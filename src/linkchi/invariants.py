@@ -30,7 +30,7 @@ import re
 import sys
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, repeat
 from operator import add, itemgetter, mul
 
 from . import commalg, genfun, seifert
@@ -143,6 +143,9 @@ def _trace_by_halves(terms: dict[str, int], structure: BlockStructure, M) -> dic
     powers = {1: M}
     for e in range(2, max(map(max, by_pattern), default=1) + 1):
         powers[e] = seifert.mat_mul(powers[e - 1], M)
+    # a template that reads every block of v gives each v its own key, so the
+    # first template of a key length can set its keys where a later one adds
+    written = set(map(len, out))  # key lengths that already hold keys
     for pattern, (words_k, traces) in _pattern_traces(structure, powers, by_pattern).items():
         for template, coeff in by_pattern[pattern]:
             if template == list(range(len(pattern))):
@@ -151,8 +154,12 @@ def _trace_by_halves(terms: dict[str, int], structure: BlockStructure, M) -> dic
                 keys = map(itemgetter(*template), words_k)
             else:  # at most one x
                 keys = [tuple(u[t] for t in template) for u in words_k]
-            for key, trace in zip(keys, traces):
-                out[key] = out.get(key, 0) + coeff * trace
+            if len(template) not in written and len(set(template)) == len(pattern):
+                out.update(zip(keys, map(mul, repeat(coeff), traces)))
+            else:
+                for key, trace in zip(keys, traces):
+                    out[key] = out.get(key, 0) + coeff * trace
+            written.add(len(template))
     return out
 
 

@@ -24,11 +24,12 @@ from __future__ import annotations
 
 import math
 import operator
+from collections import Counter
 from fractions import Fraction
-from itertools import groupby
+from itertools import groupby, product
 
 from . import commalg, genfun
-from .series import Series
+from .series import Series, format_coeff
 
 Word = tuple[int, ...]
 
@@ -77,7 +78,35 @@ class NCSeries(Series):
     __init__ = Series.__init__
     __add__, __sub__, __neg__, scale = Series.__add__, Series.__sub__, Series.__neg__, Series.scale
     __mul__, __rmul__, __pow__ = Series.__mul__, Series.__rmul__, Series.__pow__
-    to_lines, to_triples = Series.to_lines, Series.to_triples
+    to_triples = Series.to_triples
+
+    def to_lines(self) -> list[str]:
+        """``Series.to_lines``.  A length L > 0 holding at least a quarter of its
+        n^L words walks them in canonical order, ``product(range(1, n + 1),
+        repeat=L)``, against a table of their texts, each the previous length's
+        text plus one letter; any other length sorts and formats its own words.
+        """
+        num, n = self.num, self.n
+        coeffs = {v: format_coeff(v, self.den) + " * " for v in set(num.values())}
+        counts = sorted(Counter(map(len, num)).items())
+        dense = {length for length, count in counts if length and 4 * count >= n**length}
+        sparse = sorted(w for w in num if len(w) not in dense) if len(dense) < len(counts) else []
+        sparse.sort(key=len)
+        names = ["x%d" % i for i in range(1, n + 1)]
+        dotted = ["." + name for name in names]
+        lines, at, texts = [], 0, {}  # texts: {L: the texts of all words of length L}, one L
+        for length, count in counts:
+            if length not in dense:
+                lines += [coeffs[num[w]] + format_word(w) for w in sparse[at : at + count]]
+                at += count
+                continue
+            if length - 1 in texts:
+                texts = {length: [p + d for p in texts[length - 1] for d in dotted]}
+            else:
+                texts = {length: [".".join(w) for w in product(names, repeat=length)]}
+            words = product(range(1, n + 1), repeat=length)
+            lines += [coeffs[v] + t for t, v in zip(texts[length], map(num.get, words)) if v]
+        return lines
 
 
 def log1p(u: NCSeries) -> NCSeries:

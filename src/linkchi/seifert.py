@@ -319,10 +319,10 @@ def i_half(structure: BlockStructure, pattern: Sequence[int] | None = None) -> I
     """Diagonal 0/1 matrix with half ones per block, by default the last half."""
     if pattern is None:
         pattern = default_half_pattern(structure)
-    pattern = tuple(int(b) for b in pattern)
+    pattern = tuple(pattern)
     if len(pattern) != structure.total:
         raise ValueError("pattern length != matrix size")
-    if any(b not in (0, 1) for b in pattern):
+    if any(not isinstance(b, int) or isinstance(b, bool) or b not in (0, 1) for b in pattern):
         raise ValueError("pattern bits must be 0 or 1")
     for i, b in enumerate(_block_slices(structure), start=1):
         ones, width = sum(pattern[b]), b.stop - b.start
@@ -380,7 +380,7 @@ def move_s2(
         raise ValueError("component %d out of range 1..%d" % (component, st.n))
     if variant not in ("a", "b"):
         raise ValueError("variant must be 'a' or 'b'")
-    rho = tuple(int(v) for v in rho)
+    rho = tuple(rho)  # the new matrix's entry check rejects any entry that is not an int
     if len(rho) != A.size:
         raise ValueError("rho must have length %d" % A.size)
     corner = ((0, 1), (0, 0)) if variant == "a" else ((0, 0), (1, 0))

@@ -174,7 +174,10 @@ class Series:
         return [coeffs[num[k]] + format_key(k) for k in self._sorted_keys()]
 
     def to_triples(self) -> list[tuple[int, int, list]]:
-        return [(c.numerator, c.denominator, list(k)) for k, c in self.sorted_terms()]
+        num, den = self.num, self.den
+        # numerator -> the numerator and denominator of numerator / den, one gcd each
+        reduced = {v: (v // g, den // g) for v in set(num.values()) for g in [math.gcd(v, den)]}
+        return [(*reduced[num[k]], list(k)) for k in self._sorted_keys()]
 
     def __str__(self) -> str:
         if not self.num:

@@ -8,7 +8,7 @@ import pytest
 
 from helpers import reflection_example, stabilized_unknot, trefoil
 import linkchi
-from linkchi import invariants, seifert
+from linkchi import cli, invariants, seifert
 from linkchi.cli import main
 from linkchi.genfun import BiSeries
 from linkchi.ncalg import NCSeries, format_word
@@ -267,6 +267,19 @@ def test_chi_list_spec(capsys, tmp_path, trefoil_file):
     assert code == 0
     code2, out2, _ = run(capsys, ["chi", trefoil_file, "--f", "delta", "--degree", "2"])
     assert out == out2
+
+
+def test_list_words_that_repeat_add_up(capsys, tmp_path, trefoil_file):
+    listing = tmp_path / "series.txt"
+    # x.z.x.z sums to 1/2; x.x and z.z cancel to zero and leave no term
+    listing.write_text("1 x.z\n1/3 x.z.x.z\n2 x.x\n1/6 x.z.x.z\n-2 x.x\n1 z.z\n-1 z.z\n")
+    code, out, _ = run(
+        capsys, ["chi", trefoil_file, "--f", "list:%s" % listing, "--degree", "3"]
+    )
+    f = BiSeries(3, {"xz": 1, "xzxz": Fraction(1, 2)})
+    assert code == 0
+    assert out == "".join(line + "\n" for line in invariants.chi(f, trefoil(), 3).to_lines())
+    assert cli._load_series_file(str(listing), 3) == f
 
 
 def test_chi_bad_f_spec_exits_2(capsys, trefoil_file):

@@ -129,6 +129,20 @@ def monomial_trace_sum(f, A, degree):
     return total
 
 
+@pytest.mark.parametrize("words", [
+    # x.z.x writes the length-2 keys that x.x already holds
+    {"xx": 1, "xzx": 1},
+    # z.x.z sums block 0 over all blocks, so distinct v share a key
+    {"zxz": 1, "xzxz": 1},
+    # z.z maps every v to the empty word; x.z.z.x then writes length 2
+    {"zz": 1, "xzzx": 1},
+])
+def test_first_template_of_a_key_length_adds_where_keys_repeat(words):
+    f = BiSeries(5, words)
+    for A in random_batch(131, 4):
+        assert tr_series(f, A, 5) == monomial_trace_sum(f, A, 5)
+
+
 def test_trace_matches_formula_on_hat_delta_at_degree_7():
     # hat(delta) has every composition of x-runs: words (x^j1 z)...(x^jk z)
     A = random_seifert_rng(random.Random(113), [1, 1, 1], 2)

@@ -1,4 +1,5 @@
 import doctest
+import itertools
 import random
 from fractions import Fraction
 
@@ -25,6 +26,7 @@ from linkchi.ncalg import (
     substitute,
     tilde,
 )
+from linkchi.series import Series
 
 
 def S(n, trunc, terms):
@@ -402,3 +404,54 @@ def test_quotient_maps(triple):
     assert cyclic_reduce(f * g - g * f).is_zero()
     assert abelianize(f * g) == abelianize(f) * abelianize(g)
     assert abelianize(f + g) == abelianize(f) + abelianize(g)
+
+
+# -- text output ---------------------------------------------------------------
+
+
+@st.composite
+def dense_and_sparse_series(draw):
+    """Series with n up to 11 whose lengths hold all, a quarter, just under a
+    quarter, a few or none of their n^L words; the empty word and the empty
+    series among them."""
+    rng = draw(st.randoms(use_true_random=False))
+    n = draw(st.integers(1, 11))
+    trunc = draw(st.integers(0, 5))
+    terms = {}
+    for length in range(trunc + 1):
+        total = n**length
+        kinds = ["few", "none"] + (["all", "quarter", "under"] if total <= 1500 else [])
+        kind = draw(st.sampled_from(kinds))
+        quarter = -(-total // 4)
+        count = {"all": total, "quarter": quarter, "under": quarter - 1,
+                 "few": min(total, 3), "none": 0}[kind]
+        if kind in ("all", "quarter", "under"):
+            words = rng.sample(list(itertools.product(range(1, n + 1), repeat=length)), count)
+        else:
+            words = [tuple(rng.randint(1, n) for _ in range(length)) for _ in range(count)]
+        for word in words:
+            terms[word] = Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.choice([1, 2, 6]))
+    return NCSeries(n, trunc, terms)
+
+
+@settings(max_examples=150, deadline=None)
+@given(dense_and_sparse_series())
+def test_ordered_text_matches_the_sorted_text(f):
+    assert NCSeries.to_lines(f) == Series.to_lines(f)
+    assert NCSeries.to_lines(NCSeries(f.n, f.trunc)) == []
+
+
+def test_letters_from_x10_up_print_in_integer_order():
+    # length 1 holds 4 of its 11 words and walks them; length 2, 3 of 121, sorts them
+    f = S(11, 3, {(10,): 1, (9,): 2, (11,): -1, (1,): 5, (2, 10): Fraction(1, 2),
+                  (10, 2): 3, (9, 11): 1, (): 7})
+    assert f.to_lines() == [
+        "7 * 1", "5 * x1", "2 * x9", "1 * x10", "-1 * x11",
+        "1/2 * x2.x10", "1 * x9.x11", "3 * x10.x2",
+    ]
+    every = S(11, 2, {(i, j): i - j or 1 for i in range(1, 12) for j in range(1, 12)})
+    lines = every.to_lines()
+    assert lines[:3] == ["1 * x1.x1", "-1 * x1.x2", "-2 * x1.x3"]
+    assert lines[9:12] == ["-9 * x1.x10", "-10 * x1.x11", "1 * x2.x1"]
+    assert lines[-2:] == ["1 * x11.x10", "1 * x11.x11"]
+    assert lines == Series.to_lines(every)

@@ -275,6 +275,13 @@ def test_i_half_rejects_unbalanced_pattern():
         i_half(BlockStructure((2,)), [1, 1])
 
 
+@pytest.mark.parametrize("pattern", [[0.9, 1.2], [0.0, 1.0], [False, True], [0, True], ["0", 1]])
+def test_i_half_rejects_bits_that_are_not_ints(pattern):
+    # int() would truncate [0.9, 1.2] to the balanced (0, 1)
+    with pytest.raises(ValueError, match="pattern bits must be 0 or 1"):
+        i_half(BlockStructure((2,)), pattern)
+
+
 def test_balanced_pattern_enumeration():
     patterns = list(balanced_patterns(BlockStructure((2, 4))))
     assert len(patterns) == 2 * 6
@@ -376,6 +383,13 @@ def test_s2_rejects_bad_arguments():
         move_s2(A, 1, "c", [0, 0])
     with pytest.raises(ValueError, match="rho"):
         move_s2(A, 1, "a", [0])
+
+
+@pytest.mark.parametrize("rho", [[0.7, True], [0, 1.0], [True, 0], [0, False], ["1", 0]])
+def test_s2_rejects_rho_entries_that_are_not_ints(rho):
+    # int() would truncate [0.7, True] to the border (0, 1)
+    with pytest.raises(ValueError, match="not a 4x4 integer matrix"):
+        move_s2(trefoil(), 1, "a", rho)
 
 
 # -- reflection and direct sums ---------------------------------------------------------
