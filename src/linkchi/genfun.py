@@ -5,26 +5,30 @@ each one is stored as a finite map from words over {x, z} to rationals,
 together with a declared bound ``xtrunc`` on the x-degree.  Admissibility
 (finitely many terms of each x-degree) is enforced structurally: a series
 is always a finite object and the caller asserts per-degree completeness
-up to ``xtrunc``.
+up to ``xtrunc``.  ``word_runs`` is the one reader of a word's x- and
+z-runs; every route that needs them calls it.
 
 Built-ins: ``delta_series`` is log(xz + 1) and ``phi_series`` is
-(xz + 1)^-1 x.  Transforms: z -> 1 - z is computed here; word reversal
-(tilde), the substitution x -> -x(1+x)^-1 (hat) and their composite (bar)
-are ``ncalg``'s involutions, which act on these series too.
+(xz + 1)^-1 x.  Transforms: z -> 1 - z is computed here in integers;
+word reversal (tilde), the substitution x -> -x(1+x)^-1 (hat) and their
+composite (bar) are ``ncalg``'s involutions, which act on these series too.
 """
 
 from __future__ import annotations
 
+import math
 import operator
-from collections.abc import Iterable, Mapping
+import re
+from collections.abc import Mapping
 from fractions import Fraction
-from itertools import groupby
 
 from . import ncalg
 from .series import Series
 
 BiWord = str  # a word over the alphabet "xz", e.g. "xzzx"
 TriWord = str  # a word over "xyz", used by the monomial reduction
+
+_Z_RUNS = re.compile("(z+)")
 
 
 def xdegree(word: BiWord) -> int:
@@ -50,24 +54,16 @@ def format_bi_word(word: BiWord) -> str:
     return ".".join(word) if word else "1"
 
 
-def word_runs(word: BiWord) -> tuple[int, list[tuple[int, int]]]:
-    """Split a word into x^f0 z^e1 x^f1 ... z^ek x^fk run lengths.
+def word_runs(word: BiWord) -> tuple[list[int], list[int]]:
+    """([j1, ..., j(k+1)], [e1, ..., ek]) for the word x^j1 z^e1 x^j2 ... z^ek x^j(k+1).
 
-    Returns (f0, [(e1, f1), ..., (ek, fk)]); inner z-runs have e > 0 and the
-    trailing f may be zero.
+    Every e and every inner j is positive; j1 and j(k+1) may be 0.
+
+    >>> word_runs("xzzxxzx"), word_runs("zxz")
+    (([1, 2, 1], [2, 1]), ([0, 1, 0], [1, 1]))
     """
-    runs = [(ch, sum(1 for _ in grp)) for ch, grp in groupby(word)]
-    f0 = 0
-    start = 0
-    if runs and runs[0][0] == "x":
-        f0 = runs[0][1]
-        start = 1
-    pairs = []
-    for idx in range(start, len(runs), 2):
-        e = runs[idx][1]
-        f = runs[idx + 1][1] if idx + 1 < len(runs) else 0
-        pairs.append((e, f))
-    return f0, pairs
+    pieces = _Z_RUNS.split(word)
+    return list(map(len, pieces[::2])), list(map(len, pieces[1::2]))
 
 
 class BiSeries(Series):
@@ -133,45 +129,27 @@ def builtin_series(name: str, xtrunc: int) -> BiSeries:
     raise ValueError("unknown builtin series %r" % name)
 
 
-def from_univariate(coeffs: Iterable, xtrunc: int) -> BiSeries:
-    """Series G(xz) for G given by its coefficient list [G0, G1, ...]."""
-    terms = {}
-    for k, c in enumerate(coeffs):
-        if k > xtrunc:
-            break
-        terms["xz" * k] = c
-    return BiSeries(xtrunc, terms)
-
-
-def _one_minus_z_word(word: BiWord) -> dict[BiWord, Fraction]:
-    """Expand each maximal z-run z^e into (1 - z)^e binomially."""
-    out = {"": Fraction(1)}
-    for ch, grp in groupby(word):
-        run = sum(1 for _ in grp)
-        if ch == "x":
-            out = {frag + "x" * run: c for frag, c in out.items()}
-            continue
-        binom = 1
-        expanded: dict[BiWord, Fraction] = {}
-        for j in range(run + 1):
-            sign = (-1) ** j
-            for frag, c in out.items():
-                w = frag + "z" * j
-                expanded[w] = expanded.get(w, Fraction(0)) + c * sign * binom
-            binom = binom * (run - j) // (j + 1)
-        out = expanded
-    return out
-
-
 def transform(f: BiSeries, kind: str) -> BiSeries:
-    """Apply tilde, hat or bar (by ``ncalg.involution``) or z_to_one_minus_z to a series."""
+    """Apply tilde, hat or bar (by ``ncalg.involution``) or z_to_one_minus_z to a series.
+
+    z -> 1 - z sends each z-run z^e to sum_i (-1)^i C(e, i) z^i, in integers;
+    the inner x-runs are nonempty, so the choices in one word give distinct words.
+
+    >>> print(transform(monomial("zxzz", 1), "z_to_one_minus_z"))
+    1 * x + -2 * x.z + -1 * z.x + 1 * x.z.z + 2 * z.x.z + -1 * z.x.z.z
+    """
     if kind != "z_to_one_minus_z":
         return ncalg.involution(f, kind)
-    terms: dict[BiWord, Fraction] = {}
-    for word, coeff in f.terms.items():
-        for w, c in _one_minus_z_word(word).items():
-            terms[w] = terms.get(w, Fraction(0)) + coeff * c
-    return BiSeries(f.xtrunc, terms)
+    out: dict[BiWord, int] = {}
+    for word, v in f.num.items():
+        xruns, zruns = word_runs(word)
+        part = {"x" * xruns[0]: v}
+        for e, j in zip(zruns, xruns[1:]):
+            images = [("z" * i + "x" * j, (-1) ** i * math.comb(e, i)) for i in range(e + 1)]
+            part = {w + t: c * b for w, c in part.items() for t, b in images}
+        for w, c in part.items():
+            out[w] = out.get(w, 0) + c
+    return f._same(out, f.den, f.trunc)
 
 
 def inverse_extra_special(f: BiSeries) -> BiSeries:
@@ -193,9 +171,4 @@ def prime_word(word: BiWord) -> TriWord:
     single x, including the possibly empty runs at the two ends.  A pure-x
     word therefore maps to the single letter x.
     """
-    _, pairs = word_runs(word)
-    pieces = ["x"]
-    for e, _ in pairs:
-        pieces.append("zy" * (e - 1) + "z")
-        pieces.append("x")
-    return "".join(pieces)
+    return "x" + "".join("zy" * (e - 1) + "zx" for e in word_runs(word)[1])

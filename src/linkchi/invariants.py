@@ -10,23 +10,21 @@ is a truncated noncommutative series in x_1..x_n with exact rational
 coefficients.
 
 ``trace_at`` (behind ``tr_series`` and ``chi``) computes tr f(X, Z) in
-integers from one table of half products.  The trace of x^j1 z^e1 x^j2
-... x^jk z^ek x^j(k+1) is sum_v T(v) x_v1^j1 ... x_vk^jk x_v1^j(k+1) over
-block tuples v, with T(v) = tr(P_v1 Z^e1 ... P_vk Z^ek) for the block
-projections P_i.  Each T(v) is one dot product of the products of the
-first ceil(k/2) letters P_j Z^e and of the rest.  A word that starts and
-ends with z sums position 0 over every block, which merges its first and
-last z-runs; z^e is the one letter P_j Z^e summed over j.
-``tr_monomial``, the oracle of the table, evaluates
-the block-trace formula: for a monomial x^f0 z^e1 x^f1 ... z^ek x^fk the
-sum over block index tuples (i1..ik) of tr((Z^e1)_{i1 i2} ...
-(Z^ek)_{ik i1}) times the word x_{i1}^f0 x_{i2}^f1 ... x_{i1}^fk.
+integers from one table of half products.  Every route reads a word
+x^j1 z^e1 x^j2 ... x^jk z^ek x^j(k+1) through ``genfun.word_runs``.  Its
+trace is sum_v T(v) x_v1^j1 ... x_vk^jk x_v1^j(k+1) over block tuples v,
+with T(v) = tr(P_v1 Z^e1 ... P_vk Z^ek) for the block projections P_i.
+Each T(v) is one dot product of the products of the first ceil(k/2)
+letters P_j Z^e and of the rest.  A word that starts and ends with z sums
+position 0 over every block, which merges its first and last z-runs; z^e
+is the one letter P_j Z^e summed over j.  ``tr_monomial``, the oracle of
+the table, evaluates the same sum one block index tuple (i1..ik) at a
+time, as tr((Z^e1)_{i1 i2} ... (Z^ek)_{ik i1}) from sliced blocks of Z^e.
 """
 
 from __future__ import annotations
 
 import math
-import re
 import sys
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
@@ -122,24 +120,20 @@ def _pattern_traces(
     return table
 
 
-_Z_RUNS = re.compile("(z+)")
-
-
 def _trace_by_halves(terms: dict[str, int], structure: BlockStructure, M) -> dict[Word, int]:
     """Sum of coeff * tr(word(X, M)) over integer-coefficient words."""
     out: dict[Word, int] = {}
     by_pattern: dict[Word, list] = {}
     for word, coeff in terms.items():
-        pieces = _Z_RUNS.split(word)
-        runs = [len(r) for r in pieces[::2]]  # j1, ..., j(k+1)
-        if len(runs) == 1:  # tr X^j = sum_i size_i x_i^j
+        runs, zruns = word_runs(word)
+        if not zruns:  # tr X^j = sum_i size_i x_i^j
             for i, size in enumerate(structure.sizes, 1):
                 out[(i,) * runs[0]] = out.get((i,) * runs[0], 0) + coeff * size
             continue
         # a word that starts and ends with z reads no block at position 0:
         # its sum over that block merges the first and last z-runs
         template = [t for t, run in enumerate(runs[:-1]) for _ in range(run)] + [0] * runs[-1]
-        by_pattern.setdefault(tuple(map(len, pieces[1::2])), []).append((template, coeff))
+        by_pattern.setdefault(tuple(zruns), []).append((template, coeff))
     powers = {1: M}
     for e in range(2, max(map(max, by_pattern), default=1) + 1):
         powers[e] = seifert.mat_mul(powers[e - 1], M)
@@ -184,9 +178,8 @@ def trace_at(
     m = structure.total
     if len(M) != m or any(len(row) != m for row in M):
         raise ValueError("M must be a square matrix of size %d" % m)
-    # words whose x-degree exceeds the requested degree cannot contribute
-    terms = {w: v for w, v in f.num.items() if genfun.xdegree(w) <= degree}
-    raw = _trace_by_halves(terms, structure, M)
+    f = f.truncated(degree)  # words of higher x-degree cannot contribute
+    raw = _trace_by_halves(f.num, structure, M)
     # every emitted word has letters 1..n and length <= degree
     return NCSeries.zero(structure.n, degree)._same(raw, f.den, degree)
 
@@ -206,12 +199,12 @@ def i_half_trace(f: BiSeries, structure: BlockStructure, degree: int) -> NCSerie
     """
     _require_complete(f, degree)
     seifert.default_half_pattern(structure)
+    f = f.truncated(degree)
     # by x-degree: f(x, 1) keeps every word, f(x, 0) the words without z
     by_degree: dict[int, int] = {}
     for w, v in f.num.items():
         d = genfun.xdegree(w)
-        if d <= degree:
-            by_degree[d] = by_degree.get(d, 0) + (v if "z" in w else 2 * v)
+        by_degree[d] = by_degree.get(d, 0) + (v if "z" in w else 2 * v)
     terms: dict[Word, int] = {}
     for i in range(1, structure.n + 1):
         for d, v in by_degree.items():
@@ -247,47 +240,45 @@ def tr_monomial(word: str, A: SeifertMatrix, degree: int) -> NCSeries:
     seifert.require_valid(A)
     st = A.structure
     n = st.n
-    f0, pairs = word_runs(word)
-    xdeg = f0 + sum(f for _, f in pairs)
-    if xdeg > degree:
+    runs, zruns = word_runs(word)
+    if sum(runs) > degree:
         return NCSeries.zero(n, degree)
     terms: dict[Word, int] = {}
 
     def add(w: Word, value: int) -> None:
         terms[w] = terms.get(w, 0) + value
 
-    if not pairs:
+    if not zruns:
         for i in range(1, n + 1):
-            add((i,) * f0, 2 * st.genus(i))
+            add((i,) * runs[0], 2 * st.genus(i))
         return NCSeries(n, degree, terms)
 
     z = seifert.z_matrix(A)
     powers = {1: z}
-    for e in range(2, max(e for e, _ in pairs) + 1):
+    for e in range(2, max(zruns) + 1):
         powers[e] = seifert.mat_mul(powers[e - 1], z)
     ranges = {i: st.block_range(i) for i in range(1, n + 1) if st.sizes[i - 1]}
     blocks = {
         (e, i, j): [[powers[e][r][c] for c in cols] for r in rows]
-        for e in {e for e, _ in pairs}
+        for e in set(zruns)
         for i, rows in ranges.items()
         for j, cols in ranges.items()
     }
 
-    k = len(pairs)
-    exponents = [f0] + [f for _, f in pairs[:-1]] + [pairs[-1][1]]
+    k = len(zruns)
 
     def word_for(indices: tuple[int, ...]) -> Word:
-        # x_{i1}^f0 x_{i2}^f1 ... x_{ik}^f_{k-1} x_{i1}^fk
+        # x_{i1}^j1 x_{i2}^j2 ... x_{ik}^jk x_{i1}^j(k+1)
         letters: list[int] = []
-        for i, f in zip(indices + indices[:1], exponents):
-            letters.extend([i] * f)
+        for i, j in zip(indices + indices[:1], runs):
+            letters.extend([i] * j)
         return tuple(letters)
 
     def rec(t: int, indices: tuple[int, ...], prod) -> None:
         # prod carries (Z^e1)_{i1 i2} ... (Z^e_{t})_{i_t i_{t+1}}; at t = k-1
         # the last factor closes the cycle back to i1.
         if t == k - 1:
-            blk = blocks[pairs[t][0], indices[-1], indices[0]]
+            blk = blocks[zruns[t], indices[-1], indices[0]]
             if prod is None:
                 trace = sum(blk[r][r] for r in range(len(blk)))
             else:  # tr(prod blk) = sum_r row_r(prod) . column_r(blk)
@@ -296,7 +287,7 @@ def tr_monomial(word: str, A: SeifertMatrix, degree: int) -> NCSeries:
                 add(word_for(indices), trace)
             return
         for nxt in ranges:
-            blk = blocks[pairs[t][0], indices[-1], nxt]
+            blk = blocks[zruns[t], indices[-1], nxt]
             rec(t + 1, indices + (nxt,), blk if prod is None else seifert.mat_mul(prod, blk))
 
     for i1 in ranges:
@@ -474,13 +465,12 @@ def reconstruct_trace(word: str, A: SeifertMatrix, degree: int) -> NCSeries:
     the m-th x-run length.
     """
     z = seifert.z_matrix(A)
-    f0, pairs = word_runs(word)
+    runs, _ = word_runs(word)
     reduced = genfun.prime_word(word)
     raw = _trace_by_halves({reduced.replace("y", "x"): 1}, A.structure, z)
-    powers = [f0] + [f for _, f in pairs]
     xs = [pos for pos, letter in enumerate(reduced.replace("z", "")) if letter == "x"]
     terms: dict[Word, int] = {}
     for w, coeff in raw.items():
-        key = tuple([w[pos] for pos, run in zip(xs, powers) for _ in range(run)])
+        key = tuple([w[pos] for pos, run in zip(xs, runs) for _ in range(run)])
         terms[key] = terms.get(key, 0) + coeff
     return NCSeries(A.n, degree, terms)

@@ -160,12 +160,6 @@ def substitute(f: NCSeries, images: list[NCSeries]) -> NCSeries:
     return out.scale(Fraction(1, f.den))
 
 
-def bar_variable(n: int, trunc: int, i: int) -> NCSeries:
-    """Expansion of -x_i (1 + x_i)^-1, the image of x_i under bar/hat."""
-    terms = {(i,) * j: Fraction((-1) ** j) for j in range(1, trunc + 1)}
-    return NCSeries(n, trunc, terms)
-
-
 def _check_word_series(f: Series, name: str) -> None:
     if not isinstance(f, (NCSeries, genfun.BiSeries)):
         raise TypeError("%s acts on NCSeries and BiSeries, not %s" % (name, type(f).__name__))
@@ -295,11 +289,3 @@ def abelianize(f: NCSeries) -> "commalg.CommSeries":
         key = tuple(map(word.count, range(1, f.n + 1)))
         out[key] = out.get(key, 0) + v
     return commalg.CommSeries(f.n, f.trunc)._same(out, f.den, f.trunc)
-
-
-def shift_variables(f: NCSeries, offset: int, n_total: int) -> NCSeries:
-    """Reindex x_i -> x_{i+offset} inside a ring with ``n_total`` variables."""
-    if f.n + offset > n_total:
-        raise ValueError("shifted letters exceed the target variable count")
-    return NCSeries(n_total, f.trunc)._same(
-        {tuple(i + offset for i in w): v for w, v in f.num.items()}, f.den, f.trunc)

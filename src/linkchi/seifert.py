@@ -19,10 +19,7 @@ import functools
 import itertools
 import json
 from collections.abc import Iterable, Iterator, Sequence
-from fractions import Fraction
 from operator import mul, sub
-
-from .ncalg import NCSeries
 
 IntMatrix = tuple[tuple[int, ...], ...]
 
@@ -427,12 +424,6 @@ def random_seifert_rng(rng: random.Random, genera: Sequence[int], bound: int) ->
     return SeifertMatrix(st, entries)
 
 
-def random_seifert(seed: int, genera: Sequence[int], bound: int) -> SeifertMatrix:
-    import random  # only the seeded helpers need it, not every CLI start
-
-    return random_seifert_rng(random.Random(seed), genera, bound)
-
-
 def random_block_unimodular(rng: random.Random, structure: BlockStructure) -> IntMatrix:
     """Block-diagonal unimodular matrix from a few elementary operations."""
     total = structure.total
@@ -477,31 +468,6 @@ def apply_random_moves(A: SeifertMatrix, seed: int, count: int) -> SeifertMatrix
     for _ in range(count):
         A = random_move_rng(rng, A)
     return A
-
-
-def presentation_matrix(A: SeifertMatrix, trunc: int) -> list[list[NCSeries]]:
-    """The matrix X Z + I over noncommutative series.
-
-    X is block scalar (variable x_i on block i), so row r of X Z is row r
-    of Z scaled on the left by the variable of r's component.
-    """
-    z = z_matrix(A)
-    st = A.structure
-    n = st.n
-    size = A.size
-    out = []
-    for r in range(size):
-        var = st.component_of(r)
-        row = []
-        for c in range(size):
-            terms = {}
-            if z[r][c]:
-                terms[(var,)] = Fraction(z[r][c])
-            if r == c:
-                terms[()] = Fraction(1)
-            row.append(NCSeries(n, trunc, terms))
-        out.append(row)
-    return out
 
 
 # -- file format ---------------------------------------------------------

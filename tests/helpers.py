@@ -7,15 +7,21 @@ so they can serve as independent oracles for single-variable values.  The
 and exp loops with one ``Fraction`` product and sum per pair of terms: the
 references for the package's integer loops.  ``invert_by_fractions`` is
 Gauss-Jordan elimination in ``Fraction``s, the reference for the
-fraction-free ``seifert._invert_unimodular_block``.
+fraction-free ``seifert._invert_unimodular_block``.  The constructors at
+the end (a seeded random matrix, the presentation matrix, ``G(xz)``
+series, the letter images of bar and variable shifts) build test inputs
+and expected values; no command runs them, so they live here, not in
+``linkchi``.
 """
 
 import math
+import random
 from fractions import Fraction
 
 from linkchi import commalg, seifert, seifert_matrix
 from linkchi.commalg import CommMatrix, CommSeries
 from linkchi.genfun import BiSeries
+from linkchi.ncalg import NCSeries
 
 
 def u_trim(a, t):
@@ -145,18 +151,29 @@ def reflection_example():
     return seifert_matrix([2, 2, 2], rows)
 
 
-def hat_by_ring_products(f):
-    """hat(f) by multiplying letter images: x -> sum_j (-1)^j x^j, z -> z."""
-    t = f.xtrunc
-    image = {"x": BiSeries(t, {"x" * j: (-1) ** j for j in range(1, t + 1)}),
-             "z": BiSeries(t, {"z": 1})}
-    out = BiSeries.zero(t)
+def by_letter_images(f, image):
+    """f with each letter replaced by its image: every word's images multiplied
+    through ``BiSeries.__mul__`` and summed by ``+``."""
+    out = BiSeries.zero(f.xtrunc)
     for word, coeff in f.terms.items():
-        part = BiSeries.one(t)
+        part = BiSeries.one(f.xtrunc)
         for letter in word:
             part = part * image[letter]
         out = out + part.scale(coeff)
     return out
+
+
+def hat_by_ring_products(f):
+    """hat(f) by multiplying letter images: x -> sum_j (-1)^j x^j, z -> z."""
+    t = f.xtrunc
+    return by_letter_images(f, {"x": BiSeries(t, {"x" * j: (-1) ** j for j in range(1, t + 1)}),
+                                "z": BiSeries(t, {"z": 1})})
+
+
+def one_minus_z_by_ring_products(f):
+    """f(x, 1 - z) by multiplying letter images: x -> x, z -> 1 - z."""
+    t = f.xtrunc
+    return by_letter_images(f, {"x": BiSeries(t, {"x": 1}), "z": BiSeries(t, {"": 1, "z": -1})})
 
 
 def assert_lowest_terms(s, want=None):
@@ -260,3 +277,52 @@ def invert_by_fractions(rows):
     if any(v.denominator != 1 for row in inv for v in row):
         raise ValueError("inverse is not integral")
     return [[int(v) for v in row] for row in inv]
+
+
+# -- test-only constructors ----------------------------------------------------
+
+
+def random_seifert(seed, genera, bound):
+    """``seifert.random_seifert_rng`` from a fresh ``random.Random(seed)``."""
+    return seifert.random_seifert_rng(random.Random(seed), genera, bound)
+
+
+def presentation_matrix(A, trunc):
+    """The matrix X Z + I over noncommutative series.
+
+    X is block scalar (variable x_i on block i), so row r of X Z is row r
+    of Z scaled on the left by the variable of r's component.
+    """
+    z = seifert.z_matrix(A)
+    st = A.structure
+    out = []
+    for r in range(A.size):
+        var = st.component_of(r)
+        row = []
+        for c in range(A.size):
+            terms = {}
+            if z[r][c]:
+                terms[(var,)] = Fraction(z[r][c])
+            if r == c:
+                terms[()] = Fraction(1)
+            row.append(NCSeries(st.n, trunc, terms))
+        out.append(row)
+    return out
+
+
+def from_univariate(coeffs, xtrunc):
+    """Series G(xz) for G given by its coefficient list [G0, G1, ...]."""
+    return BiSeries(xtrunc, {"xz" * k: c for k, c in enumerate(coeffs) if k <= xtrunc})
+
+
+def bar_variable(n, trunc, i):
+    """Expansion of -x_i (1 + x_i)^-1, the image of x_i under bar/hat."""
+    return NCSeries(n, trunc, {(i,) * j: Fraction((-1) ** j) for j in range(1, trunc + 1)})
+
+
+def shift_variables(f, offset, n_total):
+    """Reindex x_i -> x_{i+offset} inside a ring with ``n_total`` variables."""
+    if f.n + offset > n_total:
+        raise ValueError("shifted letters exceed the target variable count")
+    return NCSeries(n_total, f.trunc)._same(
+        {tuple(i + offset for i in w): v for w, v in f.num.items()}, f.den, f.trunc)

@@ -15,6 +15,7 @@ import tempfile
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from helpers import random_seifert
 from linkchi import seifert
 from linkchi.cli import main
 
@@ -35,7 +36,7 @@ json_values = st.recursive(
 @st.composite
 def valid_docs(draw):
     genera = draw(st.lists(st.integers(0, 2), min_size=1, max_size=3))
-    A = seifert.random_seifert(draw(st.integers(0, 50)), genera, 2)
+    A = random_seifert(draw(st.integers(0, 50)), genera, 2)
     return json.loads(seifert.serialize(A))
 
 

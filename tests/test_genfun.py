@@ -1,13 +1,14 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from helpers import from_univariate, one_minus_z_by_ring_products
 from linkchi.genfun import (
     BiSeries,
     builtin_series,
     delta_series,
     format_bi_word,
-    from_univariate,
     inverse_extra_special,
     monomial,
     parse_word,
@@ -72,6 +73,49 @@ def test_tilde_of_g_type_series_is_literal_reversal():
 def test_one_minus_z_on_xz():
     out = transform(B(2, {"xz": 1}), "z_to_one_minus_z")
     assert out == B(2, {"x": 1, "xz": -1})
+
+
+def test_one_minus_z_cancels_across_words():
+    # (1 - z)^3 x - x and -(3z - 3z^2 + z^3) x are one series
+    out = transform(B(2, {"zzzx": 1, "x": -1}), "z_to_one_minus_z")
+    assert out == B(2, {"zx": -3, "zzx": 3, "zzzx": -1})
+    assert out.coefficient("x") == 0
+
+
+@st.composite
+def z_run_series(draw):
+    """A BiSeries whose words have z-runs of length 1 to 4, also at either end.
+
+    Beside some words it holds, with the opposite coefficient, the same word
+    less one z-run: that word's images are images of the first, so their
+    coefficients cancel across words.
+    """
+    terms = {}
+    for _ in range(draw(st.integers(0, 4))):
+        zruns = draw(st.lists(st.integers(1, 4), max_size=3))
+        xruns = [draw(st.integers(0, 2))] + [draw(st.integers(1, 2)) for _ in zruns[1:]]
+        xruns.append(draw(st.integers(0, 2)) if zruns else 0)
+        pieces = ["x" * xruns[0]]
+        for e, j in zip(zruns, xruns[1:]):
+            pieces += ["z" * e, "x" * j]
+        coeff = Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 4)))
+        words = ["".join(pieces)]
+        if zruns and draw(st.booleans()):
+            t = 2 * draw(st.integers(0, len(zruns) - 1)) + 1
+            words.append("".join(pieces[:t] + pieces[t + 1 :]))
+        for word, c in zip(words, (coeff, -coeff)):
+            terms[word] = terms.get(word, 0) + c
+    return BiSeries(draw(st.integers(0, 5)), terms)
+
+
+@settings(max_examples=150, deadline=None)
+@given(z_run_series())
+def test_one_minus_z_matches_ring_products(f):
+    out = transform(f, "z_to_one_minus_z")
+    want = one_minus_z_by_ring_products(f)
+    assert (out.num, out.den, out.trunc) == (want.num, want.den, want.trunc)
+    back = transform(out, "z_to_one_minus_z")
+    assert (back.num, back.den, back.trunc) == (f.num, f.den, f.trunc)
 
 
 def test_phi_reflection_identity():
@@ -158,9 +202,23 @@ def test_prime_word_pure_x():
 
 
 def test_word_runs():
-    assert word_runs("xzzxxzx") == (1, [(2, 2), (1, 1)])
-    assert word_runs("zz") == (0, [(2, 0)])
-    assert word_runs("xxx") == (3, [])
+    assert word_runs("xzzxxzx") == ([1, 2, 1], [2, 1])
+    assert word_runs("zz") == ([0, 0], [2])
+    assert word_runs("xxx") == ([3], [])
+    assert word_runs("") == ([0], [])
+    assert word_runs("z") == ([0, 0], [1])
+    assert word_runs("zxz") == ([0, 1, 0], [1, 1])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet="xz", max_size=20))
+def test_word_runs_round_trip(word):
+    xruns, zruns = word_runs(word)
+    assert len(xruns) == len(zruns) + 1
+    assert all(e >= 1 for e in zruns)
+    assert all(j >= 1 for j in xruns[1:-1])
+    rebuilt = "x" * xruns[0] + "".join("z" * e + "x" * j for e, j in zip(zruns, xruns[1:]))
+    assert rebuilt == word
 
 
 # -- parsing and equality ------------------------------------------------------------

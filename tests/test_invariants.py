@@ -5,11 +5,13 @@ from fractions import Fraction
 import pytest
 
 from helpers import (
+    bar_variable,
     comm_coeffs_1var,
     figure_eight,
     hat_by_ring_products,
     reflection_example,
     series_coeffs_1var,
+    shift_variables,
     stabilized_unknot,
     torsion_by_det,
     trefoil,
@@ -314,7 +316,7 @@ def test_hat_matches_substitution_at_n3_degree_7():
         terms[word[:7]] = Fraction(rng.randint(-4, 4), rng.randint(1, 5))
     A = random_seifert_rng(rng, [1, 1, 1], 2)
     for f in (NCSeries(3, 7, terms), chi_delta(A, 7)):
-        images = [ncalg.bar_variable(3, 7, i) for i in (1, 2, 3)]
+        images = [bar_variable(3, 7, i) for i in (1, 2, 3)]
         assert ncalg.hat(f) == ncalg.substitute(f, images)
 
 
@@ -461,7 +463,7 @@ def test_chi_direct_sum_additive():
     for A, B in zip(mats[::2], mats[1::2]):
         total = direct_sum(A, B)
         lhs = chi_delta(total, 4)
-        rhs = ncalg.shift_variables(chi_delta(A, 4), 0, total.n) + ncalg.shift_variables(
+        rhs = shift_variables(chi_delta(A, 4), 0, total.n) + shift_variables(
             chi_delta(B, 4), A.n, total.n
         )
         assert lhs == rhs

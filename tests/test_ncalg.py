@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import hat_by_ring_products
+from helpers import bar_variable, hat_by_ring_products, shift_variables
 from linkchi import ncalg
 from linkchi.commalg import CommSeries
 from linkchi.genfun import BiSeries
@@ -15,14 +15,12 @@ from linkchi.ncalg import (
     NCSeries,
     abelianize,
     bar,
-    bar_variable,
     cyclic_reduce,
     hat,
     inverse_special,
     involution,
     log1p,
     minimal_rotation,
-    shift_variables,
     substitute,
     tilde,
 )

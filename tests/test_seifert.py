@@ -6,7 +6,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import invert_by_fractions, stabilized_unknot, trefoil
+from helpers import (
+    invert_by_fractions,
+    presentation_matrix,
+    random_seifert,
+    stabilized_unknot,
+    trefoil,
+)
 from linkchi import invariants, seifert
 from linkchi.genfun import monomial
 from linkchi.ncalg import NCSeries
@@ -24,9 +30,7 @@ from linkchi.seifert import (
     move_s1,
     move_s2,
     parse,
-    presentation_matrix,
     random_block_unimodular,
-    random_seifert,
     random_seifert_rng,
     reflect,
     seifert_matrix,

@@ -8,7 +8,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import assert_lowest_terms, mul_by_fractions, power_series_by_fractions
+from helpers import (
+    assert_lowest_terms,
+    from_univariate,
+    mul_by_fractions,
+    power_series_by_fractions,
+)
 from linkchi import genfun
 from linkchi.commalg import CommSeries
 from linkchi.genfun import BiSeries
@@ -186,7 +191,7 @@ def test_scalars_and_coefficients_are_int_or_fraction(bad):
     calls = [lambda: x * bad, lambda: bad * x, lambda: x.scale(bad),
              lambda: NCSeries(1, 2, {(1,): bad}), lambda: CyclicSeries(1, 2, {(1,): bad}),
              lambda: CommSeries(1, 2, {(1,): bad}), lambda: BiSeries(2, {"x": bad}),
-             lambda: genfun.monomial("xz", 2, bad), lambda: genfun.from_univariate([1, bad], 2)]
+             lambda: genfun.monomial("xz", 2, bad), lambda: from_univariate([1, bad], 2)]
     for call in calls:
         with pytest.raises(TypeError):
             call()
