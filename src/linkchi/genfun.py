@@ -87,17 +87,14 @@ class BiSeries(Series):
         return self.trunc
 
     def _key(self, word: BiWord) -> BiWord:
-        if set(word) - {"x", "z"}:
-            raise ValueError("bad letters in word %r" % word)
+        if not isinstance(word, str) or set(word) - {"x", "z"}:
+            raise ValueError("bad word %r: a str over x and z" % (word,))
         return word
 
     def _one_key(self) -> BiWord:
         return ""
 
     _sort_grade = staticmethod(len)
-
-    def x_degree_part(self, d: int) -> dict[BiWord, Fraction]:
-        return {w: c for w, c in self.terms.items() if xdegree(w) == d}
 
     def __repr__(self) -> str:
         return "BiSeries(xtrunc=%d, <%s>)" % (self.xtrunc, self)
@@ -150,18 +147,6 @@ def transform(f: BiSeries, kind: str) -> BiSeries:
         for w, c in part.items():
             out[w] = out.get(w, 0) + c
     return f._same(out, f.den, f.trunc)
-
-
-def inverse_extra_special(f: BiSeries) -> BiSeries:
-    """Inverse of an extra-special series: x-degree-0 part exactly 1.
-
-    Since 1 - f has positive x-degree everywhere, the geometric series
-    terminates at xtrunc and the inverse is again admissible.
-    """
-    zero_part = f.x_degree_part(0)
-    if zero_part != {"": Fraction(1)}:
-        raise ValueError("series is not extra-special (x-degree-0 part != 1)")
-    return (BiSeries.one(f.xtrunc) - f).geometric()
 
 
 def prime_word(word: BiWord) -> TriWord:

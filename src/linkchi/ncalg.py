@@ -60,11 +60,9 @@ class NCSeries(Series):
 
     def _key(self, word) -> Word:
         word = tuple(word)
-        for letter in word:
-            if not 1 <= letter <= self.n:
-                raise ValueError(
-                    "letter x%d outside variable range 1..%d" % (letter, self.n)
-                )
+        for letter in word:  # an int and not a bool, the package's rule for integer input
+            if isinstance(letter, bool) or not isinstance(letter, int) or not 1 <= letter <= self.n:
+                raise ValueError("letter %r is not an integer in 1..%d" % (letter, self.n))
         return word
 
     def _one_key(self) -> Word:
@@ -107,30 +105,6 @@ class NCSeries(Series):
             words = product(range(1, n + 1), repeat=length)
             lines += [coeffs[v] + t for t, v in zip(texts[length], map(num.get, words)) if v]
         return lines
-
-
-def log1p(u: NCSeries) -> NCSeries:
-    """log(1 + u) for a series u with zero constant term.
-
-    >>> x = NCSeries.variable(1, 3, 1)
-    >>> print(log1p(x))
-    1 * x1 + -1/2 * x1.x1 + 1/3 * x1.x1.x1
-    """
-    if u.constant_term != 0:
-        raise ValueError("log1p needs a zero constant term")
-    return u.log1p()
-
-
-def inverse_special(f: NCSeries) -> NCSeries:
-    """Inverse of a special series (constant term exactly 1).
-
-    >>> x = NCSeries.variable(1, 3, 1)
-    >>> print(inverse_special(NCSeries.one(1, 3) - x))
-    1 * 1 + 1 * x1 + 1 * x1.x1 + 1 * x1.x1.x1
-    """
-    if f.constant_term != 1:
-        raise ValueError("inverse_special needs constant term 1")
-    return (NCSeries.one(f.n, f.trunc) - f).geometric()
 
 
 def substitute(f: NCSeries, images: list[NCSeries]) -> NCSeries:

@@ -147,15 +147,6 @@ class BlockStructure(_Frozen):
     def genus(self, i: int) -> int:
         return self.sizes[i - 1] // 2
 
-    def component_of(self, index: int) -> int:
-        """Component (1-based) owning a 0-based row/column index."""
-        upto = 0
-        for i, s in enumerate(self.sizes, start=1):
-            upto += s
-            if index < upto:
-                return i
-        raise IndexError(index)
-
 
 class SeifertMatrix(_Frozen):
     """An integer matrix with a block partition; axioms checked by validate.
@@ -179,13 +170,6 @@ class SeifertMatrix(_Frozen):
     @property
     def size(self) -> int:
         return self.structure.total
-
-    def block(self, i: int, j: int) -> IntMatrix:
-        rows = self.structure.block_range(i)
-        cols = self.structure.block_range(j)
-        return tuple(
-            tuple(self.entries[r][c] for c in cols) for r in rows
-        )
 
     def transpose(self) -> "SeifertMatrix":
         return SeifertMatrix(self.structure, mat_transpose(self.entries))

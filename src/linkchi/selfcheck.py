@@ -161,7 +161,7 @@ def suite_special_inverse(seed: int, degree: int) -> SuiteResult:
         n = rng.randint(1, 3)
         f = random_nc_series(rng, n, trunc)
         f = f - NCSeries(n, trunc, {(): f.constant_term}) + one_nc(n, trunc)
-        g = ncalg.inverse_special(f)
+        g = f.inverse()
         res.record(
             f * g == one_nc(n, trunc) and g * f == one_nc(n, trunc),
             "nc inverse case %d" % case,
@@ -172,9 +172,7 @@ def suite_special_inverse(seed: int, degree: int) -> SuiteResult:
             word = random_bi_word(rng, min(degree, 3))
             terms[word] = terms.get(word, Fraction(0)) + rng.randint(-2, 2)
         f = genfun.BiSeries(degree, terms)
-        if f.x_degree_part(0) != {"": Fraction(1)}:
-            continue
-        g = genfun.inverse_extra_special(f)
+        g = f.inverse()
         res.record(
             f * g == genfun.BiSeries.one(degree)
             and g * f == genfun.BiSeries.one(degree),

@@ -11,7 +11,7 @@ and how two keys multiply:
 
 ``Series`` holds everything else: construction and cleaning, equality at
 the common truncation, ring arithmetic, formatting, and the power series
-``sum_k a_k u^k`` behind the geometric inverse and log.  Truncation is
+``sum_k a_k u^k`` behind the inverse of a unit and the log.  Truncation is
 part of the value: binary operations truncate to the smaller of the two
 operands.  Arithmetic is exact and stays in integers: a series holds
 integer numerators over one denominator in lowest terms, each operation
@@ -160,10 +160,6 @@ class Series:
         keys = sorted(self.num)
         keys.sort(key=self._sort_grade or self._grade)  # stable
         return keys
-
-    def sorted_terms(self) -> list:
-        terms = self.terms
-        return [(k, terms[k]) for k in self._sorted_keys()]
 
     # -- text and structured forms -------------------------------------------
 
@@ -316,8 +312,23 @@ class Series:
         """1 + u + u^2 + ..., the inverse of 1 - u, for u = self of positive grade."""
         return self.power_series([1] * (self.trunc + 1))
 
+    def inverse(self) -> "Series":
+        """The inverse of a unit, a series whose grade-0 part is 1: exactly then
+        1 - self has positive grade, which ``power_series`` checks.
+
+        >>> from linkchi.ncalg import NCSeries
+        >>> print((NCSeries.one(1, 3) - NCSeries.variable(1, 3, 1)).inverse())
+        1 * 1 + 1 * x1 + 1 * x1.x1 + 1 * x1.x1.x1
+        """
+        return (self._unit() - self).geometric()
+
     def log1p(self) -> "Series":
-        """log(1 + u) = u - u^2/2 + u^3/3 - ... for u = self of positive grade."""
+        """log(1 + u) = u - u^2/2 + u^3/3 - ... for u = self of positive grade.
+
+        >>> from linkchi.ncalg import NCSeries
+        >>> print(NCSeries.variable(1, 3, 1).log1p())
+        1 * x1 + -1/2 * x1.x1 + 1/3 * x1.x1.x1
+        """
         return self.power_series(
             [0] + [Fraction((-1) ** (k + 1), k) for k in range(1, self.trunc + 1)]
         )

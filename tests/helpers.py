@@ -108,7 +108,7 @@ def torsion_by_det(A, degree):
         halves[i] = commalg.unit_power(base, Fraction(-1, 2))
     rows = []
     for r in range(size):
-        comp = st.component_of(r)
+        comp = component_of(st, r)
         x_r = CommSeries.variable(n, degree, comp)
         scale = halves[comp]
         row = []
@@ -287,6 +287,28 @@ def random_seifert(seed, genera, bound):
     return seifert.random_seifert_rng(random.Random(seed), genera, bound)
 
 
+def component_of(structure, index):
+    """Component (1-based) owning a 0-based row/column index."""
+    upto = 0
+    for i, s in enumerate(structure.sizes, start=1):
+        upto += s
+        if index < upto:
+            return i
+    raise IndexError(index)
+
+
+def block(A, i, j):
+    """Block (i, j) of a Seifert matrix, components 1-based."""
+    rows, cols = A.structure.block_range(i), A.structure.block_range(j)
+    return tuple(tuple(A.entries[r][c] for c in cols) for r in rows)
+
+
+def sorted_terms(s):
+    """``(key, Fraction)`` pairs of a series in its print order."""
+    terms = s.terms
+    return [(k, terms[k]) for k in s._sorted_keys()]
+
+
 def presentation_matrix(A, trunc):
     """The matrix X Z + I over noncommutative series.
 
@@ -297,7 +319,7 @@ def presentation_matrix(A, trunc):
     st = A.structure
     out = []
     for r in range(A.size):
-        var = st.component_of(r)
+        var = component_of(st, r)
         row = []
         for c in range(A.size):
             terms = {}

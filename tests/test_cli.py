@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import reflection_example, stabilized_unknot, trefoil
+from helpers import reflection_example, sorted_terms, stabilized_unknot, trefoil
 import linkchi
 from linkchi import cli, invariants, seifert
 from linkchi.cli import main
@@ -339,7 +339,7 @@ def test_coefficients_beyond_the_int_digit_limit_print_exactly(capsys, tmp_path,
             expected = json.dumps(series.to_triples()) + "\n"
         else:
             expected = "".join(
-                "%d * %s\n" % (c.numerator, format_word(w)) for w, c in series.sorted_terms()
+                "%d * %s\n" % (c.numerator, format_word(w)) for w, c in sorted_terms(series)
             )
     assert out == expected
     assert all(c.denominator == 1 for c in series.terms.values())

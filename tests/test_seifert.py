@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import (
+    block,
     invert_by_fractions,
     presentation_matrix,
     random_seifert,
@@ -438,7 +439,7 @@ def test_direct_sum_of_trefoils():
     out = direct_sum(trefoil(), trefoil())
     assert out.structure.sizes == (2, 2)
     assert validate(out) == []
-    assert out.block(1, 2) == ((0, 0), (0, 0))
+    assert block(out, 1, 2) == ((0, 0), (0, 0))
 
 
 # -- random generator ----------------------------------------------------------------

@@ -2,6 +2,7 @@
 integer numerators over one denominator in lowest terms, equal to the
 Fraction reference."""
 
+import doctest
 from decimal import Decimal
 from fractions import Fraction
 
@@ -13,8 +14,9 @@ from helpers import (
     from_univariate,
     mul_by_fractions,
     power_series_by_fractions,
+    sorted_terms,
 )
-from linkchi import genfun
+from linkchi import genfun, series
 from linkchi.commalg import CommSeries
 from linkchi.genfun import BiSeries
 from linkchi.ncalg import CyclicSeries, NCSeries
@@ -67,6 +69,11 @@ def operands(draw, coeff=SMALL):
     return a, b, draw(coeff), draw(st.integers(0, 3))
 
 
+def test_module_doctests():
+    failures, _ = doctest.testmod(series)
+    assert failures == 0
+
+
 def positive_part(a):
     grade = GRADE[type(a)]
     return make(a, {key: c for key, c in a.terms.items() if grade(key) > 0})
@@ -106,6 +113,8 @@ def test_operation_results_are_clean(ops):
     assert (a + b).trunc == (a * b).trunc == min(a.trunc, b.trunc)
     one = a ** 0
     assert u.geometric() * (one - u) == one
+    assert (one - u).inverse() == u.geometric()
+    assert (one + u).inverse() * (one + u) == one == (one + u) * (one + u).inverse()
 
 
 def test_terms_print_by_grade_then_key():
@@ -115,7 +124,7 @@ def test_terms_print_by_grade_then_key():
     bi = BiSeries(3, {"zzx": 1, "xx": 2, "x": 3, "zxz": 4, "": 5})
     assert bi.to_lines() == ["5 * 1", "3 * x", "2 * x.x", "4 * z.x.z", "1 * z.z.x"]
     comm = CommSeries(2, 3, {(0, 2): 1, (1, 0): 2, (2, 1): 3, (0, 1): 4, (1, 1): 5})
-    assert [k for k, _ in comm.sorted_terms()] == [(0, 1), (1, 0), (0, 2), (1, 1), (2, 1)]
+    assert [k for k, _ in sorted_terms(comm)] == [(0, 1), (1, 0), (0, 2), (1, 1), (2, 1)]
     assert comm.to_triples()[0] == (4, 1, [0, 1])
 
 
@@ -125,7 +134,7 @@ def test_terms_sort_by_grade_then_key(ops):
     a = ops[0]
     order = len if isinstance(a, BiSeries) else GRADE[type(a)]
     expected = sorted(a.terms.items(), key=lambda kv: (order(kv[0]), kv[0]))
-    assert a.sorted_terms() == expected
+    assert sorted_terms(a) == expected
 
 
 @settings(max_examples=200, deadline=None)
@@ -183,6 +192,39 @@ def test_power_series_reject_a_term_of_grade_zero(u):
         u.geometric()
     with pytest.raises(ValueError):
         u.log1p()
+
+
+@pytest.mark.parametrize("f", [
+    NCSeries(2, 3, {(1,): 1}),
+    NCSeries(1, 3, {(): 2, (1,): 1}),
+    CommSeries(1, 2, {(0,): Fraction(1, 2), (1,): 1}),
+    BiSeries(3, {"": 1, "z": 1}),
+    BiSeries(3, {"x": 1}),
+])
+def test_inverse_needs_a_grade_zero_part_of_one(f):
+    with pytest.raises(ValueError):
+        f.inverse()
+
+
+@pytest.mark.parametrize("build", [
+    lambda: NCSeries(2, 3, {(1.5,): 1, (1,): 2}),
+    lambda: NCSeries(2, 3, {(1.0, 2): 1}),
+    lambda: NCSeries(2, 3, {(True,): 1}),
+    lambda: NCSeries(2, 3, {((1,),): 1}),
+    lambda: NCSeries(2, 3).coefficient((2.0,)),
+    lambda: CyclicSeries(2, 3, {(1, 2.0): 1}),
+    lambda: CyclicSeries(2, 3, {(False, 1): 1}),
+    lambda: CommSeries(2, 3, {(0.5, 0.5): 1}),
+    lambda: CommSeries(2, 3, {(True, 0): 1}),
+    lambda: CommSeries(2, 3, {((1,), 0): 1}),
+    lambda: BiSeries(3, {("x", "z"): 1}),
+    lambda: BiSeries(3, {("xz",): 1}),
+], ids=["nc-float", "nc-float-int", "nc-bool", "nc-tuple", "nc-coefficient", "cyclic-float",
+        "cyclic-bool", "comm-float", "comm-bool", "comm-tuple", "bi-tuple", "bi-tuple-word"])
+def test_keys_of_the_wrong_type_are_rejected(build):
+    # a float letter used to be kept but not printed; a tuple word was unequal to its str
+    with pytest.raises(ValueError):
+        build()
 
 
 @pytest.mark.parametrize("bad", [0.1, "1/3", Decimal("0.1"), 1j, None])
