@@ -2,7 +2,6 @@
 integer numerators over one denominator in lowest terms, equal to the
 Fraction reference."""
 
-import doctest
 from decimal import Decimal
 from fractions import Fraction
 
@@ -16,7 +15,7 @@ from helpers import (
     power_series_by_fractions,
     sorted_terms,
 )
-from linkchi import genfun, series
+from linkchi import genfun
 from linkchi.commalg import CommSeries
 from linkchi.genfun import BiSeries
 from linkchi.ncalg import CyclicSeries, NCSeries
@@ -67,11 +66,6 @@ def operands(draw, coeff=SMALL):
     a = build(draw(st.integers(0, 4)), a_terms)
     b = build(draw(st.integers(0, 4)), b_terms)
     return a, b, draw(coeff), draw(st.integers(0, 3))
-
-
-def test_module_doctests():
-    failures, _ = doctest.testmod(series)
-    assert failures == 0
 
 
 def positive_part(a):
