@@ -5,7 +5,8 @@ monomials with exact rational coefficients, plus the matrix machinery
 (determinant, trace-of-log, LU factorization) that the commutative-lemma
 checks exercise and the torsion oracle uses.  All entries live in the
 local ring where any element with constant term 1 is invertible, so
-Gaussian elimination needs no pivoting.
+Gaussian elimination needs no row exchanges.  ``lu_decompose`` is the one
+elimination; ``det_unit`` is the product of its pivots, the diagonal of U.
 
 Inverse and log are ``Series.inverse`` and ``Series.log1p``, whose power
 series reject a non-unit by its grade; ``inverse_unit`` and ``log_unit``
@@ -156,14 +157,6 @@ class CommMatrix:
             a == b for ra, rb in zip(self.rows, other.rows) for a, b in zip(ra, rb)
         )
 
-    def __add__(self, other: "CommMatrix") -> "CommMatrix":
-        return CommMatrix(
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.rows, other.rows)
-            ]
-        )
-
     def __sub__(self, other: "CommMatrix") -> "CommMatrix":
         return CommMatrix(
             [
@@ -190,36 +183,19 @@ class CommMatrix:
             out = out + row[i]
         return out
 
-    def is_unit_form(self) -> bool:
-        """True when the matrix is I plus positive-degree entries."""
-        for r, row in enumerate(self.rows):
-            for c, entry in enumerate(row):
-                want = 1 if r == c else 0
-                if entry.constant_term != want:
-                    return False
-        return True
-
 
 def _require_unit_form(M: CommMatrix) -> None:
-    if not M.is_unit_form():
+    """ValueError unless M is I plus positive-degree entries."""
+    if any(entry.constant_term != int(r == c)
+           for r, row in enumerate(M.rows) for c, entry in enumerate(row)):
         raise ValueError("matrix is not congruent to I modulo positive degree")
 
 
 def det_unit(M: CommMatrix) -> CommSeries:
-    """Determinant by Gaussian elimination; every pivot is a unit."""
-    _require_unit_form(M)
-    size = M.size
-    work = [list(row) for row in M.rows]
+    """det(M), the product of the pivots of ``lu_decompose``."""
     det = CommSeries.one(M.n, M.trunc)
-    for c in range(size):
-        pivot = work[c][c]  # a unit: the factors below have positive grade
-        det = det * pivot
-        inv = inverse_unit(pivot)
-        for r in range(c + 1, size):
-            factor = work[r][c] * inv
-            if factor.is_zero():
-                continue
-            work[r] = [a - factor * b for a, b in zip(work[r], work[c])]
+    for r, row in enumerate(lu_decompose(M)[1].rows):
+        det = det * row[r]
     return det
 
 
@@ -242,35 +218,22 @@ def trlog(M: CommMatrix) -> CommSeries:
 def lu_decompose(M: CommMatrix) -> tuple[CommMatrix, CommMatrix]:
     """Split M = L U with L unit lower triangular, U upper triangular.
 
-    Recursive pivot construction: peel off the (1,1) entry u, factor the
-    Schur complement corner minus u^-1 * column * row, and reassemble.  The
-    pivots end up on the diagonal of U, so their product is det(M).
+    Gaussian elimination without row exchanges: every pivot is a unit,
+    since the entries below it have positive grade.  Column c records each
+    factor U[r][c] * pivot^-1 in L and subtracts factor times the pivot row
+    from row r right of the pivot.  The pivots end up on the diagonal of U,
+    so their product is det(M).
     """
     _require_unit_form(M)
-    n, trunc = M.n, M.trunc
-    zero = CommSeries.zero(n, trunc)
-    one = CommSeries.one(n, trunc)
-
-    def rec(rows):
-        size = len(rows)
-        if size == 0:
-            return [], []
-        u = rows[0][0]
-        beta = rows[0][1:]
-        alpha = [rows[r][0] for r in range(1, size)]
-        uinv = inverse_unit(u)
-        corner = [
-            [rows[r][c] - alpha[r - 1] * uinv * beta[c - 1] for c in range(1, size)]
-            for r in range(1, size)
-        ]
-        lt, ut = rec(corner)
-        lrows = [[one] + [zero] * (size - 1)]
-        for r in range(1, size):
-            lrows.append([alpha[r - 1] * uinv] + lt[r - 1])
-        urows = [[u] + list(beta)]
-        for r in range(1, size):
-            urows.append([zero] + ut[r - 1])
-        return lrows, urows
-
-    lrows, urows = rec([list(row) for row in M.rows])
-    return CommMatrix(lrows), CommMatrix(urows)
+    size = M.size
+    zero = CommSeries.zero(M.n, M.trunc)
+    one = CommSeries.one(M.n, M.trunc)
+    low = [[one if r == c else zero for c in range(size)] for r in range(size)]
+    up = [list(row) for row in M.rows]
+    for c in range(size):
+        inv = inverse_unit(up[c][c])
+        for r in range(c + 1, size):
+            factor = low[r][c] = up[r][c] * inv
+            up[r][c] = zero
+            up[r][c + 1:] = [a - factor * b for a, b in zip(up[r][c + 1:], up[c][c + 1:])]
+    return CommMatrix(low), CommMatrix(up)

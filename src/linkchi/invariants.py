@@ -190,15 +190,15 @@ def tr_series(f: BiSeries, A: SeifertMatrix, degree: int) -> NCSeries:
 
 
 def i_half_trace(f: BiSeries, structure: BlockStructure, degree: int) -> NCSeries:
-    """tr f(X, H) for a half-ones diagonal H.
+    """tr f(X, H), the same for every H of ``seifert.half_ones(structure)``.
 
     X and H are diagonal, and every balanced H gives block i exactly g_i
     rows with h = 0 and g_i rows with h = 1.  So tr f(X, H) =
     sum_i g_i (f(x_i, 0) + f(x_i, 1)), read off f without H; an odd
-    block, which has no H, raises ``ValueError``.
+    block, which has no H, raises ``ValueError`` from ``half_ones``.
     """
     _require_complete(f, degree)
-    seifert.default_half_pattern(structure)
+    seifert.half_ones(structure)  # checks the blocks; builds no H
     f = f.truncated(degree)
     # by x-degree: f(x, 1) keeps every word, f(x, 0) the words without z
     by_degree: dict[int, int] = {}
@@ -301,7 +301,7 @@ def tr_monomial(word: str, A: SeifertMatrix, degree: int) -> NCSeries:
 def half_rank_correction(structure: BlockStructure, degree: int) -> NCSeries:
     """Sum over components of g_i (x_i - x_i_bar), expanded to ``degree``.
 
-    This equals tr((I + X H)^-1 X) for any balanced half pattern H; the
+    This equals tr((I + X H)^-1 X) for every H of ``seifert.half_ones``; the
     direct evaluation is available as ``i_half_trace(phi_series(N), ...)``.
     """
     terms: dict[Word, Fraction] = {}

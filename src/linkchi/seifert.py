@@ -8,7 +8,7 @@ det(B - B') = 1.  The second axiom forces every block size to be even
 
 Derived data: the intersection form S = A - A' (block diagonal, det 1, so
 its inverse is integral), the transition matrix Z = A S^-1, and the
-half-ones diagonal matrix used to normalize the trace invariants.  The two
+half-ones diagonals H of ``half_ones`` that normalize the traces.  The two
 matrix moves generating S-equivalence are block congruence (s1) and the
 bordered two-row stabilization (s2).
 """
@@ -286,51 +286,28 @@ def z_matrix(A: SeifertMatrix) -> IntMatrix:
     )
 
 
-def default_half_pattern(structure: BlockStructure) -> tuple[int, ...]:
-    """Per block: first half zeros, last half ones."""
-    bits: list[int] = []
-    for s in structure.sizes:
-        if s % 2:
-            raise ValueError("half pattern needs even block sizes")
-        bits.extend([0] * (s // 2) + [1] * (s // 2))
-    return tuple(bits)
+def half_ones(structure: BlockStructure) -> Iterator[IntMatrix]:
+    """Every balanced half-ones matrix H: diagonal, 0/1, g_i ones in block i.
 
+    Block i puts its ones on each of the C(2 g_i, g_i) choices of its rows
+    in ``itertools.combinations`` order, the last block varying fastest.
+    An odd block has no H; it raises ``ValueError`` at the call, and no H
+    is built before the iteration asks for it.
+    """
+    if any(size % 2 for size in structure.sizes):
+        raise ValueError("half-ones matrix needs even block sizes")
 
-def i_half(structure: BlockStructure, pattern: Sequence[int] | None = None) -> IntMatrix:
-    """Diagonal 0/1 matrix with half ones per block, by default the last half."""
-    if pattern is None:
-        pattern = default_half_pattern(structure)
-    pattern = tuple(pattern)
-    if len(pattern) != structure.total:
-        raise ValueError("pattern length != matrix size")
-    if any(not isinstance(b, int) or isinstance(b, bool) or b not in (0, 1) for b in pattern):
-        raise ValueError("pattern bits must be 0 or 1")
-    for i, b in enumerate(_block_slices(structure), start=1):
-        ones, width = sum(pattern[b]), b.stop - b.start
-        if 2 * ones != width:
-            raise ValueError(
-                "pattern unbalanced on component %d: %d ones in size %d" % (i, ones, width)
-            )
-    size = structure.total
-    return tuple(
-        tuple(pattern[r] if r == c else 0 for c in range(size)) for r in range(size)
-    )
+    def each() -> Iterator[IntMatrix]:
+        total = structure.total
+        zero = (0,) * total
+        unit = [zero[:r] + (1,) + zero[r + 1:] for r in range(total)]
+        blocks = [itertools.combinations(range(b.start, b.stop), (b.stop - b.start) // 2)
+                  for b in _block_slices(structure)]
+        for choice in itertools.product(*blocks):
+            ones = set().union(*choice)
+            yield tuple(unit[r] if r in ones else zero for r in range(total))
 
-
-def balanced_patterns(structure: BlockStructure) -> Iterator[tuple[int, ...]]:
-    """All balanced half patterns (intended for small block sizes)."""
-    per_block = []
-    for s in structure.sizes:
-        g = s // 2
-        block_choices = []
-        for ones in itertools.combinations(range(s), g):
-            bits = [0] * s
-            for k in ones:
-                bits[k] = 1
-            block_choices.append(tuple(bits))
-        per_block.append(block_choices)
-    for combo in itertools.product(*per_block):
-        yield tuple(itertools.chain.from_iterable(combo))
+    return each()
 
 
 def move_s1(A: SeifertMatrix, P: Sequence[Sequence[int]]) -> SeifertMatrix:

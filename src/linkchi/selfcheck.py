@@ -336,8 +336,8 @@ def suite_edge_cases(seed: int, degree: int) -> SuiteResult:
         delta = genfun.delta_series(degree)
         closed = invariants.i_half_trace(delta, st, degree)
         ok = all(
-            invariants.trace_at(delta, st, seifert.i_half(st, p), degree) == closed
-            for p in seifert.balanced_patterns(st)
+            invariants.trace_at(delta, st, H, degree) == closed
+            for H in seifert.half_ones(st)
         )
         res.record(ok, "half-pattern independence case %d" % case)
         word = random_bi_word(rng, degree)

@@ -79,6 +79,12 @@ MUTANTS = [
     ("z-block-inverse-not-transposed", "seifert.py",
      "(b, list(zip(*_invert_unimodular_block(_skew_block(e, t, b)))))",
      "(b, _invert_unimodular_block(_skew_block(e, t, b)))"),
+    # the check-only oracles: one elimination, one builder of H
+    ("lu-update-adds", "commalg.py",
+     "[a - factor * b for a, b in zip(up[r][c + 1:]", "[a + factor * b for a, b in zip(up[r][c + 1:]"),
+    ("half-ones-one-choice-short", "seifert.py",
+     "itertools.combinations(range(b.start, b.stop), (b.stop - b.start) // 2)",
+     "list(itertools.combinations(range(b.start, b.stop), (b.stop - b.start) // 2))[1:]"),
     # output order
     ("to-lines-sparse-not-length-sorted", "ncalg.py", "        sparse.sort(key=len)\n", ""),
     # words over x and z

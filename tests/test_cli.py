@@ -288,6 +288,21 @@ def test_chi_bad_f_spec_exits_2(capsys, trefoil_file):
     assert "unknown f spec" in err
 
 
+@pytest.mark.parametrize(
+    "spec, listing, message",
+    [("mono:x.y", None, "bad monomial spec: "), ("list:FILE", "1 x.z 2\n", "FILE:1: expected 'coefficient word'")],
+    ids=["monomial-letter", "list-three-fields"],
+)
+def test_chi_malformed_f_exits_2(capsys, tmp_path, trefoil_file, spec, listing, message):
+    path = tmp_path / "series.txt"
+    if listing is not None:
+        path.write_text(listing)
+    spec, message = spec.replace("FILE", str(path)), message.replace("FILE", str(path))
+    code, out, err = run(capsys, ["chi", trefoil_file, "--f", spec, "--degree", "2"])
+    assert (code, out) == (2, "")
+    assert err.startswith(message) and len(err.splitlines()) == 1
+
+
 def test_chi_non_utf8_list_file_exits_2(capsys, tmp_path, trefoil_file):
     listing = tmp_path / "series.txt"
     listing.write_bytes(b"1 x.z\n\xff\n")

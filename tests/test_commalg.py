@@ -236,13 +236,15 @@ def test_lu_recombines_and_tracks_det():
         low, up = lu_decompose(M)
         assert low * up == M
         for r in range(size):
+            assert low.rows[r][r] == CommSeries.one(M.n, M.trunc)
             for c in range(r + 1, size):
                 assert low.rows[r][c].is_zero()
                 assert up.rows[c][r].is_zero()
+        # det_unit is the product of U's diagonal; check it by Leibniz
         diag = CommSeries.one(M.n, M.trunc)
         for r in range(size):
-            diag = diag * low.rows[r][r] * up.rows[r][r]
-        assert diag == det_unit(M)
+            diag = diag * up.rows[r][r]
+        assert diag == det_unit(M) == det_by_permutations(M)
 
 
 # -- integer loops against their Fraction references -----------------------------

@@ -37,9 +37,8 @@ from linkchi.invariants import (
 from linkchi.ncalg import NCSeries
 from linkchi.seifert import (
     BlockStructure,
-    balanced_patterns,
     direct_sum,
-    i_half,
+    half_ones,
     random_seifert_rng,
     seifert_matrix,
 )
@@ -374,8 +373,8 @@ def test_chi_independent_of_half_pattern():
     for A in random_batch(79, 4, max_genus=2):
         st = A.structure
         base = chi(f, A, 4)
-        for pattern in balanced_patterns(st):
-            assert tr_series(f, A, 4) - trace_at(f, st, i_half(st, pattern), 4) == base
+        for H in half_ones(st):
+            assert tr_series(f, A, 4) - trace_at(f, st, H, 4) == base
 
 
 def test_chi_invariant_under_moves_small():
@@ -507,13 +506,13 @@ def half_trace_series(degree):
 )
 def test_closed_form_half_trace_matches_dense_route(genera, degree, samples):
     st = BlockStructure(tuple(2 * g for g in genera))
-    patterns = list(balanced_patterns(st))
+    matrices = list(half_ones(st))
     if samples is not None:
-        patterns = random.Random(5).sample(patterns, samples)
+        matrices = random.Random(5).sample(matrices, samples)
     for f in half_trace_series(degree):
         closed = i_half_trace(f, st, degree)
-        for p in patterns:
-            assert closed == trace_at(f, st, i_half(st, p), degree), p
+        for H in matrices:
+            assert closed == trace_at(f, st, H, degree), H
 
 
 def test_trace_at_rejects_a_matrix_of_the_wrong_size():

@@ -1,4 +1,3 @@
-import doctest
 import itertools
 import random
 from fractions import Fraction
@@ -7,7 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import bar_variable, hat_by_ring_products, shift_variables
-from linkchi import ncalg
 from linkchi.commalg import CommSeries
 from linkchi.genfun import BiSeries
 from linkchi.ncalg import (
@@ -31,11 +29,6 @@ def S(n, trunc, terms):
 
 def var(n, trunc, i):
     return NCSeries.variable(n, trunc, i)
-
-
-def test_module_doctests():
-    failures, _ = doctest.testmod(ncalg)
-    assert failures == 0
 
 
 # -- ring operations --------------------------------------------------------

@@ -1,4 +1,5 @@
 import copy
+import math
 import pickle
 import random
 from fractions import Fraction
@@ -23,9 +24,8 @@ from linkchi.seifert import (
     _invert_unimodular_block,
     SeifertMatrix,
     apply_random_moves,
-    balanced_patterns,
     direct_sum,
-    i_half,
+    half_ones,
     intersection_form,
     int_det,
     move_s1,
@@ -260,37 +260,33 @@ def test_z_satisfies_duality_identity():
         )
 
 
-def test_i_half_default_patterns():
-    assert i_half(BlockStructure((2,))) == ((0, 0), (0, 1))
-    expected = tuple(
-        tuple(b if r == c else 0 for c in range(6))
-        for r, b in enumerate((0, 1, 0, 0, 1, 1))
-    )
-    assert i_half(BlockStructure((2, 4))) == expected
-
-
 def test_i_half_trace_counts_genera():
     st = BlockStructure((2, 4))
     out = invariants.i_half_trace(monomial("xz", 3), st, 3)
     assert out == NCSeries(2, 3, {(1,): 1, (2,): 2})
 
 
-def test_i_half_rejects_unbalanced_pattern():
-    with pytest.raises(ValueError):
-        i_half(BlockStructure((2,)), [1, 1])
-
-
-@pytest.mark.parametrize("pattern", [[0.9, 1.2], [0.0, 1.0], [False, True], [0, True], ["0", 1]])
-def test_i_half_rejects_bits_that_are_not_ints(pattern):
-    # int() would truncate [0.9, 1.2] to the balanced (0, 1)
-    with pytest.raises(ValueError, match="pattern bits must be 0 or 1"):
-        i_half(BlockStructure((2,)), pattern)
-
-
 def test_balanced_pattern_enumeration():
-    patterns = list(balanced_patterns(BlockStructure((2, 4))))
-    assert len(patterns) == 2 * 6
-    assert all(sum(p[0:2]) == 1 and sum(p[2:6]) == 2 for p in patterns)
+    # prod over blocks of C(2 g_i, g_i) distinct diagonal 0/1 matrices, balanced per block
+    for sizes in [(), (0,), (2,), (2, 4), (4, 0, 2), (6, 2)]:
+        structure = BlockStructure(sizes)
+        size = structure.total
+        matrices = list(half_ones(structure))
+        assert len(set(matrices)) == len(matrices) == math.prod(math.comb(s, s // 2) for s in sizes)
+        for H in matrices:
+            assert len(H) == size and all(len(row) == size for row in H)
+            assert all(H[r][c] == 0 for r in range(size) for c in range(size) if r != c)
+            diag = [H[r][r] for r in range(size)]
+            assert set(diag) <= {0, 1}
+            for i in range(1, structure.n + 1):
+                assert 2 * sum(diag[r] for r in structure.block_range(i)) == sizes[i - 1]
+
+
+def test_half_ones_order():
+    # block by block in combinations order, the last block varying fastest
+    assert list(half_ones(BlockStructure((2,)))) == [((1, 0), (0, 0)), ((0, 0), (0, 1))]
+    diagonals = [tuple(H[r][r] for r in range(4)) for H in half_ones(BlockStructure((2, 2)))]
+    assert diagonals == [(1, 0, 1, 0), (1, 0, 0, 1), (0, 1, 1, 0), (0, 1, 0, 1)]
 
 
 # -- moves ---------------------------------------------------------------------------
