@@ -9,13 +9,14 @@ Z = A (A - A')^-1, and H is the half-ones diagonal normalizer.  The value
 is a truncated noncommutative series in x_1..x_n with exact rational
 coefficients.
 
-``trace_at`` (behind ``tr_series`` and ``chi``) computes tr f(X, Z) in
+``trace_at`` (behind ``tr_series``) and ``chi`` compute tr f(X, Z) in
 integers from one table of half products.  Every route reads a word
 x^j1 z^e1 x^j2 ... x^jk z^ek x^j(k+1) through ``genfun.word_runs``.  Its
 trace is sum_v T(v) x_v1^j1 ... x_vk^jk x_v1^j(k+1) over block tuples v,
 with T(v) = tr(P_v1 Z^e1 ... P_vk Z^ek) for the block projections P_i.
-Each T(v) is one dot product of the products of the first ceil(k/2)
-letters P_j Z^e and of the rest.  A word that starts and ends with z sums
+One dot product of the first ceil(k/2) letters P_j Z^e with the rest,
+packed over all second halves, gives T(v) for each, and T(v) is added at
+the integer index of its key.  A word that starts and ends with z sums
 position 0 over every block, which merges its first and last z-runs; z^e
 is the one letter P_j Z^e summed over j.  ``tr_monomial``, the oracle of
 the table, evaluates the same sum one block index tuple (i1..ik) at a
@@ -26,10 +27,11 @@ from __future__ import annotations
 
 import math
 import sys
+from collections import defaultdict
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from itertools import chain, repeat
-from operator import add, itemgetter, mul
+from itertools import accumulate, chain, compress, product, repeat
+from operator import add, mul
 
 from . import commalg, genfun, seifert
 from .commalg import CommSeries
@@ -51,33 +53,51 @@ Word = tuple[int, ...]
 # the diagonal of L_u.
 
 
-def _times(rows, M, cols: range) -> list[list[int]]:
+def _times(rows, M, cols: range) -> list[Sequence[int]]:
     """rows * M, for rows that are zero outside the columns ``cols``."""
     out = []
     for row in rows:
-        acc = [0] * len(M)
+        acc = None
         for c in cols:
             a = row[c]
             if a:
-                acc = [s + a * b for s, b in zip(acc, M[c])]
-        out.append(acc)
+                if acc is None:  # products are only read, so they may share M's rows
+                    acc = M[c] if a == 1 else [a * b for b in M[c]]
+                else:
+                    acc = [s + a * b for s, b in zip(acc, M[c])]
+        out.append([0] * len(M) if acc is None else acc)
     return out
+
+
+def _unpack(rows: Sequence[int], count: int, size: int) -> list[int]:
+    """The entries of packed rows of ``count`` signed slots of ``size`` bytes,
+    row after row: adding 2^(8 size - 1) to each slot makes it non-negative,
+    and XOR with the same bias leaves each slot its entry in two's complement.
+    """
+    bias = int.from_bytes((bytes(size - 1) + b"\x80") * count, "little")
+    data = b"".join([((row + bias) ^ bias).to_bytes(count * size, sys.byteorder) for row in rows])
+    if size == 8:
+        return memoryview(data).cast("q").tolist()
+    starts = range(0, len(data), size)
+    return [int.from_bytes(data[i : i + size], sys.byteorder, signed=True) for i in starts]
 
 
 def _pattern_traces(
     structure: BlockStructure, powers: dict[int, Sequence[Sequence[int]]], patterns: Iterable[Word]
-) -> dict[Word, tuple[list[Word], list[int]]]:
-    """{pattern: (the block tuples v with T(v) != 0, their T(v))} for these power patterns.
+) -> dict[Word, tuple[list[Word], list[Word], list[int]]]:
+    """{pattern: (lefts, rights, traces)}, T(u w) = traces[i * len(rights) + j]
+    for u = lefts[i] and w = rights[j], and T(v) = 0 for every other v.
 
-    ``powers`` maps e to Z^e, and v runs over tuples of nonempty blocks.
-    The half products of all patterns form one trie: {half: {u: the block-u1
-    rows of P_u1 Z^e1 ... P_ut Z^et}}, each half extending its one-shorter
-    prefix by one letter.  A product whose rows are all zero is dropped, as
-    every extension of it is zero too.
+    ``powers`` maps e to Z^e.  The half products form one trie {half: {u:
+    the block-u1 rows of P_u1 Z^e1 ... P_ut Z^et}}, a half extending its
+    one-shorter prefix by a letter; an all-zero product and its extensions
+    are dropped.  Entry (r, c) of the R_w of a right half is packed over w
+    into one integer, so one dot product with L_u gives T(u w) for every w,
+    each in a slot for |T(v)| <= m ||Z||^(e1 + ... + ek), ||Z|| the largest
+    absolute row sum (Kronecker substitution, as in ``torsion_polynomial``).
     """
-    n = structure.n
+    n, m = structure.n, structure.total
     ranges = {j: structure.block_range(j) for j in range(1, n + 1) if structure.sizes[j - 1]}
-    spans = {j: slice(rs.start, rs.stop) for j, rs in ranges.items()}
     splits = {pattern: (len(pattern) + 1) // 2 for pattern in patterns}
     # the empty half stands for the identity: P_j Z^e extends it to the rows B(j) of Z^e
     halves: dict[Word, dict[Word, list]] = {(): {(): None}}
@@ -91,77 +111,92 @@ def _pattern_traces(
                         if any(map(any, rows_j)):
                             products[u + (j,)] = rows_j
                 halves[half[:t]] = products
-    table = {}
+    packs, table, size = {}, {}, 0  # packs: {right half: {a: the rows B(a) of its packed R_w}}
     for pattern, h in splits.items():
-        words, traces = table[pattern] = [], []
+        lefts, half, rights = halves[pattern[:h]], pattern[h:], halves[pattern[h:]]
         if h == len(pattern):  # k = 1: the diagonal of P_u1 Z^e1
-            for u, rows in halves[pattern].items():
-                trace = sum(row[r] for r, row in zip(ranges[u[0]], rows))
-                if trace:
-                    words.append(u)
-                    traces.append(trace)
+            diag = [sum(row[r] for r, row in zip(ranges[u[0]], rows)) for u, rows in lefts.items()]
+            table[pattern] = (list(lefts), [()], diag)
             continue
-        # L_u[r][c] and R_w[c][r] for r in B(a), c in B(b), flattened r-major
-        lefts = [
-            (u, {b: [x for row in rows for x in row[s]] for b, s in spans.items()})
-            for u, rows in halves[pattern[:h]].items()
-        ]
-        rights = []
-        for w, rows in halves[pattern[h:]].items():
-            columns = list(zip(*rows))
-            flat = {a: [x for col in columns[s] for x in col] for a, s in spans.items()}
-            rights.append((w, flat))
-        for u, left in lefts:
-            for w, right in rights:
-                trace = sum(map(mul, left[w[0]], right[u[0]]))
-                if trace:
-                    words.append(u + w)
-                    traces.append(trace)
+        if not size:  # bits(that bound) + 2, in whole bytes and at least 8
+            norm = max([sum(map(abs, row)) for row in powers[1]], default=0)
+            size = max(8, ((m * norm ** max(map(sum, splits))).bit_length() + 9) // 8)
+        if half not in packs:
+            cr = [0] * (m * m)  # entry (c, r), c-major
+            for j, (w, rows) in enumerate(rights.items()):
+                lo, hi, shift = ranges[w[0]].start * m, ranges[w[0]].stop * m, 1 << 8 * size * j
+                cr[lo:hi] = map(add, cr[lo:hi], map(mul, chain(*rows), repeat(shift)))
+            packed = list(chain.from_iterable(zip(*zip(*[iter(cr)] * m))))
+            packs[half] = {a: packed[rows.start * m : rows.stop * m] for a, rows in ranges.items()}
+        dots = [sum(map(mul, chain(*rows), packs[half][u[0]])) for u, rows in lefts.items()]
+        table[pattern] = (list(lefts), list(rights), _unpack(dots, len(rights), size))
     return table
 
 
 def _trace_by_halves(terms: dict[str, int], structure: BlockStructure, M) -> dict[Word, int]:
-    """Sum of coeff * tr(word(X, M)) over integer-coefficient words."""
-    out: dict[Word, int] = {}
+    """Sum of coeff * tr(word(X, M)) over integer-coefficient words.
+
+    A key of length L has the index sum_p (key[p] - 1) n^(L-1-p), so a word
+    that reads v[t] at the positions p of x-run t sends u w to A(u) + B(w),
+    with (v[t] - 1) weighted by the sum of those n^(L-1-p).  A length sums
+    into a list of all n^L keys when these are at most four times the
+    (word, u, w) that reach it, else into a dict; a tuple key is built once
+    per nonzero word, walking ``product`` along a list or decoding an index.
+    """
+    n = structure.n
+    pows = list(accumulate(repeat(n, max(map(len, terms), default=0)), mul, initial=1))
+    plain: dict[Word, int] = {}
     by_pattern: dict[Word, list] = {}
     for word, coeff in terms.items():
         runs, zruns = word_runs(word)
         if not zruns:  # tr X^j = sum_i size_i x_i^j
             for i, size in enumerate(structure.sizes, 1):
-                out[(i,) * runs[0]] = out.get((i,) * runs[0], 0) + coeff * size
+                plain[(i,) * runs[0]] = plain.get((i,) * runs[0], 0) + coeff * size
             continue
-        # a word that starts and ends with z reads no block at position 0:
-        # its sum over that block merges the first and last z-runs
-        template = [t for t, run in enumerate(runs[:-1]) for _ in range(run)] + [0] * runs[-1]
-        by_pattern.setdefault(tuple(zruns), []).append((template, coeff))
+        L = top = sum(runs)
+        weights = []
+        for run in runs[:-1]:
+            weights.append(sum(pows[top - run : top]))
+            top -= run
+        weights[0] += sum(pows[:top])  # v[0] also at the last x-run: first and last z-runs merge
+        h = (len(zruns) + 1) // 2
+        by_pattern.setdefault(tuple(zruns), []).append((weights[:h], weights[h:], L, coeff))
     powers = {1: M}
     for e in range(2, max(map(max, by_pattern), default=1) + 1):
         powers[e] = seifert.mat_mul(powers[e - 1], M)
-    # a template that reads every block of v gives each v its own key, so the
-    # first template of a key length can set its keys where a later one adds
-    written = set(map(len, out))  # key lengths that already hold keys
-    for pattern, (words_k, traces) in _pattern_traces(structure, powers, by_pattern).items():
-        for template, coeff in by_pattern[pattern]:
-            if template == list(range(len(pattern))):
-                keys = words_k
-            elif len(template) > 1:
-                keys = map(itemgetter(*template), words_k)
-            else:  # at most one x
-                keys = [tuple(u[t] for t in template) for u in words_k]
-            if len(template) not in written and len(set(template)) == len(pattern):
-                out.update(zip(keys, map(mul, repeat(coeff), traces)))
-            else:
-                for key, trace in zip(keys, traces):
-                    out[key] = out.get(key, 0) + coeff * trace
-            written.add(len(template))
+    tables = _pattern_traces(structure, powers, by_pattern)
+    counts: dict[int, int] = {}  # how many (word, u, w) reach each key length
+    for pattern, (lefts, rights, _) in tables.items():
+        for _, _, L, _ in by_pattern[pattern]:
+            counts[L] = counts.get(L, 0) + len(lefts) * len(rights)
+    stores = {L: [0] * n**L if n**L <= 4 * c else defaultdict(int) for L, c in counts.items()}
+    for pattern, (lefts, rights, traces) in tables.items():
+        for wl, wr, L, coeff in by_pattern[pattern]:
+            acc, base, it = stores[L], sum(pows[:L]), iter(traces)
+            offsets = [sum(map(mul, w, wr)) for w in rights]
+            for u in lefts:
+                a = sum(map(mul, u, wl)) - base
+                for b, t in zip(offsets, it):
+                    if t:
+                        acc[a + b] += coeff * t
+    out: dict[Word, int] = {}
+    for L, acc in stores.items():
+        if isinstance(acc, list):
+            out.update(zip(compress(product(range(1, n + 1), repeat=L), acc), filter(None, acc)))
+        else:
+            places = pows[:L][::-1]
+            out.update((tuple([i // p % n + 1 for p in places]), v) for i, v in acc.items() if v)
+    for key, value in plain.items():
+        out[key] = out.get(key, 0) + value
     return out
 
 
-def _require_complete(f: BiSeries, degree: int) -> None:
+def _complete_to(f: BiSeries, degree: int) -> BiSeries:
     if f.xtrunc < degree:
         raise ValueError(
             "series only complete to x-degree %d, need %d" % (f.xtrunc, degree)
         )
+    return f.truncated(degree)
 
 
 def trace_at(
@@ -174,11 +209,10 @@ def trace_at(
 
     X is the block-scalar matrix of ``structure``; M stands in for z.
     """
-    _require_complete(f, degree)
+    f = _complete_to(f, degree)
     m = structure.total
     if len(M) != m or any(len(row) != m for row in M):
         raise ValueError("M must be a square matrix of size %d" % m)
-    f = f.truncated(degree)  # words of higher x-degree cannot contribute
     raw = _trace_by_halves(f.num, structure, M)
     # every emitted word has letters 1..n and length <= degree
     return NCSeries.zero(structure.n, degree)._same(raw, f.den, degree)
@@ -189,36 +223,45 @@ def tr_series(f: BiSeries, A: SeifertMatrix, degree: int) -> NCSeries:
     return trace_at(f, A.structure, seifert.z_matrix(A), degree)
 
 
-def i_half_trace(f: BiSeries, structure: BlockStructure, degree: int) -> NCSeries:
-    """tr f(X, H), the same for every H of ``seifert.half_ones(structure)``.
+def _half_terms(f: BiSeries, structure: BlockStructure) -> dict[Word, int]:
+    """tr f(X, H) over ``f.den``, the same for every H of ``seifert.half_ones``.
 
     X and H are diagonal, and every balanced H gives block i exactly g_i
     rows with h = 0 and g_i rows with h = 1.  So tr f(X, H) =
     sum_i g_i (f(x_i, 0) + f(x_i, 1)), read off f without H; an odd
     block, which has no H, raises ``ValueError`` from ``half_ones``.
     """
-    _require_complete(f, degree)
     seifert.half_ones(structure)  # checks the blocks; builds no H
-    f = f.truncated(degree)
     # by x-degree: f(x, 1) keeps every word, f(x, 0) the words without z
     by_degree: dict[int, int] = {}
     for w, v in f.num.items():
         d = genfun.xdegree(w)
         by_degree[d] = by_degree.get(d, 0) + (v if "z" in w else 2 * v)
-    terms: dict[Word, int] = {}
+    terms: dict[Word, int] = {}  # x_i^0 is the empty word for every i
     for i in range(1, structure.n + 1):
         for d, v in by_degree.items():
             terms[(i,) * d] = terms.get((i,) * d, 0) + structure.genus(i) * v
-    return NCSeries.zero(structure.n, degree)._same(terms, f.den, degree)
+    return terms
+
+
+def i_half_trace(f: BiSeries, structure: BlockStructure, degree: int) -> NCSeries:
+    """tr f(X, H), the same for every H of ``seifert.half_ones(structure)``."""
+    f = _complete_to(f, degree)
+    return NCSeries.zero(structure.n, degree)._same(_half_terms(f, structure), f.den, degree)
 
 
 def chi(f: BiSeries, A: SeifertMatrix, degree: int) -> NCSeries:
     """The invariant tr f(X, Z) - tr f(X, H).
 
     The same for every balanced half-ones H, and unchanged under the two
-    Seifert moves.
+    Seifert moves.  Both traces are numerators over ``f.den``, subtracted
+    before the one series is built.
     """
-    return tr_series(f, A, degree) - i_half_trace(f, A.structure, degree)
+    z, f = seifert.z_matrix(A), _complete_to(f, degree)
+    raw = _trace_by_halves(f.num, A.structure, z)
+    for key, value in _half_terms(f, A.structure).items():
+        raw[key] = raw.get(key, 0) - value
+    return NCSeries.zero(A.n, degree)._same(raw, f.den, degree)
 
 
 def chi_delta(A: SeifertMatrix, degree: int) -> NCSeries:
@@ -335,11 +378,8 @@ def torsion_polynomial(A: SeifertMatrix, degree: int) -> CommSeries:
     every partial sum of a row, is at most ||Z||^|e| in absolute value,
     ||Z|| the largest absolute row sum of Z; a width of bits(||Z||^h) + 2,
     in whole bytes and at least 8, keeps the slots from carrying into each
-    other.  Every row is decoded once, all into one flat list: adding
-    2^(width-1) to each slot makes it non-negative, and XOR with the same
-    bias leaves each slot its entry in two's complement, read by
-    ``memoryview.cast("q")`` at 8 bytes and ``int.from_bytes`` per slot
-    when wider.
+    other.  Every row is decoded once, all into one flat list, by
+    ``_unpack``.
 
     M_e is the sum of P_w1 Z ... P_wk Z over the words w of content e.  The
     recurrence runs only to |e| <= h = ceil(degree/2): each longer word
@@ -365,7 +405,6 @@ def torsion_polynomial(A: SeifertMatrix, degree: int) -> CommSeries:
     norm = max([sum(map(abs, row)) for row in z], default=0)
     size = max(8, ((norm**h).bit_length() + 9) // 8)
     shifts = [1 << 8 * size * c for c in range(m)]
-    bias = sum(shifts) << (8 * size - 1)
 
     def pick(seq, s, width):
         """The entries at the rows R(s) of the blocks i in the bit set s, of a
@@ -403,21 +442,7 @@ def torsion_polynomial(A: SeifertMatrix, degree: int) -> CommSeries:
                     out[r] = sum(map(mul, zs[r], src))
         levels.append(nxt)
     # decode every row of every level at once, M_e after M_e
-    data = b"".join(
-        [
-            ((row + bias) ^ bias).to_bytes(m * size, sys.byteorder)
-            for level in levels
-            for _, mat in level.values()
-            for row in mat
-        ]
-    )
-    if size == 8:
-        entries = memoryview(data).cast("q").tolist()
-    else:
-        entries = [
-            int.from_bytes(data[i : i + size], sys.byteorder, signed=True)
-            for i in range(0, len(data), size)
-        ]
+    entries = _unpack([r for level in levels for _, mat in level.values() for r in mat], m, size)
     flats = []
     traces: dict[commalg.Expo, int] = {}
     at = 0

@@ -8,6 +8,7 @@ check fails.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -335,11 +336,10 @@ def suite_edge_cases(seed: int, degree: int) -> SuiteResult:
         st = A.structure
         delta = genfun.delta_series(degree)
         closed = invariants.i_half_trace(delta, st, degree)
-        ok = all(
-            invariants.trace_at(delta, st, H, degree) == closed
-            for H in seifert.half_ones(st)
-        )
-        res.record(ok, "half-pattern independence case %d" % case)
+        # one match for each of the prod_i C(2 g_i, g_i) choices of H
+        same = [invariants.trace_at(delta, st, H, degree) == closed for H in seifert.half_ones(st)]
+        count = math.prod(math.comb(2 * g, g) for g in map(st.genus, range(1, st.n + 1)))
+        res.record(len(same) == count and all(same), "half-pattern independence case %d" % case)
         word = random_bi_word(rng, degree)
         f = genfun.monomial(word, degree)
         lhs = invariants.chi(f, seifert.reflect(A), degree)

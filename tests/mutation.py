@@ -53,26 +53,28 @@ MUTANTS = [
      "(2 * trace if k == h and b else trace)", "(2 * trace if k == h else trace)"),
     ("torsion-no-level-1-traces", "invariants.py",
      "traces[e] = sum(flat[:: m + 1])", "traces[e] = sum(flat[:: m + 1]) * (len(flats) > 1)"),
-    ("torsion-unsigned-wide-decode", "invariants.py",
-     "sys.byteorder, signed=True)", "sys.byteorder, signed=False)"),
     ("torsion-width-one-degree-short", "invariants.py",
      "((norm**h).bit_length() + 9)", "((norm ** (h - 1)).bit_length() + 9)"),
     ("torsion-pick-first-block", "invariants.py",
      "                out += seq[rows.start * width : rows.stop * width]",
      "                return seq[rows.start * width : rows.stop * width]"),
-    # word traces from half products
+    # the decode of packed rows, which torsion and word traces share
+    ("torsion-unsigned-wide-decode", "invariants.py",
+     "sys.byteorder, signed=True)", "sys.byteorder, signed=False)"),
+    # word traces from packed half products
     ("trace-prune-on-first-row", "invariants.py",
      "if any(map(any, rows_j)):", "if any(rows_j[0]):"),
-    ("trace-right-half-not-transposed", "invariants.py",
-     "flat = {a: [x for col in columns[s] for x in col] for a, s in spans.items()}",
-     "flat = {a: [x for row in rows for x in row[s]] for a, s in spans.items()}"),
     ("trace-no-diagonal-branch", "invariants.py",
      "if h == len(pattern):  # k = 1", "if False:  # k = 1"),
-    ("trace-written-not-seeded", "invariants.py",
-     "written = set(map(len, out))", "written = set()"),
-    ("trace-no-injectivity-test", "invariants.py",
-     "if len(template) not in written and len(set(template)) == len(pattern):",
-     "if len(template) not in written:"),
+    ("trace-slot-one-byte-short", "invariants.py",
+     "((m * norm ** max(map(sum, splits))).bit_length() + 9) // 8)",
+     "((m * norm ** max(map(sum, splits))).bit_length() + 9) // 8 - 1)"),
+    # template sums by word index
+    ("trace-left-offset-dropped", "invariants.py",
+     "acc[a + b] += coeff * t", "acc[b] += coeff * t"),
+    ("trace-dense-sparse-swapped", "invariants.py",
+     "[0] * n**L if n**L <= 4 * c else defaultdict(int)",
+     "defaultdict(int) if n**L <= 4 * c else [0] * n**L"),
     # the Seifert-matrix path
     ("validate-compares-own-columns", "seifert.py",
      "if any(e[r][bj] != t[r][bj] for r", "if any(e[r][bi] != t[r][bi] for r"),

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -260,17 +261,51 @@ def test_half_product_table_holds_every_nonzero_trace():
     table = invariants._pattern_traces(A.structure, powers, [pattern for _, pattern in cases])
     assert set(table) == {pattern for _, pattern in cases}
     for word, pattern in cases:
-        # T(u) is the coefficient of u's blocks in the word's trace
-        k = len(pattern)
+        k, h = len(pattern), (len(pattern) + 1) // 2
+        lefts, rights, traces = table[pattern]
+        assert {len(u) for u in lefts} == {h} and {len(w) for w in rights} == {k - h}
+        assert len(traces) == len(lefts) * len(rights)
+        # T(u w) is traces[i * len(rights) + j], zero or not
+        table_traces = {u + w: t for (u, w), t in zip(itertools.product(lefts, rights), traces)}
+        assert len(table_traces) == len(traces)
+        # T(v) is the coefficient of v's blocks in the word's trace, and a
+        # v outside the table has a zero half product
         formula = tr_monomial(word, A, k)
-        traces = dict(zip(*table[pattern]))
-        assert len(traces) == len(table[pattern][0])
-        nonzero = set()
-        for u in itertools.product([1, 3, 4], repeat=k):
-            assert formula.coefficient(u) == traces.get(u, 0)
-            if formula.coefficient(u):
-                nonzero.add(u)
-        assert set(traces) == nonzero
+        for v in itertools.product([1, 3, 4], repeat=k):
+            assert formula.coefficient(v) == table_traces.get(v, 0)
+
+
+NEAR_10_TO_THE_12 = {
+    "random-22": lambda: random_seifert_rng(random.Random(271), [2, 2], 10**12),
+    # Z = [[1, -N], [-N, 0]]: tr Z^6 is about 2 N^6, the bound m ||Z||^6 itself
+    "at-the-bound": lambda: seifert_matrix([2], [[10**12, 1], [0, -(10**12)]]),
+}
+
+
+@pytest.mark.parametrize("name", list(NEAR_10_TO_THE_12))
+def test_trace_matches_formula_with_entries_near_10_to_the_12(name):
+    # traces beyond 2^64: the table decodes slots wider than 8 bytes
+    A = NEAR_10_TO_THE_12[name]()
+    for f in (delta_series(6), multi_run_series(random.Random(271), 6)):
+        out = tr_series(f, A, 6)
+        assert out == monomial_trace_sum(f, A, 6)
+        assert max(map(abs, out.terms.values())) > 2**64
+
+
+def test_sparse_key_length_at_eleven_components():
+    # n = 11 at key length 6: the word reaches at most 11^3 of the 11^6 > 10^6
+    # keys, and summing it stores no slot for the others
+    A = random_seifert_rng(random.Random(277), [1] * 11, 2)
+    word = "xxzxxzxxz"
+    tracemalloc.start()
+    try:
+        out = tr_series(monomial(word, 6), A, 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out == tr_monomial(word, A, 6)
+    assert 11**2 < len(out.terms) <= 11**3
+    assert peak < 4 * 2**20  # a slot for each of the 11^6 keys takes over 14 MB
 
 
 BLOCK_DIAGONAL_SERIES = {
@@ -278,6 +313,14 @@ BLOCK_DIAGONAL_SERIES = {
     "phi": phi_series,
     "multi-run": lambda d: multi_run_series(random.Random(263), d),
 }
+
+
+@pytest.mark.parametrize("name", list(BLOCK_DIAGONAL_SERIES))
+def test_trace_matches_formula_with_a_genus_0_block_at_degree_7(name):
+    # block 2 has no rows, so no half product starts or ends in it
+    A = random_seifert_rng(random.Random(281), [1, 0, 2, 1], 2)
+    f = BLOCK_DIAGONAL_SERIES[name](7)
+    assert tr_series(f, A, 7) == monomial_trace_sum(f, A, 7)
 
 
 @pytest.mark.parametrize("name", list(BLOCK_DIAGONAL_SERIES))
