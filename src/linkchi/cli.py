@@ -54,7 +54,15 @@ def _one_line(message: str) -> str:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Reports a usage error as one stderr line, ``prog: error: message``, exit 2."""
+    """Reports a usage error as one stderr line, ``prog: error: message``, exit 2.
+
+    Help is wrapped at 78 columns, argparse's width off a terminal, so it
+    does not depend on the terminal it is printed to.
+    """
+
+    def __init__(self, **kwargs):
+        super().__init__(formatter_class=functools.partial(argparse.HelpFormatter, width=78),
+                         **kwargs)
 
     def error(self, message):
         self.exit(2, "%s: error: %s\n" % (self.prog, _one_line(message)))

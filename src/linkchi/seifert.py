@@ -6,15 +6,18 @@ of each other for i != j, and each diagonal block B satisfies
 det(B - B') = 1.  The second axiom forces every block size to be even
 (an odd skew-symmetric matrix is singular).
 
-Derived data: the intersection form S = A - A' (block diagonal, det 1, so
-its inverse is integral), the transition matrix Z = A S^-1, and the
-half-ones diagonals H of ``half_ones`` that normalize the traces.  The two
-matrix moves generating S-equivalence are block congruence (s1) and the
-bordered two-row stabilization (s2).
+A matrix and its block structure are named tuples.  Derived data: the
+violated axioms and the transition matrix Z = A S^-1, each cached by value,
+with S = A - A' the intersection form (block diagonal, det 1, so its
+inverse is integral; one fraction-free elimination gives the determinants
+and the inverses), and the half-ones diagonals H of ``half_ones`` that
+normalize the traces.  The two matrix moves generating S-equivalence are
+block congruence (s1) and the bordered two-row stabilization (s2).
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import json
@@ -47,29 +50,40 @@ def _int_matrix(rows, size: int) -> IntMatrix:
     return out
 
 
-def int_det(rows: Sequence[Sequence[int]]) -> int:
-    """Exact determinant of an integer matrix (Bareiss elimination)."""
-    size = len(rows)
-    if size == 0:
-        return 1
-    work = [list(row) for row in rows]
-    sign = 1
+def _bareiss(work: list[list[int]], jordan: bool) -> int:
+    """Fraction-free (Bareiss) elimination of ``work`` in place; det of its square part.
+
+    Column c's pivot clears column c from the rows below it, or with
+    ``jordan`` from every other row, updating only the columns right of c
+    (no later step reads the others); each division by the previous pivot
+    is exact.  A row swap negates one of the two rows, so the determinant
+    never changes sign and the last pivot is it; a column without a pivot
+    returns 0.  After a ``jordan`` pass the columns right of the square part
+    hold d times the inverse of the square part, d the last pivot.
+    """
+    size = len(work)
     prev = 1
-    for c in range(size - 1):
-        if work[c][c] == 0:
-            for r in range(c + 1, size):
-                if work[r][c]:
-                    work[c], work[r] = work[r], work[c]
-                    sign = -sign
-                    break
-            else:
+    for c in range(size):
+        if not work[c][c]:
+            swap = next((r for r in range(c + 1, size) if work[r][c]), None)
+            if swap is None:
                 return 0
-        for r in range(c + 1, size):
-            for k in range(c + 1, size):
-                work[r][k] = (work[r][k] * work[c][c] - work[r][c] * work[c][k]) // prev
-            work[r][c] = 0
-        prev = work[c][c]
-    return sign * work[size - 1][size - 1]
+            work[c], work[swap] = work[swap], [-v for v in work[c]]
+        top = work[c]
+        pivot = top[c]
+        for r in range(0 if jordan else c + 1, size):
+            if r != c:
+                row = work[r]
+                f = row[c]
+                for k in range(c + 1, len(top)):
+                    row[k] = (row[k] * pivot - f * top[k]) // prev
+        prev = pivot
+    return prev
+
+
+def int_det(rows: Sequence[Sequence[int]]) -> int:
+    """Exact determinant of an integer matrix."""
+    return _bareiss([list(row) for row in rows], False)
 
 
 def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> IntMatrix:
@@ -81,52 +95,16 @@ def mat_transpose(a: Sequence[Sequence[int]]) -> IntMatrix:
     return tuple(zip(*a)) if a else ()
 
 
-class _Frozen:
-    """An immutable value: equal, hashed and shown by the fields ``_fields``.
-
-    Assigning or deleting an attribute raises ``AttributeError``; a
-    constructor sets its slots with ``object.__setattr__``.
-    """
-
-    __slots__ = ()
-    _fields: tuple[str, ...] = ()
-
-    def _values(self) -> tuple:
-        return tuple([getattr(self, name) for name in self._fields])
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self) -> int:
-        return hash(self._values())
-
-    def __repr__(self) -> str:
-        fields = ", ".join("%s=%r" % (name, getattr(self, name)) for name in self._fields)
-        return "%s(%s)" % (type(self).__name__, fields)
-
-    def __reduce__(self):
-        return type(self), self._values()
-
-    def __setattr__(self, name, value):
-        raise AttributeError("cannot assign to field %r" % name)
-
-    def __delattr__(self, name):
-        raise AttributeError("cannot delete field %r" % name)
-
-
-class BlockStructure(_Frozen):
+class BlockStructure(collections.namedtuple("BlockStructure", "sizes")):
     """Component count and per-component block sizes."""
 
-    __slots__ = ("sizes",)
-    _fields = __slots__
+    __slots__ = ()
 
-    def __init__(self, sizes: Iterable[int]):
+    def __new__(cls, sizes: Iterable[int]):
         sizes = tuple(sizes)
         if not all(isinstance(s, int) and not isinstance(s, bool) and s >= 0 for s in sizes):
             raise ValueError("block sizes must be non-negative integers")
-        object.__setattr__(self, "sizes", sizes)
+        return super().__new__(cls, sizes)
 
     @property
     def n(self) -> int:
@@ -148,20 +126,18 @@ class BlockStructure(_Frozen):
         return self.sizes[i - 1] // 2
 
 
-class SeifertMatrix(_Frozen):
+class SeifertMatrix(collections.namedtuple("SeifertMatrix", "structure entries")):
     """An integer matrix with a block partition; axioms checked by validate.
 
-    ``validate`` keeps the list of violated axioms in the ``_problems``
-    slot, so a matrix is checked once however often it is validated.
+    The entries are checked for shape and type on construction, the axioms
+    only by ``validate``, whose result is cached by value as ``z_matrix``'s
+    is.  ``_make`` and ``_replace`` skip the entry check.
     """
 
-    __slots__ = ("structure", "entries", "_problems")
-    _fields = ("structure", "entries")
+    __slots__ = ()
 
-    def __init__(self, structure: BlockStructure, entries):
-        object.__setattr__(self, "structure", structure)
-        object.__setattr__(self, "entries", _int_matrix(entries, structure.total))
-        object.__setattr__(self, "_problems", None)
+    def __new__(cls, structure: BlockStructure, entries):
+        return super().__new__(cls, structure, _int_matrix(entries, structure.total))
 
     @property
     def n(self) -> int:
@@ -181,9 +157,7 @@ def seifert_matrix(block_sizes: Iterable[int], entries) -> SeifertMatrix:
 
 def validate(A: SeifertMatrix) -> list[str]:
     """Return the list of violated Seifert axioms (empty means valid)."""
-    if A._problems is None:
-        object.__setattr__(A, "_problems", tuple(_violated_axioms(A)))
-    return list(A._problems)
+    return list(_violated_axioms(A))
 
 
 def _block_slices(structure: BlockStructure) -> list[slice]:
@@ -196,7 +170,8 @@ def _skew_block(e: IntMatrix, t: Sequence[Sequence[int]], b: slice) -> list[list
     return [list(map(sub, e[r][b], t[r][b])) for r in range(b.start, b.stop)]
 
 
-def _violated_axioms(A: SeifertMatrix) -> list[str]:
+@functools.lru_cache(maxsize=256)
+def _violated_axioms(A: SeifertMatrix) -> tuple[str, ...]:
     st = A.structure
     e = A.entries
     t = list(zip(*e))
@@ -221,7 +196,7 @@ def _violated_axioms(A: SeifertMatrix) -> list[str]:
                 problems.append(
                     "blocks (%d,%d) and (%d,%d) are not transposes" % (i, j, j, i)
                 )
-    return problems
+    return tuple(problems)
 
 
 def require_valid(A: SeifertMatrix) -> None:
@@ -242,25 +217,13 @@ def intersection_form(A: SeifertMatrix) -> IntMatrix:
 def _invert_unimodular_block(rows: Sequence[Sequence[int]]) -> list[list[int]]:
     """Inverse of an integer matrix with determinant +-1 (exact, integral).
 
-    Fraction-free Gauss-Jordan (Bareiss) on [A | I]: each step's division
-    by the previous pivot is exact, and the last pivot d = +-det A leaves
-    [d I | d A^-1], so A^-1 is integral exactly when d is a unit.
+    ``_bareiss`` in its Gauss-Jordan form on [A | I] leaves d A^-1 on the
+    right, d = det A; A^-1 is integral exactly when d is a unit, and then
+    it is d times the right part.
     """
     size = len(rows)
     work = [list(row) + [int(r == c) for c in range(size)] for r, row in enumerate(rows)]
-    prev = d = 1
-    for c in range(size):
-        if not work[c][c]:
-            swap = next((r for r in range(c + 1, size) if work[r][c]), None)
-            if swap is None:
-                raise ValueError("block is singular")
-            work[c], work[swap] = work[swap], work[c]
-        d, pivot_row = work[c][c], work[c]
-        for r in range(size):
-            if r != c:
-                f = work[r][c]
-                work[r] = [(d * a - f * b) // prev for a, b in zip(work[r], pivot_row)]
-        prev = d
+    d = _bareiss(work, True)
     if d not in (1, -1):
         raise ValueError("block inverse is not integral")
     return [[v * d for v in row[size:]] for row in work]

@@ -291,10 +291,17 @@ def suite_duality(seed: int, degree: int) -> SuiteResult:
 def suite_abelianization(seed: int, degree: int) -> SuiteResult:
     res = SuiteResult("abelianization")
     rng = _suite_rng(seed, res.name)
+    # torsion's last stage pairs two equal halves only at an even degree:
+    # case 0 also checks two linked genus-1 components at one
+    linked = seifert.seifert_matrix(
+        [2, 2], [[-1, 1, 1, 0], [0, -1, 0, 0], [1, 0, 1, -1], [0, 0, 0, 1]])
     for case, A in enumerate(random_matrices(rng, 6, max_genus=1, bound=2)):
-        lhs = ncalg.abelianize(invariants.chi_delta(A, degree))
-        rhs = commalg.log_unit(invariants.torsion_polynomial(A, degree))
-        res.record(lhs == rhs, "abelianized chi_delta = log torsion case %d" % case)
+        runs = [(A, degree)] + [(linked, degree + degree % 2)] * (case == 0)
+        res.record(
+            all(ncalg.abelianize(invariants.chi_delta(B, d))
+                == commalg.log_unit(invariants.torsion_polynomial(B, d)) for B, d in runs),
+            "abelianized chi_delta = log torsion case %d" % case,
+        )
     return res
 
 

@@ -6,12 +6,13 @@ so they can serve as independent oracles for single-variable values.  The
 ``*_by_fractions`` helpers are the product, power-series, matrix-product
 and exp loops with one ``Fraction`` product and sum per pair of terms: the
 references for the package's integer loops.  ``invert_by_fractions`` is
-Gauss-Jordan elimination in ``Fraction``s, the reference for the
-fraction-free ``seifert._invert_unimodular_block``.  The constructors at
-the end (a seeded random matrix, the presentation matrix, ``G(xz)``
-series, the letter images of bar and variable shifts) build test inputs
-and expected values; no command runs them, so they live here, not in
-``linkchi``.
+Gauss-Jordan elimination in ``Fraction``s, the reference for
+``seifert._invert_unimodular_block``, the Gauss-Jordan form of the one
+fraction-free elimination ``seifert._bareiss`` that ``seifert.int_det``
+runs too.  The constructors at the end (a seeded random matrix, the
+presentation matrix, ``G(xz)`` series, the letter images of bar and
+variable shifts) build test inputs and expected values; no command runs
+them, so they live here, not in ``linkchi``.
 """
 
 import math

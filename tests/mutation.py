@@ -81,6 +81,12 @@ MUTANTS = [
     ("z-block-inverse-not-transposed", "seifert.py",
      "(b, list(zip(*_invert_unimodular_block(_skew_block(e, t, b)))))",
      "(b, _invert_unimodular_block(_skew_block(e, t, b)))"),
+    # the one elimination, for determinants and block inverses
+    ("bareiss-jordan-clears-below-only", "seifert.py",
+     "for r in range(0 if jordan else c + 1, size):", "for r in range(c + 1, size):"),
+    ("bareiss-swap-keeps-sign", "seifert.py",
+     "work[c], work[swap] = work[swap], [-v for v in work[c]]",
+     "work[c], work[swap] = work[swap], work[c]"),
     # the check-only oracles: one elimination, one builder of H
     ("lu-update-adds", "commalg.py",
      "[a - factor * b for a, b in zip(up[r][c + 1:]", "[a + factor * b for a, b in zip(up[r][c + 1:]"),

@@ -557,7 +557,8 @@ import sys
 sys.path.insert(0, sys.argv[1])
 import linkchi.cli
 linkchi.cli.build_parser()
-print(sorted({"dataclasses", "inspect", "random", "typing", "linkchi.selfcheck"} & set(sys.modules)))
+print(sorted({"dataclasses", "inspect", "random", "shutil", "typing", "linkchi.selfcheck"}
+             & set(sys.modules)))
 suites = linkchi.selfcheck
 print(suites is sys.modules["linkchi.selfcheck"])
 suites.SUITES = (lambda seed, degree: suites.SuiteResult("probe", 7),)
@@ -593,3 +594,17 @@ def test_selfcheck_in_a_fresh_interpreter_prints_what_it_prints_in_process(capsy
         capture_output=True, text=True, cwd=tmp_path, env=env, timeout=60,
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == run(capsys, argv)
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["chi", "--help"], ["selfcheck", "--help"]])
+def test_help_does_not_depend_on_the_terminal_width(tmp_path, argv):
+    outputs = set()
+    for columns in ("40", "200"):
+        env = dict(os.environ, PYTHONPATH=SRC, COLUMNS=columns)
+        proc = subprocess.run(
+            [sys.executable, "-m", "linkchi.cli"] + argv,
+            capture_output=True, text=True, cwd=tmp_path, env=env, timeout=60,
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        outputs.add(proc.stdout)
+    assert len(outputs) == 1
