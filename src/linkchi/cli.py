@@ -183,13 +183,11 @@ def cmd_selfcheck(args) -> int:
     from . import selfcheck  # the other commands do not load the suites
 
     results = selfcheck.run_selfcheck(args.seed, args.degree)
-    all_ok = True
     for res in results:
-        status = "ok" if res.passed else "FAIL"
-        print("%-20s %3d checks  %s" % (res.name, res.checks, status))
+        print("%-20s %3d checks  %s" % (res.name, res.checks, "FAIL" if res.failures else "ok"))
         for failure in res.failures:
             print("  failed: %s" % failure)
-        all_ok = all_ok and res.passed
+    all_ok = not any(r.failures for r in results)
     total = sum(r.checks for r in results)
     print("%d suites, %d checks, %s" % (len(results), total, "all passed" if all_ok else "FAILURES"))
     return 0 if all_ok else 1

@@ -28,7 +28,7 @@ from collections import Counter
 from fractions import Fraction
 from itertools import groupby, product
 
-from . import commalg, genfun
+from . import commalg
 from .series import Series, format_coeff
 
 Word = tuple[int, ...]
@@ -135,7 +135,7 @@ def substitute(f: NCSeries, images: list[NCSeries]) -> NCSeries:
 
 
 def _check_word_series(f: Series, name: str) -> None:
-    if not isinstance(f, (NCSeries, genfun.BiSeries)):
+    if getattr(f, "_join", None) is not operator.add:  # a word series: products concatenate
         raise TypeError("%s acts on NCSeries and BiSeries, not %s" % (name, type(f).__name__))
 
 

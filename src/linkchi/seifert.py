@@ -373,7 +373,7 @@ def random_block_unimodular(rng: random.Random, structure: BlockStructure) -> In
     return tuple(map(tuple, P))
 
 
-def random_move_rng(rng: random.Random, A: SeifertMatrix, bound: int = 2) -> SeifertMatrix:
+def random_move_rng(rng: random.Random, A: SeifertMatrix) -> SeifertMatrix:
     """One random s1 or s2 move; identity on component-free matrices."""
     if A.n == 0:
         return A
@@ -381,7 +381,7 @@ def random_move_rng(rng: random.Random, A: SeifertMatrix, bound: int = 2) -> Sei
         return move_s1(A, random_block_unimodular(rng, A.structure))
     component = rng.randint(1, A.n)
     variant = rng.choice("ab")
-    rho = [rng.randint(-bound, bound) for _ in range(A.size)]
+    rho = [rng.randint(-2, 2) for _ in range(A.size)]
     return move_s2(A, component, variant, rho)
 
 

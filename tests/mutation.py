@@ -93,6 +93,13 @@ MUTANTS = [
     ("half-ones-one-choice-short", "seifert.py",
      "itertools.combinations(range(b.start, b.stop), (b.stop - b.start) // 2)",
      "list(itertools.combinations(range(b.start, b.stop), (b.stop - b.start) // 2))[1:]"),
+    # the selfcheck runner: names, seeds and failures
+    ("runner-failures-are-the-passes", "selfcheck.py",
+     "for ok, message in checks if not ok]", "for ok, message in checks if ok]"),
+    ("runner-name-keeps-underscores", "selfcheck.py",
+     '.removeprefix("suite_").replace("_", "-")', '.removeprefix("suite_")'),
+    ("runner-seed-without-name", "selfcheck.py",
+     'random.Random("%d:%s" % (seed, name))', 'random.Random("%d:" % seed)'),
     # output order
     ("to-lines-sparse-not-length-sorted", "ncalg.py", "        sparse.sort(key=len)\n", ""),
     # words over x and z

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -8,7 +9,7 @@ import pytest
 
 from helpers import reflection_example, sorted_terms, stabilized_unknot, trefoil
 import linkchi
-from linkchi import cli, invariants, seifert
+from linkchi import cli, invariants, seifert, selfcheck
 from linkchi.cli import main
 from linkchi.genfun import BiSeries
 from linkchi.ncalg import NCSeries, format_word
@@ -145,6 +146,14 @@ def test_boolean_structure_fields_exit_2(capsys, tmp_path, doc):
     code, _, err = run(capsys, ["validate", str(path)])
     assert code == 2
     assert "must be" in err
+
+
+def test_component_count_other_than_the_block_count_exits_2(capsys, tmp_path):
+    path = tmp_path / "count.json"
+    path.write_text(json.dumps({"components": 2, "block_sizes": [2], "entries": [[-1, 1], [0, -1]]}))
+    code, out, err = run(capsys, ["validate", str(path)])
+    assert (code, out) == (2, "")
+    assert err == "%s: components=2 but block_sizes has 1 entries\n" % path
 
 
 @pytest.mark.parametrize(
@@ -518,6 +527,26 @@ def test_selfcheck_green(capsys):
     assert len(suite_lines) >= 8
 
 
+SELFCHECK_DEGREE_5 = """\
+nc-ring-axioms        75 checks  ok
+nc-involutions       135 checks  ok
+special-inverse       25 checks  ok
+comm-matrix-lemmas    24 checks  ok
+seifert-core          60 checks  ok
+s-equivalence         15 checks  ok
+duality               24 checks  ok
+abelianization         6 checks  ok
+oracle-agreement      24 checks  ok
+edge-cases            15 checks  ok
+10 suites, 403 checks, all passed
+"""
+
+
+@pytest.mark.parametrize("seed", ["0", "15"])  # a light seed and a heavy one
+def test_selfcheck_golden_stdout(capsys, seed):
+    assert run(capsys, ["selfcheck", "--seed", seed, "--degree", "5"]) == (0, SELFCHECK_DEGREE_5, "")
+
+
 def test_selfcheck_detects_injected_fault(capsys, monkeypatch):
     real = invariants.tr_monomial
 
@@ -532,17 +561,23 @@ def test_selfcheck_detects_injected_fault(capsys, monkeypatch):
     assert "FAIL" in out
 
 
-def test_suite_result_counts_checks_and_failures():
-    res = SuiteResult("probe")
-    assert (res.checks, res.failures, res.passed) == (0, [], True)
-    res.record(True, "first")
-    res.record(False, "second")
-    res.record(False, "third")
-    assert (res.checks, res.failures, res.passed) == (3, ["second", "third"], False)
-    assert res == SuiteResult("probe", 3, ["second", "third"])
-    assert res != SuiteResult("probe", 3, ["second"])
-    assert repr(res) == "SuiteResult(name='probe', checks=3, failures=['second', 'third'])"
-    assert SuiteResult("a").failures is not SuiteResult("b").failures
+def test_suite_result_counts_checks_and_failures(monkeypatch):
+    # the runner names each suite after its function and seeds it with "<seed>:<name>"
+    draws = []
+
+    def suite_probe_one(rng, degree):
+        draws.append(rng.random())
+        return [(True, "first"), (False, "second"), (True, "third"), (False, "fourth")]
+
+    def suite_probe_two(rng, degree):
+        return [(degree == 3, "degree")]
+
+    monkeypatch.setattr(selfcheck, "SUITES", (suite_probe_one, suite_probe_two))
+    assert selfcheck.run_selfcheck(4, 3) == [
+        SuiteResult("probe-one", 4, ["second", "fourth"]),
+        SuiteResult("probe-two", 1, []),
+    ]
+    assert draws == [random.Random("4:probe-one").random()]
 
 
 # -- start-up -----------------------------------------------------------------
@@ -561,7 +596,9 @@ print(sorted({"dataclasses", "inspect", "random", "shutil", "typing", "linkchi.s
              & set(sys.modules)))
 suites = linkchi.selfcheck
 print(suites is sys.modules["linkchi.selfcheck"])
-suites.SUITES = (lambda seed, degree: suites.SuiteResult("probe", 7),)
+def suite_probe(rng, degree):
+    return [(True, "probe")] * 7
+suites.SUITES = (suite_probe,)
 print(linkchi.cli.main(["selfcheck"]))
 try:
     linkchi.nosuch

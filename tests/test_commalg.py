@@ -187,6 +187,10 @@ def test_trlog_diagonal_is_scalar_log():
     assert [out.coefficient((d,)) for d in range(5)] == expected
 
 
+def test_trlog_of_the_empty_matrix_is_zero():
+    assert trlog(CommMatrix([])) == CommSeries.zero(0, 0)
+
+
 def test_trlog_matches_log_of_determinant():
     one, x = one_var(4)
     zero = CommSeries.zero(1, 4)

@@ -123,6 +123,12 @@ def test_formula_pure_z_gives_trace_constant():
     assert out == NCSeries(1, 3, {(): -1})
 
 
+def test_formula_of_a_word_beyond_the_degree_is_zero():
+    out = tr_monomial("xzxxx", trefoil(), 3)
+    assert out == NCSeries.zero(1, 3) == tr_series(monomial("xzxxx", 3), trefoil(), 3)
+    assert out.trunc == 3
+
+
 def monomial_trace_sum(f, A, degree):
     """sum_w c_w tr_monomial(w): the block-trace route, one word at a time."""
     total = NCSeries.zero(A.n, degree)

@@ -156,6 +156,12 @@ def test_substitute_bar_twice_is_identity():
     assert twice == f
 
 
+def test_substitute_drops_a_word_whose_image_passes_the_truncation():
+    # x1.x1.x1 -> x1^6 is zero after its second letter; x1 -> x1.x1 stays
+    f = S(1, 3, {(1, 1, 1): 1, (1,): 2})
+    assert substitute(f, [var(1, 3, 1) * var(1, 3, 1)]) == S(1, 3, {(1, 1): 2})
+
+
 def test_substitute_rejects_constant_image():
     with pytest.raises(ValueError):
         substitute(var(1, 3, 1), [NCSeries.one(1, 3)])

@@ -16,7 +16,7 @@ from helpers import (
     sorted_terms,
 )
 from linkchi import genfun
-from linkchi.commalg import CommSeries
+from linkchi.commalg import CommMatrix, CommSeries
 from linkchi.genfun import BiSeries
 from linkchi.ncalg import CyclicSeries, NCSeries
 
@@ -232,6 +232,32 @@ def test_scalars_and_coefficients_are_int_or_fraction(bad):
         with pytest.raises(TypeError):
             call()
     assert (x * True).terms == (x * Fraction(3, 3)).terms == {(1,): 1}
+
+
+@pytest.mark.parametrize("s, text", [
+    (NCSeries(2, 3), "0"),
+    (NCSeries(2, 3, {(1, 2): Fraction(1, 2), (): -1}), "-1 * 1 + 1/2 * x1.x2"),
+    (CyclicSeries(2, 3, {(2, 1): 3}), "3 * x1.x2"),
+    (CommSeries(2, 2, {(1, 0): 3, (0, 0): 1}), "1 * 1 + 3 * x1^1"),
+    (BiSeries(2), "0"),
+    (BiSeries(2, {"xz": 1}), "1 * x.z"),
+], ids=["nc-zero", "nc", "cyclic", "comm", "bi-zero", "bi"])
+def test_str_joins_the_lines_and_repr_names_the_shape(s, text):
+    assert str(s) == text
+    shape = "xtrunc=%d" % s.trunc if isinstance(s, BiSeries) else "n=%d, trunc=%d" % (s.n, s.trunc)
+    assert repr(s) == "%s(%s, <%s>)" % (type(s).__name__, shape, text)
+
+
+@pytest.mark.parametrize("a, b", [
+    (NCSeries(1, 2), NCSeries(2, 2)),
+    (NCSeries.one(1, 2), CyclicSeries(1, 2, {(): 1})),
+    (NCSeries(1, 2), 0),
+    (CommMatrix([]), 0),
+    (CommMatrix.identity(1, 1, 2), CommSeries.one(1, 2)),
+], ids=["nc-other-n", "nc-cyclic", "nc-int", "matrix-int", "matrix-series"])
+def test_values_of_another_type_or_variable_count_are_unequal(a, b):
+    assert a != b and b != a
+    assert a.__eq__(b) is (NotImplemented if type(a) is not type(b) else False)
 
 
 def test_constructor_sums_mixed_denominators_to_lowest_terms():

@@ -5,10 +5,12 @@ referenced from outside its own body by some module of the package, or
 named in ``linkchi.__all__`` or by the ``linkchi`` console entry point.
 Helpers that only tests call belong in ``tests/helpers.py``.  Names are
 matched as read names and attribute names, so a method counts as called
-when any module reads an attribute of its name.
+when any module reads an attribute of its name.  The modules' module-level
+imports of each other form no cycle.
 """
 
 import ast
+import graphlib
 import pathlib
 import re
 from collections import Counter
@@ -90,3 +92,19 @@ def test_every_method_has_a_caller():
 def test_traced_exemptions_are_still_needed():
     text = (ROOT / "perfbench" / "spans.py").read_text(encoding="utf-8")
     assert all('"%s"' % name in text for name in TRACED_BY_NAME)
+
+
+def _module_imports(path) -> set:
+    """The package modules that ``path`` imports at module level, by
+    ``from . import x`` or ``from .x import y``."""
+    out = set()
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            out |= {node.module} if node.module else {alias.name for alias in node.names}
+    return out
+
+
+def test_module_level_imports_have_no_cycle():
+    graph = {path.stem: _module_imports(path) for path in SRC.glob("*.py")}
+    assert set().union(*graph.values()) <= set(graph)
+    graphlib.TopologicalSorter(graph).prepare()  # CycleError names the cycle
