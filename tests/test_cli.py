@@ -1,3 +1,5 @@
+import functools
+import hashlib
 import json
 import os
 import random
@@ -578,6 +580,32 @@ def test_suite_result_counts_checks_and_failures(monkeypatch):
         SuiteResult("probe-two", 1, []),
     ]
     assert draws == [random.Random("4:probe-one").random()]
+
+
+# sha256 of repr() of the (ok, message) lists the ten suites return, in order;
+# the messages name the drawn words and matrices, which stdout does not show
+SELFCHECK_DRAWS_DEGREE_5 = {
+    0: "6413384702b673b5c27e225ac5e3dbe5ced07df2d42be65c600472453a1ee30e",
+    15: "99e3ea8d3dbfacf849d8c66746215b843d8385a9ac3eff696d450372a586ab37",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(SELFCHECK_DRAWS_DEGREE_5))
+def test_selfcheck_suites_draw_the_same_cases(monkeypatch, seed):
+    recorded = []
+
+    def recording(suite):
+        @functools.wraps(suite)  # the runner names a suite by its __name__
+        def wrapper(rng, degree):
+            checks = suite(rng, degree)
+            recorded.append(checks)
+            return checks
+        return wrapper
+
+    monkeypatch.setattr(selfcheck, "SUITES", tuple(map(recording, selfcheck.SUITES)))
+    selfcheck.run_selfcheck(seed, 5)
+    assert len(recorded) == 10
+    assert hashlib.sha256(repr(recorded).encode()).hexdigest() == SELFCHECK_DRAWS_DEGREE_5[seed]
 
 
 # -- start-up -----------------------------------------------------------------
