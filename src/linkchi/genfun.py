@@ -6,12 +6,12 @@ together with a declared bound ``xtrunc`` on the x-degree.  Admissibility
 (finitely many terms of each x-degree) is enforced structurally: a series
 is always a finite object and the caller asserts per-degree completeness
 up to ``xtrunc``.  ``word_runs`` is the one reader of a word's x- and
-z-runs; every route that needs them calls it.
+z-runs for the trace routes; the transforms rewrite runs in ``ncalg``.
 
 Built-ins: ``delta_series`` is log(xz + 1) and ``phi_series`` is
-(xz + 1)^-1 x.  Transforms: z -> 1 - z is computed here in integers;
-word reversal (tilde), the substitution x -> -x(1+x)^-1 (hat) and their
-composite (bar) are ``ncalg``'s involutions, which act on these series too.
+(xz + 1)^-1 x.  Transforms: word reversal (tilde), the substitution
+x -> -x(1+x)^-1 (hat), their composite (bar) and z -> 1 - z all run in
+``ncalg``: the first three are its involutions, the last its run rewrite.
 """
 
 from __future__ import annotations
@@ -129,24 +129,15 @@ def builtin_series(name: str, xtrunc: int) -> BiSeries:
 def transform(f: BiSeries, kind: str) -> BiSeries:
     """Apply tilde, hat or bar (by ``ncalg.involution``) or z_to_one_minus_z to a series.
 
-    z -> 1 - z sends each z-run z^e to sum_i (-1)^i C(e, i) z^i, in integers;
-    the inner x-runs are nonempty, so the choices in one word give distinct words.
+    z -> 1 - z is ``ncalg.rewrite_runs`` with z^e -> sum_i (-1)^i C(e, i) z^i, x fixed.
 
     >>> print(transform(monomial("zxzz", 1), "z_to_one_minus_z"))
     1 * x + -2 * x.z + -1 * z.x + 1 * x.z.z + 2 * z.x.z + -1 * z.x.z.z
     """
     if kind != "z_to_one_minus_z":
         return ncalg.involution(f, kind)
-    out: dict[BiWord, int] = {}
-    for word, v in f.num.items():
-        xruns, zruns = word_runs(word)
-        part = {"x" * xruns[0]: v}
-        for e, j in zip(zruns, xruns[1:]):
-            images = [("z" * i + "x" * j, (-1) ** i * math.comb(e, i)) for i in range(e + 1)]
-            part = {w + t: c * b for w, c in part.items() for t, b in images}
-        for w, c in part.items():
-            out[w] = out.get(w, 0) + c
-    return f._same(out, f.den, f.trunc)
+    return ncalg.rewrite_runs(f, lambda a, e: [(e, 1)] if a == "x" else [
+        (i, (-1) ** i * math.comb(e, i)) for i in range(e + 1)])
 
 
 def prime_word(word: BiWord) -> TriWord:

@@ -29,11 +29,10 @@ import math
 import sys
 from collections import defaultdict
 from collections.abc import Iterable, Sequence
-from fractions import Fraction
 from itertools import accumulate, chain, compress, product, repeat
 from operator import add, mul
 
-from . import commalg, genfun, seifert
+from . import commalg, genfun, ncalg, seifert
 from .commalg import CommSeries
 from .genfun import BiSeries, word_runs
 from .ncalg import NCSeries
@@ -347,16 +346,11 @@ def half_rank_correction(structure: BlockStructure, degree: int) -> NCSeries:
     This equals tr((I + X H)^-1 X) for every H of ``seifert.half_ones``; the
     direct evaluation is available as ``i_half_trace(phi_series(N), ...)``.
     """
-    terms: dict[Word, Fraction] = {}
+    out = NCSeries.zero(structure.n, degree)
     for i in range(1, structure.n + 1):
-        g = structure.genus(i)
-        if not g:
-            continue
-        # x - xbar = 2x - x^2 + x^3 - x^4 + ...
-        terms[(i,)] = terms.get((i,), Fraction(0)) + 2 * g
-        for d in range(2, degree + 1):
-            terms[(i,) * d] = terms.get((i,) * d, Fraction(0)) + g * (-1) ** (d + 1)
-    return NCSeries(structure.n, degree, terms)
+        x = NCSeries.variable(structure.n, degree, i)
+        out += (x - ncalg.bar(x)).scale(structure.genus(i))
+    return out
 
 
 # -- torsion polynomial ------------------------------------------------------

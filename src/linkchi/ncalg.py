@@ -17,7 +17,7 @@ matter only up to rotation, and the abelianization map into commutative
 series.  The involutions are the only ones in the package: they act on the
 generating series ``genfun.BiSeries`` as well, where ``hat`` substitutes
 only the letter ``x`` (grade 1) and fixes ``z`` (grade 0), and on no other
-series type.
+series type.  ``hat`` is one pass of ``rewrite_runs``, as is ``genfun``'s z -> 1 - z.
 """
 
 from __future__ import annotations
@@ -145,26 +145,19 @@ def tilde(f: Series) -> Series:
     return f._same({w[::-1]: v for w, v in f.num.items()}, f.den, f.trunc)
 
 
-def hat(f: Series) -> Series:
-    """Automorphism substituting x -> -x (1 + x)^-1 for each letter x of grade 1.
+def rewrite_runs(f: Series, images) -> Series:
+    """Replace each maximal run a^r of every word by sum c a^s over the pairs
+    (s, c) of ``images(a, r)``, ascending in s, cut at the truncation.
 
-    Letters of grade 0 (``z`` in a ``genfun.BiSeries``) are fixed; every
-    letter of an ``NCSeries`` has grade 1.  A run x^r maps to
-    (sum_j (-1)^j x^j)^r = sum_{s >= r} (-1)^s C(s-1, r-1) x^s.  Terms are
-    keyed ``(done, rest)``, in integers over one common denominator; each
-    pass replaces the first run of every ``rest`` by its images within the
-    truncation, and words that then share a key merge before the next pass.
-
-    >>> print(hat(NCSeries(2, 3, {(1, 1, 2): 1})))
-    -1 * x1.x1.x2
+    ``images`` is called once per (letter, run length).  Each pass, in
+    integers over one denominator, rewrites the first run of the ``rest`` of
+    every term keyed ``(done, rest)``; terms that then share a key merge.
     """
-    _check_word_series(f, "hat")
     trunc, grade = f.trunc, f._grade
-    weight = [[(-1) ** s * math.comb(s - 1, r - 1) if s >= r > 0 else 0 for s in range(trunc + 1)]
-              for r in range(trunc + 1)]  # weight[r][s]: coefficient of x^s in the image of x^r
+    table: dict = {}  # (letter, run length) -> its images
+    runs: dict = {}  # rest -> (a, grade(a), images of its first run a^r, rest[r:], room)
     pending = {(word[:0], word): v for word, v in f.num.items()}
     out: dict = {}
-    runs: dict = {}  # rest -> its first letter, that run's length, the rest after it, its grade
     while pending:
         after: dict = {}
         for (done, rest), v in pending.items():
@@ -172,18 +165,34 @@ def hat(f: Series) -> Series:
                 out[done] = out.get(done, 0) + v
                 continue
             if rest not in runs:
-                r = sum(1 for _ in next(groupby(rest))[1])
-                runs[rest] = (rest[:1], r, rest[r:], grade(rest[r:]))
-            letter, r, tail, tail_grade = runs[rest]
-            if not grade(letter):
-                key = (done + rest[:r], tail)
-                after[key] = after.get(key, 0) + v
-                continue
-            for s in range(r, trunc - grade(done) - tail_grade + 1):
-                key = (done + letter * s, tail)
-                after[key] = after.get(key, 0) + v * weight[r][s]
+                a, r = rest[:1], sum(1 for _ in next(groupby(rest))[1])
+                if (a, r) not in table:
+                    table[a, r] = images(a, r)
+                runs[rest] = (a, grade(a), table[a, r], rest[r:], trunc - grade(rest[r:]))
+            a, step, pairs, tail, room = runs[rest]
+            room -= grade(done)
+            for s, c in pairs:
+                if step * s > room:
+                    break
+                key = (done + a * s, tail)
+                after[key] = after.get(key, 0) + v * c
         pending = after
     return f._same(out, f.den, trunc)
+
+
+def hat(f: Series) -> Series:
+    """Automorphism substituting x -> -x (1 + x)^-1 for each letter x of grade 1.
+
+    Letters of grade 0 (``z`` in a ``genfun.BiSeries``) are fixed; every
+    letter of an ``NCSeries`` has grade 1.  By ``rewrite_runs``, a run x^r maps
+    to (sum_j (-1)^j x^j)^r = sum_{s >= r} (-1)^s C(s-1, r-1) x^s.
+
+    >>> print(hat(NCSeries(2, 3, {(1, 1, 2): 1})))
+    -1 * x1.x1.x2
+    """
+    _check_word_series(f, "hat")
+    return rewrite_runs(f, lambda a, r: [(r, 1)] if not f._grade(a) else [
+        (s, (-1) ** s * math.comb(s - 1, r - 1)) for s in range(r, f.trunc + 1)])
 
 
 def bar(f: Series) -> Series:

@@ -108,6 +108,14 @@ MUTANTS = [
      "return list(map(len, pieces[::2]))[:-1] + [0], list(map(len, pieces[1::2]))"),
     ("z-to-one-plus-z", "genfun.py", "(-1) ** i * math.comb(e, i)", "math.comb(e, i)"),
     ("z-binomial-dropped", "genfun.py", "(-1) ** i * math.comb(e, i)", "(-1) ** i"),
+    # the one run rewrite behind hat and z -> 1 - z, and x - xbar from bar
+    ("hat-sign-from-r", "ncalg.py",
+     "(-1) ** s * math.comb(s - 1, r - 1)", "(-1) ** r * math.comb(s - 1, r - 1)"),
+    ("hat-binomial-dropped", "ncalg.py", "(-1) ** s * math.comb(s - 1, r - 1)", "(-1) ** s"),
+    ("runs-room-ignores-done", "ncalg.py", "            room -= grade(done)\n", ""),
+    ("runs-images-untabled", "ncalg.py",
+     "(a, grade(a), table[a, r], rest[r:]", "(a, grade(a), images(a, r), rest[r:]"),
+    ("half-rank-plus-bar", "invariants.py", "x - ncalg.bar(x)", "x + ncalg.bar(x)"),
     # the series core's inverse and key checks
     ("inverse-sign", "series.py",
      "return (self._unit() - self).geometric()", "return (self - self._unit()).geometric()"),

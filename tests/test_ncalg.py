@@ -5,9 +5,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import bar_variable, hat_by_ring_products, shift_variables
+from helpers import bar_variable, hat_by_ring_products, random_seifert, shift_variables
+from linkchi import ncalg
 from linkchi.commalg import CommSeries
-from linkchi.genfun import BiSeries
+from linkchi.genfun import BiSeries, transform
+from linkchi.invariants import chi_delta
 from linkchi.ncalg import (
     CyclicSeries,
     NCSeries,
@@ -17,6 +19,7 @@ from linkchi.ncalg import (
     hat,
     involution,
     minimal_rotation,
+    rewrite_runs,
     substitute,
     tilde,
 )
@@ -234,6 +237,27 @@ def test_hat_of_random_bi_series_matches_letter_images(xtrunc):
     for f in [BiSeries(xtrunc)] + [random_bi_series(rng, xtrunc) for _ in range(8)]:
         assert hat(f) == hat_by_ring_products(f)
         assert hat(hat(f)) == f
+
+
+@pytest.mark.parametrize("f, substitution", [
+    (chi_delta(random_seifert(3, [1, 1], 3), 7), hat),
+    (BiSeries(4, {"zzxzzxzz": 1, "xzzxz": 2, "zxzxzzzx": Fraction(-1, 3), "zzxxzz": 5}),
+     lambda f: transform(f, "z_to_one_minus_z")),
+], ids=["hat-chi-delta", "one-minus-z-repeated-z-runs"])
+def test_run_rewrite_computes_images_once_per_letter_and_run_length(monkeypatch, f, substitution):
+    calls = []
+
+    def counting_rewrite(f, images):
+        def counting(a, r):
+            calls.append((a, r))
+            return images(a, r)
+        return rewrite_runs(f, counting)
+
+    expected = substitution(f)
+    monkeypatch.setattr(ncalg, "rewrite_runs", counting_rewrite)
+    assert substitution(f) == expected
+    runs = {(k, len(list(g))) for word in f.num for k, g in itertools.groupby(word)}
+    assert len(calls) == len(set(calls)) == len(runs)
 
 
 # -- cyclic quotient and abelianization --------------------------------------
