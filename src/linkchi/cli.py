@@ -135,14 +135,14 @@ def _require_valid(A: seifert.SeifertMatrix) -> None:
         raise _CliError(1, "matrix is not a Seifert matrix")
 
 
-def _print_series(series, as_json: bool) -> None:
-    if as_json:
-        with unlimited_int_digits():
-            print(json.dumps(series.to_triples()))
-    else:
-        lines = series.to_lines()
-        if lines:
-            sys.stdout.write("\n".join(lines) + "\n")
+def _print_lines(lines: list[str]) -> None:
+    if lines:
+        sys.stdout.write("\n".join(lines) + "\n")
+
+
+def _json(series) -> list[str]:
+    with unlimited_int_digits():
+        return [json.dumps(series.to_triples())]
 
 
 def cmd_validate(args) -> int:
@@ -159,15 +159,16 @@ def cmd_validate(args) -> int:
 def cmd_chi(args) -> int:
     A = _load_matrix(args.file)
     _require_valid(A)
-    f = _parse_f_spec(args.f, args.degree)
-    _print_series(invariants.chi(f, A, args.degree), args.json)
+    f, d = _parse_f_spec(args.f, args.degree), args.degree
+    _print_lines(_json(invariants.chi(f, A, d)) if args.json else invariants.chi_lines(f, A, d))
     return 0
 
 
 def cmd_torsion(args) -> int:
     A = _load_matrix(args.file)
     _require_valid(A)
-    _print_series(invariants.torsion_polynomial(A, args.degree), args.json)
+    series = invariants.torsion_polynomial(A, args.degree)
+    _print_lines(_json(series) if args.json else series.to_lines())
     return 0
 
 

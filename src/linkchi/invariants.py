@@ -16,7 +16,10 @@ trace is sum_v T(v) x_v1^j1 ... x_vk^jk x_v1^j(k+1) over block tuples v,
 with T(v) = tr(P_v1 Z^e1 ... P_vk Z^ek) for the block projections P_i.
 One dot product of the first ceil(k/2) letters P_j Z^e with the rest,
 packed over all second halves, gives T(v) for each, and T(v) is added at
-the integer index of its key.  A word that starts and ends with z sums
+the integer index of its key in a store per key length, as are the pure-x
+words and ``chi``'s half terms.  The stores are all that leaves the trace
+stage; ``chi_lines`` writes text from them by ``ncalg.store_lines``, with
+no word-keyed dict.  A word that starts and ends with z sums
 position 0 over every block, which merges its first and last z-runs; z^e
 is the one letter P_j Z^e summed over j.  ``tr_monomial``, the oracle of
 the table, evaluates the same sum one block index tuple (i1..ik) at a
@@ -132,25 +135,25 @@ def _pattern_traces(
     return table
 
 
-def _trace_by_halves(terms: dict[str, int], structure: BlockStructure, M) -> dict[Word, int]:
-    """Sum of coeff * tr(word(X, M)) over integer-coefficient words.
+def _trace_by_halves(terms: dict[str, int], structure: BlockStructure, M, diagonal=None) -> dict:
+    """{L: the sums at the key indices of length L} of coeff * tr(word(X, M))
+    over integer-coefficient words, plus g_i diagonal[L] at x_i^L.
 
     A key of length L has the index sum_p (key[p] - 1) n^(L-1-p), so a word
     that reads v[t] at the positions p of x-run t sends u w to A(u) + B(w),
-    with (v[t] - 1) weighted by the sum of those n^(L-1-p).  A length sums
-    into a list of all n^L keys when these are at most four times the
-    (word, u, w) that reach it, else into a dict; a tuple key is built once
-    per nonzero word, walking ``product`` along a list or decoding an index.
+    with (v[t] - 1) weighted by the sum of those n^(L-1-p); x_i^L has the
+    index (i - 1)(1 + n + ... + n^(L-1)).  A length sums into a list of all
+    n^L keys when these are at most four times the (word, u, w) and x_i^L
+    that reach it, else into a dict {index: sum}.
     """
-    n = structure.n
+    n, diagonal = structure.n, diagonal or {}
     pows = list(accumulate(repeat(n, max(map(len, terms), default=0)), mul, initial=1))
-    plain: dict[Word, int] = {}
+    plain: dict[int, int] = {}  # {j: the coefficient of X^j}
     by_pattern: dict[Word, list] = {}
     for word, coeff in terms.items():
         runs, zruns = word_runs(word)
-        if not zruns:  # tr X^j = sum_i size_i x_i^j
-            for i, size in enumerate(structure.sizes, 1):
-                plain[(i,) * runs[0]] = plain.get((i,) * runs[0], 0) + coeff * size
+        if not zruns:
+            plain[runs[0]] = plain.get(runs[0], 0) + coeff
             continue
         L = top = sum(runs)
         weights = []
@@ -164,7 +167,7 @@ def _trace_by_halves(terms: dict[str, int], structure: BlockStructure, M) -> dic
     for e in range(2, max(map(max, by_pattern), default=1) + 1):
         powers[e] = seifert.mat_mul(powers[e - 1], M)
     tables = _pattern_traces(structure, powers, by_pattern)
-    counts: dict[int, int] = {}  # how many (word, u, w) reach each key length
+    counts = dict.fromkeys(plain.keys() | diagonal.keys(), n)  # (word, u, w) and x_i^L per length
     for pattern, (lefts, rights, _) in tables.items():
         for _, _, L, _ in by_pattern[pattern]:
             counts[L] = counts.get(L, 0) + len(lefts) * len(rights)
@@ -178,15 +181,22 @@ def _trace_by_halves(terms: dict[str, int], structure: BlockStructure, M) -> dic
                 for b, t in zip(offsets, it):
                     if t:
                         acc[a + b] += coeff * t
+    for L in plain.keys() | diagonal.keys():  # tr X^j = sum_i size_i x_i^j
+        acc, step = stores[L], sum(n**p for p in range(L))
+        for i, size in enumerate(structure.sizes):
+            acc[i * step] += size * plain.get(L, 0) + size // 2 * diagonal.get(L, 0)
+    return stores
+
+
+def _words(stores: dict, n: int) -> dict[Word, int]:
+    """The nonzero values of ``_trace_by_halves`` stores, keyed by word."""
     out: dict[Word, int] = {}
     for L, acc in stores.items():
         if isinstance(acc, list):
             out.update(zip(compress(product(range(1, n + 1), repeat=L), acc), filter(None, acc)))
         else:
-            places = pows[:L][::-1]
+            places = [n**p for p in reversed(range(L))]
             out.update((tuple([i // p % n + 1 for p in places]), v) for i, v in acc.items() if v)
-    for key, value in plain.items():
-        out[key] = out.get(key, 0) + value
     return out
 
 
@@ -198,12 +208,8 @@ def _complete_to(f: BiSeries, degree: int) -> BiSeries:
     return f.truncated(degree)
 
 
-def trace_at(
-    f: BiSeries,
-    structure: BlockStructure,
-    M: Sequence[Sequence[int]],
-    degree: int,
-) -> NCSeries:
+def trace_at(f: BiSeries, structure: BlockStructure, M: Sequence[Sequence[int]],
+             degree: int) -> NCSeries:
     """tr f(X, M) for a square integer matrix M, truncated at ``degree``.
 
     X is the block-scalar matrix of ``structure``; M stands in for z.
@@ -212,9 +218,9 @@ def trace_at(
     m = structure.total
     if len(M) != m or any(len(row) != m for row in M):
         raise ValueError("M must be a square matrix of size %d" % m)
-    raw = _trace_by_halves(f.num, structure, M)
+    stores = _trace_by_halves(f.num, structure, M)
     # every emitted word has letters 1..n and length <= degree
-    return NCSeries.zero(structure.n, degree)._same(raw, f.den, degree)
+    return NCSeries.zero(structure.n, degree)._same(_words(stores, structure.n), f.den, degree)
 
 
 def tr_series(f: BiSeries, A: SeifertMatrix, degree: int) -> NCSeries:
@@ -222,45 +228,50 @@ def tr_series(f: BiSeries, A: SeifertMatrix, degree: int) -> NCSeries:
     return trace_at(f, A.structure, seifert.z_matrix(A), degree)
 
 
-def _half_terms(f: BiSeries, structure: BlockStructure) -> dict[Word, int]:
-    """tr f(X, H) over ``f.den``, the same for every H of ``seifert.half_ones``.
-
-    X and H are diagonal, and every balanced H gives block i exactly g_i
-    rows with h = 0 and g_i rows with h = 1.  So tr f(X, H) =
-    sum_i g_i (f(x_i, 0) + f(x_i, 1)), read off f without H; an odd
-    block, which has no H, raises ``ValueError`` from ``half_ones``.
-    """
+def _half_terms(f: BiSeries, structure: BlockStructure) -> dict[int, int]:
+    """{d: h_d}, tr f(X, H) = sum_i g_i sum_d h_d x_i^d over ``f.den`` for every
+    H of ``seifert.half_ones``.  X and H are diagonal, and every balanced H
+    gives block i exactly g_i rows with h = 0 and g_i rows with h = 1.  So
+    tr f(X, H) = sum_i g_i (f(x_i, 0) + f(x_i, 1)), read off f without H; an
+    odd block, which has no H, raises ``ValueError`` from ``half_ones``."""
     seifert.half_ones(structure)  # checks the blocks; builds no H
     # by x-degree: f(x, 1) keeps every word, f(x, 0) the words without z
     by_degree: dict[int, int] = {}
     for w, v in f.num.items():
         d = genfun.xdegree(w)
         by_degree[d] = by_degree.get(d, 0) + (v if "z" in w else 2 * v)
-    terms: dict[Word, int] = {}  # x_i^0 is the empty word for every i
-    for i in range(1, structure.n + 1):
-        for d, v in by_degree.items():
-            terms[(i,) * d] = terms.get((i,) * d, 0) + structure.genus(i) * v
-    return terms
+    return by_degree
 
 
 def i_half_trace(f: BiSeries, structure: BlockStructure, degree: int) -> NCSeries:
     """tr f(X, H), the same for every H of ``seifert.half_ones(structure)``."""
     f = _complete_to(f, degree)
-    return NCSeries.zero(structure.n, degree)._same(_half_terms(f, structure), f.den, degree)
+    stores = _trace_by_halves({}, structure, None, _half_terms(f, structure))
+    return NCSeries.zero(structure.n, degree)._same(_words(stores, structure.n), f.den, degree)
+
+
+def _chi_stores(f: BiSeries, A: SeifertMatrix, degree: int) -> tuple[dict, int]:
+    """``_trace_by_halves`` stores of tr f(X, Z) - tr f(X, H), over their denominator."""
+    z, f = seifert.z_matrix(A), _complete_to(f, degree)
+    minus_half = {d: -h for d, h in _half_terms(f, A.structure).items()}
+    return _trace_by_halves(f.num, A.structure, z, minus_half), f.den
 
 
 def chi(f: BiSeries, A: SeifertMatrix, degree: int) -> NCSeries:
     """The invariant tr f(X, Z) - tr f(X, H).
 
     The same for every balanced half-ones H, and unchanged under the two
-    Seifert moves.  Both traces are numerators over ``f.den``, subtracted
-    before the one series is built.
+    Seifert moves.  Both traces are summed by word index over ``f.den``.
     """
-    z, f = seifert.z_matrix(A), _complete_to(f, degree)
-    raw = _trace_by_halves(f.num, A.structure, z)
-    for key, value in _half_terms(f, A.structure).items():
-        raw[key] = raw.get(key, 0) - value
-    return NCSeries.zero(A.n, degree)._same(raw, f.den, degree)
+    stores, den = _chi_stores(f, A, degree)
+    return NCSeries.zero(A.n, degree)._same(_words(stores, A.n), den, degree)
+
+
+def chi_lines(f: BiSeries, A: SeifertMatrix, degree: int) -> list[str]:
+    """``chi(f, A, degree).to_lines()`` from the stores; only sparse lengths decode words."""
+    stores, den = _chi_stores(f, A, degree)
+    return ncalg.store_lines(A.n, den, {
+        L: acc if isinstance(acc, list) else _words({L: acc}, A.n) for L, acc in stores.items()})
 
 
 def chi_delta(A: SeifertMatrix, degree: int) -> NCSeries:
@@ -486,7 +497,7 @@ def reconstruct_trace(word: str, A: SeifertMatrix, degree: int) -> NCSeries:
     z = seifert.z_matrix(A)
     runs, _ = word_runs(word)
     reduced = genfun.prime_word(word)
-    raw = _trace_by_halves({reduced.replace("y", "x"): 1}, A.structure, z)
+    raw = _words(_trace_by_halves({reduced.replace("y", "x"): 1}, A.structure, z), A.n)
     xs = [pos for pos, letter in enumerate(reduced.replace("z", "")) if letter == "x"]
     terms: dict[Word, int] = {}
     for w, coeff in raw.items():

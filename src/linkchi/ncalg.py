@@ -24,9 +24,8 @@ from __future__ import annotations
 
 import math
 import operator
-from collections import Counter
 from fractions import Fraction
-from itertools import groupby, product
+from itertools import chain, groupby, product
 
 from . import commalg
 from .series import Series, format_coeff
@@ -79,32 +78,31 @@ class NCSeries(Series):
     to_triples = Series.to_triples
 
     def to_lines(self) -> list[str]:
-        """``Series.to_lines``.  A length L > 0 holding at least a quarter of its
-        n^L words walks them in canonical order, ``product(range(1, n + 1),
-        repeat=L)``, against a table of their texts, each the previous length's
-        text plus one letter; any other length sorts and formats its own words.
-        """
-        num, n = self.num, self.n
-        coeffs = {v: format_coeff(v, self.den) + " * " for v in set(num.values())}
-        counts = sorted(Counter(map(len, num)).items())
-        dense = {length for length, count in counts if length and 4 * count >= n**length}
-        sparse = sorted(w for w in num if len(w) not in dense) if len(dense) < len(counts) else []
-        sparse.sort(key=len)
-        names = ["x%d" % i for i in range(1, n + 1)]
-        dotted = ["." + name for name in names]
-        lines, at, texts = [], 0, {}  # texts: {L: the texts of all words of length L}, one L
-        for length, count in counts:
-            if length not in dense:
-                lines += [coeffs[num[w]] + format_word(w) for w in sparse[at : at + count]]
-                at += count
-                continue
-            if length - 1 in texts:
-                texts = {length: [p + d for p in texts[length - 1] for d in dotted]}
-            else:
-                texts = {length: [".".join(w) for w in product(names, repeat=length)]}
-            words = product(range(1, n + 1), repeat=length)
-            lines += [coeffs[v] + t for t, v in zip(texts[length], map(num.get, words)) if v]
-        return lines
+        """``Series.to_lines`` by ``store_lines``, a list for each length with >= n^L / 4 words."""
+        n, by_length = self.n, {}
+        for w, v in self.num.items():
+            by_length.setdefault(len(w), {})[w] = v
+        return store_lines(n, self.den, {
+            L: list(map(words.get, product(range(1, n + 1), repeat=L))) if 4 * len(words) >= n**L
+            else words for L, words in by_length.items()})
+
+
+def store_lines(n: int, den: int, stores: dict) -> list[str]:
+    """``Series.to_lines`` of numerators over ``den`` by word length L: a list
+    stores[L] over all n^L words in ``product`` order (falsy entries print nothing)
+    walks their texts, each the last one's plus a letter; a dict sorts its words."""
+    values = set(chain(*[s.values() if isinstance(s, dict) else s for s in stores.values()]))
+    coeffs = {v: format_coeff(v, den) + " * " for v in values if v}
+    dotted = [".x%d" % i for i in range(1, n + 1)]
+    lines, texts = [], {}  # texts: {L: the texts of all words of length L}, one L
+    for L, store in sorted(stores.items()):
+        if isinstance(store, dict):
+            lines += [coeffs[store[w]] + format_word(w) for w in sorted(store)]
+            continue
+        texts = {L: [p + d for p in texts[L - 1] for d in dotted] if L > 1 and L - 1 in texts
+                 else list(map(format_word, product(range(1, n + 1), repeat=L)))}
+        lines += [coeffs[v] + t for t, v in zip(texts[L], store) if v]
+    return lines
 
 
 def substitute(f: NCSeries, images: list[NCSeries]) -> NCSeries:
@@ -149,13 +147,13 @@ def rewrite_runs(f: Series, images) -> Series:
     """Replace each maximal run a^r of every word by sum c a^s over the pairs
     (s, c) of ``images(a, r)``, ascending in s, cut at the truncation.
 
-    ``images`` is called once per (letter, run length).  Each pass, in
-    integers over one denominator, rewrites the first run of the ``rest`` of
-    every term keyed ``(done, rest)``; terms that then share a key merge.
-    """
+    ``images`` is called once per (letter, run length).  Each pass, in integers
+    over one denominator, moves the fixed runs (images [(r, 1)]) that start the
+    ``rest`` of every term keyed ``(done, rest)`` to ``done`` and rewrites the
+    next run; terms that then share a key merge."""
     trunc, grade = f.trunc, f._grade
-    table: dict = {}  # (letter, run length) -> its images
-    runs: dict = {}  # rest -> (a, grade(a), images of its first run a^r, rest[r:], room)
+    table: dict = {}  # (a, r) -> None if a^r is fixed, else [(grade(a^s), a^s, c)]
+    runs: dict = {}  # rest -> (fixed runs before a^r, a^r's table entry, rest after a^r, room)
     pending = {(word[:0], word): v for word, v in f.num.items()}
     out: dict = {}
     while pending:
@@ -165,16 +163,26 @@ def rewrite_runs(f: Series, images) -> Series:
                 out[done] = out.get(done, 0) + v
                 continue
             if rest not in runs:
-                a, r = rest[:1], sum(1 for _ in next(groupby(rest))[1])
-                if (a, r) not in table:
-                    table[a, r] = images(a, r)
-                runs[rest] = (a, grade(a), table[a, r], rest[r:], trunc - grade(rest[r:]))
-            a, step, pairs, tail, room = runs[rest]
+                head = 0
+                for _, group in groupby(rest):
+                    a, r = rest[head : head + 1], sum(1 for _ in group)
+                    if (a, r) not in table:
+                        pairs = images(a, r)
+                        table[a, r] = None if pairs == [(r, 1)] else [
+                            (grade(a) * s, a * s, c) for s, c in pairs]
+                    if table[a, r] is not None:
+                        break
+                    head += r
+                tail = rest[head + r :]  # empty if every run is fixed
+                pieces = [(0, tail, 1)] if table[a, r] is None else table[a, r]
+                runs[rest] = (rest[:head], pieces, tail, trunc - grade(tail))
+            fixed, pieces, tail, room = runs[rest]
+            done += fixed
             room -= grade(done)
-            for s, c in pairs:
-                if step * s > room:
+            for g, piece, c in pieces:
+                if g > room:
                     break
-                key = (done + a * s, tail)
+                key = (done + piece, tail)
                 after[key] = after.get(key, 0) + v * c
         pending = after
     return f._same(out, f.den, trunc)

@@ -75,6 +75,11 @@ MUTANTS = [
     ("trace-dense-sparse-swapped", "invariants.py",
      "[0] * n**L if n**L <= 4 * c else defaultdict(int)",
      "defaultdict(int) if n**L <= 4 * c else [0] * n**L"),
+    # pure-x and half terms at x_i^L, and the decode of a dict store
+    ("diagonal-index-base-one", "invariants.py",
+     "acc, step = stores[L], sum(n**p for p in range(L))", "acc, step = stores[L], L"),
+    ("sparse-index-digits-reversed", "invariants.py",
+     "places = [n**p for p in reversed(range(L))]", "places = [n**p for p in range(L)]"),
     # the Seifert-matrix path
     ("validate-compares-own-columns", "seifert.py",
      "if any(e[r][bj] != t[r][bj] for r", "if any(e[r][bi] != t[r][bi] for r"),
@@ -100,8 +105,12 @@ MUTANTS = [
      '.removeprefix("suite_").replace("_", "-")', '.removeprefix("suite_")'),
     ("runner-seed-without-name", "selfcheck.py",
      'random.Random("%d:%s" % (seed, name))', 'random.Random("%d:" % seed)'),
-    # output order
-    ("to-lines-sparse-not-length-sorted", "ncalg.py", "        sparse.sort(key=len)\n", ""),
+    # the one text writer: lengths in order, and the table of a dense length's texts
+    ("to-lines-sparse-not-length-sorted", "ncalg.py",
+     "for L, store in sorted(stores.items()):", "for L, store in stores.items():"),
+    ("store-text-table-shifted", "ncalg.py",
+     "[p + d for p in texts[L - 1] for d in dotted]",
+     "[p + d for p in texts[L - 1] for d in dotted[1:] + dotted[:1]]"),
     # words over x and z
     ("word-runs-last-x-run-zero", "genfun.py",
      "return list(map(len, pieces[::2])), list(map(len, pieces[1::2]))",
@@ -113,8 +122,7 @@ MUTANTS = [
      "(-1) ** s * math.comb(s - 1, r - 1)", "(-1) ** r * math.comb(s - 1, r - 1)"),
     ("hat-binomial-dropped", "ncalg.py", "(-1) ** s * math.comb(s - 1, r - 1)", "(-1) ** s"),
     ("runs-room-ignores-done", "ncalg.py", "            room -= grade(done)\n", ""),
-    ("runs-images-untabled", "ncalg.py",
-     "(a, grade(a), table[a, r], rest[r:]", "(a, grade(a), images(a, r), rest[r:]"),
+    ("runs-images-untabled", "ncalg.py", "if (a, r) not in table:", "if True:"),
     ("half-rank-plus-bar", "invariants.py", "x - ncalg.bar(x)", "x + ncalg.bar(x)"),
     # the series core's inverse and key checks
     ("inverse-sign", "series.py",

@@ -16,7 +16,7 @@ from linkchi.cli import main
 from linkchi.genfun import BiSeries
 from linkchi.ncalg import NCSeries, format_word
 from linkchi.selfcheck import SuiteResult
-from linkchi.series import unlimited_int_digits
+from linkchi.series import Series, unlimited_int_digits
 
 
 @pytest.fixture
@@ -333,6 +333,50 @@ def test_list_coefficients_in_exponent_and_fraction_forms(capsys, tmp_path, tref
     f = BiSeries(3, {"xz": 2000, "xzxz": Fraction(3, 200), "xzxzxz": Fraction(-1, 2)})
     assert code == 0
     assert out == "".join(line + "\n" for line in invariants.chi(f, trefoil(), 3).to_lines())
+
+
+# (id, genera, entry bound, f spec, list file, degree, what the case reaches)
+TEXT_CASES = [
+    ("delta-dense", [1, 1, 1], 2, "delta", None, 8, "dense"),
+    ("phi-dense", [1, 1, 1], 2, "phi", None, 8, "dense"),
+    ("n11-phi-sparse", [1] * 11, 2, "phi", None, 3, "sparse"),
+    ("n11-delta", [1] * 11, 2, "delta", None, 3, ""),
+    # x.z.x.z and z.x.z.x trace alike, so every numerator over f's denominator 2 is even
+    ("list-common-factor", [1, 1, 1], 2, "list:FILE", "1/2 x.z.x.z\n1/2 z.x.z.x\n", 6, "gcd"),
+    ("mono-z", [1, 1, 1], 2, "mono:z", None, 4, ""),
+    ("mono-z.z", [1, 1, 1], 2, "mono:z.z", None, 4, "one"),
+    ("genus-0-block", [1, 0, 2, 1], 2, "phi", None, 6, ""),
+    ("entries-near-1e12", [2, 2], 10**12, "delta", None, 8, ""),
+    # tr(P_i Z) = g_i here, so the half terms cancel the trace at every x_i
+    ("half-terms-cancel", [1, 1, 1], 2, "list:FILE", "1 x.z\n-1/2 x.z.x.z\n", 4, "cancel"),
+]
+
+
+@pytest.mark.parametrize("genera, bound, spec, listing, degree, reaches",
+                         [case[1:] for case in TEXT_CASES], ids=[case[0] for case in TEXT_CASES])
+def test_chi_text_is_the_sorted_text_of_the_series(capsys, tmp_path, genera, bound, spec, listing,
+                                                   degree, reaches):
+    A = seifert.random_seifert_rng(random.Random(1), genera, bound)
+    matrix, path = tmp_path / "m.json", tmp_path / "f.txt"
+    matrix.write_text(seifert.serialize(A))
+    if listing is not None:
+        path.write_text(listing)
+    spec = spec.replace("FILE", str(path))
+    code, out, _ = run(capsys, ["chi", str(matrix), "--f", spec, "--degree", str(degree)])
+    f = cli._parse_f_spec(spec, degree)
+    series = invariants.chi(f, A, degree)
+    assert code == 0
+    assert out == "".join(line + "\n" for line in Series.to_lines(series))
+    stores = invariants._chi_stores(f, A, degree)[0]
+    dense = [isinstance(acc, list) for acc in stores.values()]
+    assert {
+        "": lambda: True,
+        "dense": lambda: all(dense),
+        "sparse": lambda: not all(dense),
+        "gcd": lambda: series.den < f.den,
+        "one": lambda: out.startswith("60 * 1\n"),
+        "cancel": lambda: stores[1] == [0] * A.n and stores[2] != [0] * A.n**2,
+    }[reaches]()
 
 
 @pytest.mark.parametrize("coeff", ["1e4301", "1E-4301", "-2.5e+04301", "0e99999", "1e3000000"])
