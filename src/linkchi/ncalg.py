@@ -170,11 +170,11 @@ def rewrite_runs(f: Series, images) -> Series:
                         pairs = images(a, r)
                         table[a, r] = None if pairs == [(r, 1)] else [
                             (grade(a) * s, a * s, c) for s, c in pairs]
-                    if table[a, r] is not None:
+                    if (pieces := table[a, r]) is not None:
                         break
                     head += r
                 tail = rest[head + r :]  # empty if every run is fixed
-                pieces = [(0, tail, 1)] if table[a, r] is None else table[a, r]
+                pieces = [(0, tail, 1)] if pieces is None else pieces
                 runs[rest] = (rest[:head], pieces, tail, trunc - grade(tail))
             fixed, pieces, tail, room = runs[rest]
             done += fixed
