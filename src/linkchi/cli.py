@@ -136,8 +136,7 @@ def _require_valid(A: seifert.SeifertMatrix) -> None:
 
 
 def _print_lines(lines: list[str]) -> None:
-    if lines:
-        sys.stdout.write("\n".join(lines) + "\n")
+    sys.stdout.write("\n".join(lines + [""]))  # each line ends in a newline; no lines, no text
 
 
 def _json(series) -> list[str]:

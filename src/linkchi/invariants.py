@@ -135,9 +135,9 @@ def _pattern_traces(
     return table
 
 
-def _trace_by_halves(terms: dict[str, int], structure: BlockStructure, M, diagonal=None) -> dict:
+def _trace_by_halves(terms: dict[str, int], structure: BlockStructure, M, half=None) -> dict:
     """{L: the sums at the key indices of length L} of coeff * tr(word(X, M))
-    over integer-coefficient words, plus g_i diagonal[L] at x_i^L.
+    over integer-coefficient words, less g_i half[L] at x_i^L.
 
     A key of length L has the index sum_p (key[p] - 1) n^(L-1-p), so a word
     that reads v[t] at the positions p of x-run t sends u w to A(u) + B(w),
@@ -146,7 +146,7 @@ def _trace_by_halves(terms: dict[str, int], structure: BlockStructure, M, diagon
     n^L keys when these are at most four times the (word, u, w) and x_i^L
     that reach it, else into a dict {index: sum}.
     """
-    n, diagonal = structure.n, diagonal or {}
+    n, half = structure.n, half or {}
     pows = list(accumulate(repeat(n, max(map(len, terms), default=0)), mul, initial=1))
     plain: dict[int, int] = {}  # {j: the coefficient of X^j}
     by_pattern: dict[Word, list] = {}
@@ -167,7 +167,7 @@ def _trace_by_halves(terms: dict[str, int], structure: BlockStructure, M, diagon
     for e in range(2, max(map(max, by_pattern), default=1) + 1):
         powers[e] = seifert.mat_mul(powers[e - 1], M)
     tables = _pattern_traces(structure, powers, by_pattern)
-    counts = dict.fromkeys(plain.keys() | diagonal.keys(), n)  # (word, u, w) and x_i^L per length
+    counts = dict.fromkeys(plain.keys() | half.keys(), n)  # (word, u, w) and x_i^L per length
     for pattern, (lefts, rights, _) in tables.items():
         for _, _, L, _ in by_pattern[pattern]:
             counts[L] = counts.get(L, 0) + len(lefts) * len(rights)
@@ -181,10 +181,10 @@ def _trace_by_halves(terms: dict[str, int], structure: BlockStructure, M, diagon
                 for b, t in zip(offsets, it):
                     if t:
                         acc[a + b] += coeff * t
-    for L in plain.keys() | diagonal.keys():  # tr X^j = sum_i size_i x_i^j
-        acc, step = stores[L], sum(n**p for p in range(L))
+    for L in plain.keys() | half.keys():  # tr X^j = sum_i size_i x_i^j; half[L] <= len of a word
+        acc, step = stores[L], sum(pows[:L])
         for i, size in enumerate(structure.sizes):
-            acc[i * step] += size * plain.get(L, 0) + size // 2 * diagonal.get(L, 0)
+            acc[i * step] += size * plain.get(L, 0) - size // 2 * half.get(L, 0)
     return stores
 
 
@@ -229,11 +229,10 @@ def tr_series(f: BiSeries, A: SeifertMatrix, degree: int) -> NCSeries:
 
 
 def _half_terms(f: BiSeries, structure: BlockStructure) -> dict[int, int]:
-    """{d: h_d}, tr f(X, H) = sum_i g_i sum_d h_d x_i^d over ``f.den`` for every
-    H of ``seifert.half_ones``.  X and H are diagonal, and every balanced H
-    gives block i exactly g_i rows with h = 0 and g_i rows with h = 1.  So
-    tr f(X, H) = sum_i g_i (f(x_i, 0) + f(x_i, 1)), read off f without H; an
-    odd block, which has no H, raises ``ValueError`` from ``half_ones``."""
+    """{d: h_d} with tr f(X, H) = sum_i g_i sum_d h_d x_i^d over ``f.den``: every
+    balanced H of ``seifert.half_ones`` is diagonal with g_i zeros and g_i ones
+    on block i, so tr f(X, H) = sum_i g_i (f(x_i, 0) + f(x_i, 1)), read off f
+    without H.  An odd block, which has no H, raises ``ValueError``."""
     seifert.half_ones(structure)  # checks the blocks; builds no H
     # by x-degree: f(x, 1) keeps every word, f(x, 0) the words without z
     by_degree: dict[int, int] = {}
@@ -246,15 +245,17 @@ def _half_terms(f: BiSeries, structure: BlockStructure) -> dict[int, int]:
 def i_half_trace(f: BiSeries, structure: BlockStructure, degree: int) -> NCSeries:
     """tr f(X, H), the same for every H of ``seifert.half_ones(structure)``."""
     f = _complete_to(f, degree)
-    stores = _trace_by_halves({}, structure, None, _half_terms(f, structure))
-    return NCSeries.zero(structure.n, degree)._same(_words(stores, structure.n), f.den, degree)
+    terms: dict[Word, int] = {}  # x_i^0 is the empty word for every i
+    for d, h in _half_terms(f, structure).items():
+        for i in range(1, structure.n + 1):
+            terms[(i,) * d] = terms.get((i,) * d, 0) + structure.genus(i) * h
+    return NCSeries.zero(structure.n, degree)._same(terms, f.den, degree)
 
 
 def _chi_stores(f: BiSeries, A: SeifertMatrix, degree: int) -> tuple[dict, int]:
     """``_trace_by_halves`` stores of tr f(X, Z) - tr f(X, H), over their denominator."""
     z, f = seifert.z_matrix(A), _complete_to(f, degree)
-    minus_half = {d: -h for d, h in _half_terms(f, A.structure).items()}
-    return _trace_by_halves(f.num, A.structure, z, minus_half), f.den
+    return _trace_by_halves(f.num, A.structure, z, _half_terms(f, A.structure)), f.den
 
 
 def chi(f: BiSeries, A: SeifertMatrix, degree: int) -> NCSeries:

@@ -148,22 +148,19 @@ def rewrite_runs(f: Series, images) -> Series:
     (s, c) of ``images(a, r)``, ascending in s, cut at the truncation.
 
     ``images`` is called once per (letter, run length).  Each pass, in integers
-    over one denominator, moves the fixed runs (images [(r, 1)]) that start the
-    ``rest`` of every term keyed ``(done, rest)`` to ``done`` and rewrites the
-    next run; terms that then share a key merge."""
+    over one denominator, rewrites the first run of the ``rest`` of every term
+    keyed ``(done, rest)`` that is not fixed (images [(r, 1)]), with the fixed
+    runs before it; terms that then share a key merge."""
     trunc, grade = f.trunc, f._grade
     table: dict = {}  # (a, r) -> None if a^r is fixed, else [(grade(a^s), a^s, c)]
-    runs: dict = {}  # rest -> (fixed runs before a^r, a^r's table entry, rest after a^r, room)
+    runs: dict = {}  # rest -> (pieces of its runs up to a^r, rest after a^r, room)
     pending = {(word[:0], word): v for word, v in f.num.items()}
     out: dict = {}
     while pending:
         after: dict = {}
         for (done, rest), v in pending.items():
-            if not rest:
-                out[done] = out.get(done, 0) + v
-                continue
             if rest not in runs:
-                head = 0
+                head, r, pieces = 0, 0, None
                 for _, group in groupby(rest):
                     a, r = rest[head : head + 1], sum(1 for _ in group)
                     if (a, r) not in table:
@@ -175,15 +172,18 @@ def rewrite_runs(f: Series, images) -> Series:
                     head += r
                 tail = rest[head + r :]  # empty if every run is fixed
                 pieces = [(0, tail, 1)] if pieces is None else pieces
-                runs[rest] = (rest[:head], pieces, tail, trunc - grade(tail))
-            fixed, pieces, tail, room = runs[rest]
-            done += fixed
+                if head:  # the fixed runs before a^r go with each of its pieces
+                    fixed = rest[:head]
+                    pieces = [(g + grade(fixed), fixed + p, c) for g, p, c in pieces]
+                runs[rest] = (pieces, tail, trunc - grade(tail))
+            pieces, tail, room = runs[rest]
             room -= grade(done)
+            into = after if tail else out  # a word with no run left to rewrite is done
             for g, piece, c in pieces:
                 if g > room:
                     break
-                key = (done + piece, tail)
-                after[key] = after.get(key, 0) + v * c
+                key = (done + piece, tail) if tail else done + piece
+                into[key] = into.get(key, 0) + v * c
         pending = after
     return f._same(out, f.den, trunc)
 

@@ -77,7 +77,7 @@ MUTANTS = [
      "defaultdict(int) if n**L <= 4 * c else [0] * n**L"),
     # pure-x and half terms at x_i^L, and the decode of a dict store
     ("diagonal-index-base-one", "invariants.py",
-     "acc, step = stores[L], sum(n**p for p in range(L))", "acc, step = stores[L], L"),
+     "acc, step = stores[L], sum(pows[:L])", "acc, step = stores[L], L"),
     ("sparse-index-digits-reversed", "invariants.py",
      "places = [n**p for p in reversed(range(L))]", "places = [n**p for p in range(L)]"),
     # the Seifert-matrix path
