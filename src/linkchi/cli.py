@@ -158,8 +158,9 @@ def cmd_validate(args) -> int:
 def cmd_chi(args) -> int:
     A = _load_matrix(args.file)
     _require_valid(A)
-    f, d = _parse_f_spec(args.f, args.degree), args.degree
-    _print_lines(_json(invariants.chi(f, A, d)) if args.json else invariants.chi_lines(f, A, d))
+    f = _parse_f_spec(args.f, args.degree)
+    _print_lines(_json(invariants.chi(f, A, args.degree)) if args.json
+                 else invariants.chi_lines(f, A, args.degree))
     return 0
 
 

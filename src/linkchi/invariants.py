@@ -184,7 +184,7 @@ def _trace_by_halves(terms: dict[str, int], structure: BlockStructure, M, half=N
     for L in plain.keys() | half.keys():  # tr X^j = sum_i size_i x_i^j; half[L] <= len of a word
         acc, step = stores[L], sum(pows[:L])
         for i, size in enumerate(structure.sizes):
-            acc[i * step] += size * plain.get(L, 0) - size // 2 * half.get(L, 0)
+            acc[i * step] += size * plain.get(L, 0) - structure.genus(i + 1) * half.get(L, 0)
     return stores
 
 
@@ -208,8 +208,12 @@ def _complete_to(f: BiSeries, degree: int) -> BiSeries:
     return f.truncated(degree)
 
 
-def trace_at(f: BiSeries, structure: BlockStructure, M: Sequence[Sequence[int]],
-             degree: int) -> NCSeries:
+def trace_at(
+    f: BiSeries,
+    structure: BlockStructure,
+    M: Sequence[Sequence[int]],
+    degree: int,
+) -> NCSeries:
     """tr f(X, M) for a square integer matrix M, truncated at ``degree``.
 
     X is the block-scalar matrix of ``structure``; M stands in for z.
@@ -229,10 +233,13 @@ def tr_series(f: BiSeries, A: SeifertMatrix, degree: int) -> NCSeries:
 
 
 def _half_terms(f: BiSeries, structure: BlockStructure) -> dict[int, int]:
-    """{d: h_d} with tr f(X, H) = sum_i g_i sum_d h_d x_i^d over ``f.den``: every
-    balanced H of ``seifert.half_ones`` is diagonal with g_i zeros and g_i ones
-    on block i, so tr f(X, H) = sum_i g_i (f(x_i, 0) + f(x_i, 1)), read off f
-    without H.  An odd block, which has no H, raises ``ValueError``."""
+    """{d: h_d} with tr f(X, H) = sum_i g_i sum_d h_d x_i^d over ``f.den``.
+
+    X and H are diagonal, and every balanced H gives block i exactly g_i
+    rows with h = 0 and g_i rows with h = 1.  So tr f(X, H) =
+    sum_i g_i (f(x_i, 0) + f(x_i, 1)), read off f without H; an odd
+    block, which has no H, raises ``ValueError`` from ``half_ones``.
+    """
     seifert.half_ones(structure)  # checks the blocks; builds no H
     # by x-degree: f(x, 1) keeps every word, f(x, 0) the words without z
     by_degree: dict[int, int] = {}
@@ -271,8 +278,8 @@ def chi(f: BiSeries, A: SeifertMatrix, degree: int) -> NCSeries:
 def chi_lines(f: BiSeries, A: SeifertMatrix, degree: int) -> list[str]:
     """``chi(f, A, degree).to_lines()`` from the stores; only sparse lengths decode words."""
     stores, den = _chi_stores(f, A, degree)
-    return ncalg.store_lines(A.n, den, {
-        L: acc if isinstance(acc, list) else _words({L: acc}, A.n) for L, acc in stores.items()})
+    sparse = {L: _words({L: acc}, A.n) for L, acc in stores.items() if isinstance(acc, dict)}
+    return ncalg.store_lines(A.n, den, {**stores, **sparse})
 
 
 def chi_delta(A: SeifertMatrix, degree: int) -> NCSeries:

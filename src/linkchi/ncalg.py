@@ -75,16 +75,7 @@ class NCSeries(Series):
     __init__ = Series.__init__
     __add__, __sub__, __neg__, scale = Series.__add__, Series.__sub__, Series.__neg__, Series.scale
     __mul__, __rmul__, __pow__ = Series.__mul__, Series.__rmul__, Series.__pow__
-    to_triples = Series.to_triples
-
-    def to_lines(self) -> list[str]:
-        """``Series.to_lines`` by ``store_lines``, a list for each length with >= n^L / 4 words."""
-        n, by_length = self.n, {}
-        for w, v in self.num.items():
-            by_length.setdefault(len(w), {})[w] = v
-        return store_lines(n, self.den, {
-            L: list(map(words.get, product(range(1, n + 1), repeat=L))) if 4 * len(words) >= n**L
-            else words for L, words in by_length.items()})
+    to_lines, to_triples = Series.to_lines, Series.to_triples
 
 
 def store_lines(n: int, den: int, stores: dict) -> list[str]:

@@ -454,24 +454,35 @@ def dense_and_sparse_series(draw):
     return NCSeries(n, trunc, terms)
 
 
+def _stores(f):
+    """f's numerators by length: a list over all n^L words in ``product`` order
+    where the length holds at least a quarter of them, else a dict of words."""
+    by_length = {}
+    for w, v in f.num.items():
+        by_length.setdefault(len(w), {})[w] = v
+    return {L: [words.get(w, 0) for w in itertools.product(range(1, f.n + 1), repeat=L)]
+            if 4 * len(words) >= f.n**L else words for L, words in by_length.items()}
+
+
 @settings(max_examples=150, deadline=None)
 @given(dense_and_sparse_series())
 def test_ordered_text_matches_the_sorted_text(f):
-    assert NCSeries.to_lines(f) == Series.to_lines(f)
-    assert NCSeries.to_lines(NCSeries(f.n, f.trunc)) == []
+    assert ncalg.store_lines(f.n, f.den, _stores(f)) == Series.to_lines(f)
+    assert ncalg.store_lines(f.n, 1, {}) == []
 
 
 def test_letters_from_x10_up_print_in_integer_order():
-    # length 1 holds 4 of its 11 words and walks them; length 2, 3 of 121, sorts them
+    # stored, length 1 holds 4 of its 11 words and is a list; length 2, 3 of 121, a dict
     f = S(11, 3, {(10,): 1, (9,): 2, (11,): -1, (1,): 5, (2, 10): Fraction(1, 2),
                   (10, 2): 3, (9, 11): 1, (): 7})
     assert f.to_lines() == [
         "7 * 1", "5 * x1", "2 * x9", "1 * x10", "-1 * x11",
         "1/2 * x2.x10", "1 * x9.x11", "3 * x10.x2",
     ]
+    assert ncalg.store_lines(11, f.den, _stores(f)) == f.to_lines()
     every = S(11, 2, {(i, j): i - j or 1 for i in range(1, 12) for j in range(1, 12)})
     lines = every.to_lines()
     assert lines[:3] == ["1 * x1.x1", "-1 * x1.x2", "-2 * x1.x3"]
     assert lines[9:12] == ["-9 * x1.x10", "-10 * x1.x11", "1 * x2.x1"]
     assert lines[-2:] == ["1 * x11.x10", "1 * x11.x11"]
-    assert lines == Series.to_lines(every)
+    assert lines == Series.to_lines(every) == ncalg.store_lines(11, 1, _stores(every))
