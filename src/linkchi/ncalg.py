@@ -140,16 +140,16 @@ def rewrite_runs(f: Series, images) -> Series:
 
     ``images`` is called once per (letter, run length).  Each pass, in integers
     over one denominator, rewrites the first run of the ``rest`` of every term
-    keyed ``(done, rest)`` that is not fixed (images [(r, 1)]), with the fixed
-    runs before it; terms that then share a key merge."""
+    keyed ``(done, rest, grade(done))`` that is not fixed (images [(r, 1)]),
+    with the fixed runs before it; terms that then share a key merge."""
     trunc, grade = f.trunc, f._grade
     table: dict = {}  # (a, r) -> None if a^r is fixed, else [(grade(a^s), a^s, c)]
     runs: dict = {}  # rest -> (pieces of its runs up to a^r, rest after a^r, room)
-    pending = {(word[:0], word): v for word, v in f.num.items()}
+    pending = {(word[:0], word, 0): v for word, v in f.num.items()}
     out: dict = {}
     while pending:
         after: dict = {}
-        for (done, rest), v in pending.items():
+        for (done, rest, used), v in pending.items():
             if rest not in runs:
                 head, r, pieces = 0, 0, None
                 for _, group in groupby(rest):
@@ -168,12 +168,12 @@ def rewrite_runs(f: Series, images) -> Series:
                     pieces = [(g + grade(fixed), fixed + p, c) for g, p, c in pieces]
                 runs[rest] = (pieces, tail, trunc - grade(tail))
             pieces, tail, room = runs[rest]
-            room -= grade(done)
+            room -= used
             into = after if tail else out  # a word with no run left to rewrite is done
             for g, piece, c in pieces:
                 if g > room:
                     break
-                key = (done + piece, tail) if tail else done + piece
+                key = (done + piece, tail, used + g) if tail else done + piece
                 into[key] = into.get(key, 0) + v * c
         pending = after
     return f._same(out, f.den, trunc)

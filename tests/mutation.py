@@ -121,7 +121,9 @@ MUTANTS = [
     ("hat-sign-from-r", "ncalg.py",
      "(-1) ** s * math.comb(s - 1, r - 1)", "(-1) ** r * math.comb(s - 1, r - 1)"),
     ("hat-binomial-dropped", "ncalg.py", "(-1) ** s * math.comb(s - 1, r - 1)", "(-1) ** s"),
-    ("runs-room-ignores-done", "ncalg.py", "            room -= grade(done)\n", ""),
+    ("runs-room-ignores-done", "ncalg.py", "            room -= used\n", ""),
+    ("runs-done-grade-not-carried", "ncalg.py",
+     "(done + piece, tail, used + g)", "(done + piece, tail, used)"),
     ("runs-images-untabled", "ncalg.py", "if (a, r) not in table:", "if True:"),
     ("half-rank-plus-bar", "invariants.py", "x - ncalg.bar(x)", "x + ncalg.bar(x)"),
     # the series core's inverse and key checks
