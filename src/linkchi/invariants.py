@@ -32,13 +32,13 @@ import math
 import sys
 from collections import defaultdict
 from collections.abc import Iterable, Sequence
-from itertools import accumulate, chain, compress, product, repeat
+from itertools import accumulate, chain, repeat
 from operator import add, mul
 
 from . import commalg, genfun, ncalg, seifert
 from .commalg import CommSeries
 from .genfun import BiSeries, word_runs
-from .ncalg import NCSeries
+from .ncalg import NCSeries, store_words
 from .seifert import BlockStructure, SeifertMatrix
 
 Word = tuple[int, ...]
@@ -188,18 +188,6 @@ def _trace_by_halves(terms: dict[str, int], structure: BlockStructure, M, half=N
     return stores
 
 
-def _words(stores: dict, n: int) -> dict[Word, int]:
-    """The nonzero values of ``_trace_by_halves`` stores, keyed by word."""
-    out: dict[Word, int] = {}
-    for L, acc in stores.items():
-        if isinstance(acc, list):
-            out.update(zip(compress(product(range(1, n + 1), repeat=L), acc), filter(None, acc)))
-        else:
-            places = [n**p for p in reversed(range(L))]
-            out.update((tuple([i // p % n + 1 for p in places]), v) for i, v in acc.items() if v)
-    return out
-
-
 def _complete_to(f: BiSeries, degree: int) -> BiSeries:
     if f.xtrunc < degree:
         raise ValueError(
@@ -224,7 +212,7 @@ def trace_at(
         raise ValueError("M must be a square matrix of size %d" % m)
     stores = _trace_by_halves(f.num, structure, M)
     # every emitted word has letters 1..n and length <= degree
-    return NCSeries.zero(structure.n, degree)._same(_words(stores, structure.n), f.den, degree)
+    return NCSeries.zero(structure.n, degree)._same(store_words(structure.n, stores), f.den, degree)
 
 
 def tr_series(f: BiSeries, A: SeifertMatrix, degree: int) -> NCSeries:
@@ -272,13 +260,13 @@ def chi(f: BiSeries, A: SeifertMatrix, degree: int) -> NCSeries:
     Seifert moves.  Both traces are summed by word index over ``f.den``.
     """
     stores, den = _chi_stores(f, A, degree)
-    return NCSeries.zero(A.n, degree)._same(_words(stores, A.n), den, degree)
+    return NCSeries.zero(A.n, degree)._same(store_words(A.n, stores), den, degree)
 
 
 def chi_lines(f: BiSeries, A: SeifertMatrix, degree: int) -> list[str]:
     """``chi(f, A, degree).to_lines()`` from the stores; only sparse lengths decode words."""
     stores, den = _chi_stores(f, A, degree)
-    sparse = {L: _words({L: acc}, A.n) for L, acc in stores.items() if isinstance(acc, dict)}
+    sparse = {L: store_words(A.n, {L: acc}) for L, acc in stores.items() if isinstance(acc, dict)}
     return ncalg.store_lines(A.n, den, {**stores, **sparse})
 
 
@@ -505,7 +493,7 @@ def reconstruct_trace(word: str, A: SeifertMatrix, degree: int) -> NCSeries:
     z = seifert.z_matrix(A)
     runs, _ = word_runs(word)
     reduced = genfun.prime_word(word)
-    raw = _words(_trace_by_halves({reduced.replace("y", "x"): 1}, A.structure, z), A.n)
+    raw = store_words(A.n, _trace_by_halves({reduced.replace("y", "x"): 1}, A.structure, z))
     xs = [pos for pos, letter in enumerate(reduced.replace("z", "")) if letter == "x"]
     terms: dict[Word, int] = {}
     for w, coeff in raw.items():

@@ -17,7 +17,8 @@ matter only up to rotation, and the abelianization map into commutative
 series.  The involutions are the only ones in the package: they act on the
 generating series ``genfun.BiSeries`` as well, where ``hat`` substitutes
 only the letter ``x`` (grade 1) and fixes ``z`` (grade 0), and on no other
-series type.  ``hat`` is one pass of ``rewrite_runs``, as is ``genfun``'s z -> 1 - z.
+series type.  ``genfun``'s z -> 1 - z is one pass of ``rewrite_runs``, and so is ``hat``
+except of a dense ``NCSeries``: that doubles letters on chi's one store per length.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
-from itertools import chain, groupby, product
+from itertools import chain, compress, groupby, product
 
 from . import commalg
 from .series import Series, format_coeff
@@ -94,6 +95,19 @@ def store_lines(n: int, den: int, stores: dict) -> list[str]:
                  else list(map(format_word, product(range(1, n + 1), repeat=L)))}
         lines += [coeffs[v] + t for t, v in zip(texts[L], store) if v]
     return lines
+
+
+def store_words(n: int, stores: dict) -> dict[Word, int]:
+    """The nonzero values of stores by word length L, as ``store_lines`` reads them
+    (a list over all n^L words in ``product`` order, or a dict by index), keyed by word."""
+    out: dict[Word, int] = {}
+    for L, acc in stores.items():
+        if isinstance(acc, list):
+            out.update(zip(compress(product(range(1, n + 1), repeat=L), acc), filter(None, acc)))
+        else:
+            places = [n**p for p in reversed(range(L))]
+            out.update((tuple([i // p % n + 1 for p in places]), v) for i, v in acc.items() if v)
+    return out
 
 
 def substitute(f: NCSeries, images: list[NCSeries]) -> NCSeries:
@@ -179,17 +193,60 @@ def rewrite_runs(f: Series, images) -> Series:
     return f._same(out, f.den, trunc)
 
 
+def _add_doubled(n: int, p: int, src: list, dst: list) -> list:
+    """``dst`` plus ``src`` with the letter at position p of each word doubled: each word
+    a.x.x.b of ``dst`` adds a.x.b, by slices of the shorter loop, over words a or b."""
+    na, nb = n**p, len(src) // n ** (p + 1)  # the words a before and b after x
+    for x in range(n):
+        s, d = x * nb, x * (n + 1) * nb  # x.b in a.x.b, and x.x.b in a.x.x.b
+        if na <= nb:  # one contiguous slice over b per word a
+            for s, d in zip(range(s, len(src), n * nb), range(d, len(dst), n * n * nb)):
+                dst[d : d + nb] = map(operator.add, dst[d : d + nb], src[s : s + nb])
+        else:  # one strided slice over a per word b
+            step = n * n * nb
+            for j in range(nb):
+                dst[d + j :: step] = map(operator.add, dst[d + j :: step], src[s + j :: n * nb])
+    return dst
+
+
+# hat takes _dense_hat for an NCSeries with n >= 2 and at least _DENSE_HAT / n terms
+# per word of lengths 1..T; below it rewrite_runs was faster (n = 1 always was)
+_DENSE_HAT = 0.4
+
+
+def _dense_hat(f: NCSeries) -> NCSeries:
+    """``hat`` on one store per length as sigma(E(f)): sigma negates odd lengths, E is
+    x -> x (1 - x)^-1 = x (1 + E(x)), so E(f_p)[x.u] = E(f_(p.x))[u] + [u starts with x]
+    E(f_p)[u] for f_p[u] = f[p.u].  Over all p of length d, E(f_p) at length s - d is a
+    store X_d(s) over the words p.u: X_d(s) = X_(d+1)(s) + X_d(s - 1) with the letter at
+    position d doubled; X_(s-1)(s) = X_s(s) is f at length s, and E(f) = X_0."""
+    n, trunc = f.n, f.trunc
+    out, prev = {}, []  # prev[d] = X_d(s - 1)
+    for s in range(trunc + 1):
+        acc = list(map(f.num.get, product(range(1, n + 1), repeat=s), [0] * n**s))
+        cur = [acc] * (s + 1)
+        for d in reversed(range(s - 1)):
+            acc = cur[d] = _add_doubled(n, d, prev[d], list(acc))
+        out[s], prev = [-v for v in acc] if s % 2 else acc, cur
+    return f._same(store_words(n, out), f.den, trunc)
+
+
 def hat(f: Series) -> Series:
     """Automorphism substituting x -> -x (1 + x)^-1 for each letter x of grade 1.
 
     Letters of grade 0 (``z`` in a ``genfun.BiSeries``) are fixed; every
     letter of an ``NCSeries`` has grade 1.  By ``rewrite_runs``, a run x^r maps
-    to (sum_j (-1)^j x^j)^r = sum_{s >= r} (-1)^s C(s-1, r-1) x^s.
+    to (sum_j (-1)^j x^j)^r = sum_{s >= r} (-1)^s C(s-1, r-1) x^s.  An ``NCSeries``
+    with n >= 2 and at least 0.4/n of its words of lengths 1..T takes ``_dense_hat``
+    instead, by letter doubling, to the same ``num`` and ``den``.
 
     >>> print(hat(NCSeries(2, 3, {(1, 1, 2): 1})))
     -1 * x1.x1.x2
     """
     _check_word_series(f, "hat")
+    n = f.n if isinstance(f, NCSeries) else 1
+    if n > 1 and _DENSE_HAT * (n**f.trunc - 1) <= len(f.num) * (n - 1):
+        return _dense_hat(f)
     return rewrite_runs(f, lambda a, r: [(r, 1)] if not f._grade(a) else [
         (s, (-1) ** s * math.comb(s - 1, r - 1)) for s in range(r, f.trunc + 1)])
 

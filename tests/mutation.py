@@ -78,7 +78,7 @@ MUTANTS = [
     # pure-x and half terms at x_i^L, and the decode of a dict store
     ("diagonal-index-base-one", "invariants.py",
      "acc, step = stores[L], sum(pows[:L])", "acc, step = stores[L], L"),
-    ("sparse-index-digits-reversed", "invariants.py",
+    ("sparse-index-digits-reversed", "ncalg.py",
      "places = [n**p for p in reversed(range(L))]", "places = [n**p for p in range(L)]"),
     # the Seifert-matrix path
     ("validate-compares-own-columns", "seifert.py",
@@ -126,6 +126,15 @@ MUTANTS = [
      "(done + piece, tail, used + g)", "(done + piece, tail, used)"),
     ("runs-images-untabled", "ncalg.py", "if (a, r) not in table:", "if True:"),
     ("half-rank-plus-bar", "invariants.py", "x - ncalg.bar(x)", "x + ncalg.bar(x)"),
+    # hat of a dense NCSeries by letter doubling on one store per length
+    ("dense-hat-doubled-offset-times-n", "ncalg.py",
+     "x * (n + 1) * nb  # x.b", "x * n * nb  # x.b"),
+    ("dense-hat-contiguous-step-short", "ncalg.py",
+     "range(d, len(dst), n * n * nb)", "range(d, len(dst), n * nb)"),
+    ("dense-hat-strided-step-short", "ncalg.py", "step = n * n * nb", "step = n * nb"),
+    ("dense-hat-carry-dropped", "ncalg.py", "prev[d], list(acc))", "prev[d], [0] * len(acc))"),
+    ("dense-hat-sign-on-even", "ncalg.py",
+     "[-v for v in acc] if s % 2 else acc", "[-v for v in acc] if not s % 2 else acc"),
     # the series core's inverse and key checks
     ("inverse-sign", "series.py",
      "return (self._unit() - self).geometric()", "return (self - self._unit()).geometric()"),

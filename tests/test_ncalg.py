@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -9,7 +10,7 @@ from helpers import bar_variable, hat_by_ring_products, random_seifert, shift_va
 from linkchi import ncalg
 from linkchi.commalg import CommSeries
 from linkchi.genfun import BiSeries, transform
-from linkchi.invariants import chi_delta
+from linkchi.invariants import chi_delta, chi_phi
 from linkchi.ncalg import (
     CyclicSeries,
     NCSeries,
@@ -224,7 +225,7 @@ def random_bi_series(rng, xtrunc):
 @pytest.mark.parametrize("trunc", range(9))
 def test_hat_matches_substitution_on_random_series(trunc):
     rng = random.Random(700 + trunc)
-    for n in (1, 2, 3):
+    for n in (1, 2, 3, 4, 11):
         images = [bar_variable(n, trunc, i) for i in range(1, n + 1)]
         for f in [NCSeries(n, trunc)] + [random_runs_series(rng, n, trunc) for _ in range(8)]:
             assert hat(f) == substitute(f, images)
@@ -239,11 +240,73 @@ def test_hat_of_random_bi_series_matches_letter_images(xtrunc):
         assert hat(hat(f)) == f
 
 
+def hat_by_both_routes(f):
+    """hat(f) by ``_dense_hat`` and by the run rewrite."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ncalg, "_DENSE_HAT", math.inf)
+        runs = hat(f)
+    return ncalg._dense_hat(f), runs
+
+
+def dense_route_series(rng, n, trunc, count):
+    """``count`` seeded terms: the empty word, no word of one length from trunc 3 up,
+    words with a doubled letter at both ends, Fraction coefficients near 10^12."""
+    empty = rng.randint(1, trunc - 1) if trunc >= 3 else None
+    words = [w for L in range(1, trunc + 1) if L != empty
+             for w in itertools.product(range(1, n + 1), repeat=L)]
+    ends = [w for w in words if len(w) >= 3 and w[0] == w[1] and w[-2] == w[-1]]
+    chosen = set(rng.sample(ends, min(len(ends), count // 4)))
+    chosen |= set(rng.sample([w for w in words if w not in chosen], count - 1 - len(chosen)))
+    return NCSeries(n, trunc, {w: Fraction(rng.choice([-1, 1]) * (10**12 + rng.randint(-999, 999)),
+                                           rng.choice([1, 2, 3, 7, 12])) for w in chosen | {()}})
+
+
+@pytest.mark.parametrize("n, trunc", [(2, t) for t in range(2, 10)] + [(3, t) for t in range(2, 7)]
+                         + [(4, t) for t in range(2, 6)] + [(11, 2), (11, 3)])
+def test_dense_hat_matches_run_rewrite_and_substitution_at_the_bound(monkeypatch, n, trunc):
+    rng = random.Random(1000 * n + trunc)
+    bound = next(c for c in itertools.count() if ncalg._DENSE_HAT * (n**trunc - 1) <= c * (n - 1))
+    taken, dense_hat = [], ncalg._dense_hat
+    monkeypatch.setattr(ncalg, "_dense_hat", lambda g: taken.append(g) or dense_hat(g))
+    images = [bar_variable(n, trunc, i) for i in range(1, n + 1)]
+    for count in (bound - 1, bound, bound + 1):
+        f = dense_route_series(rng, n, trunc, count)
+        assert len(f.num) == count
+        taken.clear()
+        out = hat(f)
+        assert [g is f for g in taken] == ([True] if count >= bound else [])
+        dense, runs = dense_hat(f), hat_by_both_routes(f)[1]
+        assert (dense.num, dense.den) == (runs.num, runs.den) == (out.num, out.den)
+        assert out == substitute(f, images)
+        assert hat(out) == f
+        assert bar(f) == tilde(out)
+
+
+@pytest.mark.parametrize("genera, degree, seed", [([1, 1], 7, 1), ([1, 1], 7, 2),
+                                                  ([1, 1, 1], 5, 1), ([1, 1, 1], 5, 2)],
+                         ids=["11-d7-s1", "11-d7-s2", "111-d5-s1", "111-d5-s2"])
+def test_dense_hat_of_chi_at_the_duality_shapes(genera, degree, seed):
+    A = random_seifert(seed, genera, 2)
+    images = [bar_variable(A.n, degree, i) for i in range(1, A.n + 1)]
+    cphi, cdelta = chi_phi(A, degree), chi_delta(A, degree)
+    for f in (cphi, cdelta):
+        dense, runs = hat_by_both_routes(f)
+        assert (dense.num, dense.den) == (runs.num, runs.den)
+        assert dense == substitute(f, images)
+        assert hat(dense) == f
+    assert cphi == -bar(cphi)
+    assert cyclic_reduce(cdelta) == cyclic_reduce(bar(cdelta))
+
+
 @pytest.mark.parametrize("f, substitution", [
-    (chi_delta(random_seifert(3, [1, 1], 3), 7), hat),
+    # a knot's chi_delta: n = 1 always takes the run rewrite
+    (chi_delta(random_seifert(3, [2], 3), 7), hat),
+    # too few words for the dense route; runs repeat across words
+    (S(2, 7, {(1, 1, 2, 2, 1): 1, (2, 2, 1, 1): 3, (1, 1, 1, 2, 2): -1, (2, 1, 1, 2, 2, 2): 2,
+              (1, 2, 2, 1, 1, 1, 2): Fraction(1, 2)}), hat),
     (BiSeries(4, {"zzxzzxzz": 1, "xzzxz": 2, "zxzxzzzx": Fraction(-1, 3), "zzxxzz": 5}),
      lambda f: transform(f, "z_to_one_minus_z")),
-], ids=["hat-chi-delta", "one-minus-z-repeated-z-runs"])
+], ids=["hat-chi-delta", "hat-sparse-repeated-runs", "one-minus-z-repeated-z-runs"])
 def test_run_rewrite_computes_images_once_per_letter_and_run_length(monkeypatch, f, substitution):
     calls = []
 
