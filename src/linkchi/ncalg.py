@@ -245,7 +245,7 @@ def hat(f: Series) -> Series:
     """
     _check_word_series(f, "hat")
     n = f.n if isinstance(f, NCSeries) else 1
-    if n > 1 and _DENSE_HAT * (n**f.trunc - 1) <= len(f.num) * (n - 1):
+    if n > 1 and n**f.trunc - 1 <= len(f.num) * (n - 1) / _DENSE_HAT:  # exact for any T
         return _dense_hat(f)
     return rewrite_runs(f, lambda a, r: [(r, 1)] if not f._grade(a) else [
         (s, (-1) ** s * math.comb(s - 1, r - 1)) for s in range(r, f.trunc + 1)])

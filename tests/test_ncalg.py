@@ -265,7 +265,7 @@ def dense_route_series(rng, n, trunc, count):
                          + [(4, t) for t in range(2, 6)] + [(11, 2), (11, 3)])
 def test_dense_hat_matches_run_rewrite_and_substitution_at_the_bound(monkeypatch, n, trunc):
     rng = random.Random(1000 * n + trunc)
-    bound = next(c for c in itertools.count() if ncalg._DENSE_HAT * (n**trunc - 1) <= c * (n - 1))
+    bound = next(c for c in itertools.count() if n**trunc - 1 <= c * (n - 1) / ncalg._DENSE_HAT)
     taken, dense_hat = [], ncalg._dense_hat
     monkeypatch.setattr(ncalg, "_dense_hat", lambda g: taken.append(g) or dense_hat(g))
     images = [bar_variable(n, trunc, i) for i in range(1, n + 1)]
@@ -280,6 +280,11 @@ def test_dense_hat_matches_run_rewrite_and_substitution_at_the_bound(monkeypatch
         assert out == substitute(f, images)
         assert hat(out) == f
         assert bar(f) == tilde(out)
+
+
+def test_hat_of_a_sparse_series_past_the_float_range_of_n_to_the_truncation():
+    # 2^1030 exceeds every float: the bound must compare it exactly
+    assert hat(var(2, 1030, 1)) == S(2, 1030, {(1,) * s: (-1) ** s for s in range(1, 1031)})
 
 
 @pytest.mark.parametrize("genera, degree, seed", [([1, 1], 7, 1), ([1, 1], 7, 2),
