@@ -15,7 +15,8 @@ x^j1 z^e1 x^j2 ... x^jk z^ek x^j(k+1) through ``genfun.word_runs``.  Its
 trace is sum_v T(v) x_v1^j1 ... x_vk^jk x_v1^j(k+1) over block tuples v,
 with T(v) = tr(P_v1 Z^e1 ... P_vk Z^ek) for the block projections P_i.
 One dot product of the first ceil(k/2) letters P_j Z^e with the rest,
-packed over all second halves, gives T(v) for each, and T(v) is added at
+packed over all second halves, gives T(v) for each (the halves and their
+packings are kept for the last matrix Z, by value), and T(v) is added at
 the integer index of its key in a store per key length, as are the pure-x
 words and ``chi``'s half terms.  The stores are all that leaves the trace
 stage; ``chi_lines`` writes text from them by ``ncalg.store_lines``, with
@@ -32,6 +33,7 @@ import math
 import sys
 from collections import defaultdict
 from collections.abc import Iterable, Sequence
+from functools import lru_cache
 from itertools import accumulate, chain, repeat
 from operator import add, mul
 
@@ -84,6 +86,15 @@ def _unpack(rows: Sequence[int], count: int, size: int) -> list[int]:
     return [int.from_bytes(data[i : i + size], sys.byteorder, signed=True) for i in starts]
 
 
+@lru_cache(maxsize=1)
+def _kept_trie(structure: BlockStructure, z: tuple) -> tuple[dict, dict]:
+    """``_pattern_traces``'s trie {half: {u: rows}} and packings {(right half, slot width):
+    {a: the rows B(a) of its packed R_w}} for one (structure, Z), by value, kept until a
+    call on another matrix: the calls on one matrix build each once."""
+    # the empty half stands for the identity: P_j Z^e extends it to the rows B(j) of Z^e
+    return {(): {(): None}}, {}
+
+
 def _pattern_traces(
     structure: BlockStructure, powers: dict[int, Sequence[Sequence[int]]], patterns: Iterable[Word]
 ) -> dict[Word, tuple[list[Word], list[Word], list[int]]]:
@@ -97,12 +108,13 @@ def _pattern_traces(
     into one integer, so one dot product with L_u gives T(u w) for every w,
     each in a slot for |T(v)| <= m ||Z||^(e1 + ... + ek), ||Z|| the largest
     absolute row sum (Kronecker substitution, as in ``torsion_polynomial``).
+    The trie and the packings, keyed by right half and slot width, are kept
+    for the last (structure, Z) by ``_kept_trie``; the traces are not kept.
     """
     n, m = structure.n, structure.total
     ranges = {j: structure.block_range(j) for j in range(1, n + 1) if structure.sizes[j - 1]}
     splits = {pattern: (len(pattern) + 1) // 2 for pattern in patterns}
-    # the empty half stands for the identity: P_j Z^e extends it to the rows B(j) of Z^e
-    halves: dict[Word, dict[Word, list]] = {(): {(): None}}
+    halves, packs = _kept_trie(structure, tuple(map(tuple, powers[1])))
     for half in [p[:h] for p, h in splits.items()] + [p[h:] for p, h in splits.items()]:
         for t in range(1, len(half) + 1):
             if half[:t] not in halves:
@@ -113,7 +125,7 @@ def _pattern_traces(
                         if any(map(any, rows_j)):
                             products[u + (j,)] = rows_j
                 halves[half[:t]] = products
-    packs, table, size = {}, {}, 0  # packs: {right half: {a: the rows B(a) of its packed R_w}}
+    table, size = {}, 0
     for pattern, h in splits.items():
         lefts, half, rights = halves[pattern[:h]], pattern[h:], halves[pattern[h:]]
         if h == len(pattern):  # k = 1: the diagonal of P_u1 Z^e1
@@ -123,14 +135,14 @@ def _pattern_traces(
         if not size:  # bits(that bound) + 2, in whole bytes and at least 8
             norm = max([sum(map(abs, row)) for row in powers[1]], default=0)
             size = max(8, ((m * norm ** max(map(sum, splits))).bit_length() + 9) // 8)
-        if half not in packs:
+        if (key := (half, size)) not in packs:
             cr = [0] * (m * m)  # entry (c, r), c-major
             for j, (w, rows) in enumerate(rights.items()):
                 lo, hi, shift = ranges[w[0]].start * m, ranges[w[0]].stop * m, 1 << 8 * size * j
                 cr[lo:hi] = map(add, cr[lo:hi], map(mul, chain(*rows), repeat(shift)))
             packed = list(chain.from_iterable(zip(*zip(*[iter(cr)] * m))))
-            packs[half] = {a: packed[rows.start * m : rows.stop * m] for a, rows in ranges.items()}
-        dots = [sum(map(mul, chain(*rows), packs[half][u[0]])) for u, rows in lefts.items()]
+            packs[key] = {a: packed[rows.start * m : rows.stop * m] for a, rows in ranges.items()}
+        dots = [sum(map(mul, chain(*rows), packs[key][u[0]])) for u, rows in lefts.items()]
         table[pattern] = (list(lefts), list(rights), _unpack(dots, len(rights), size))
     return table
 

@@ -13,12 +13,13 @@ when their terms agree up to that common truncation.
 Besides ring arithmetic the module provides the three standard involutions
 (word reversal ``tilde``, the substitution ``hat`` sending each variable to
 -x(1+x)^-1, and their composite ``bar``), the cyclic quotient in which words
-matter only up to rotation, and the abelianization map into commutative
-series.  The involutions are the only ones in the package: they act on the
-generating series ``genfun.BiSeries`` as well, where ``hat`` substitutes
-only the letter ``x`` (grade 1) and fixes ``z`` (grade 0), and on no other
-series type.  ``genfun``'s z -> 1 - z is one pass of ``rewrite_runs``, and so is ``hat``
-except of a dense ``NCSeries``: that doubles letters on chi's one store per length.
+matter only up to rotation (each rotation's least one is kept across calls, up
+to 2^16 rotations), and the abelianization map into commutative series.  The
+involutions are the only ones in the package: they act on the generating
+series ``genfun.BiSeries`` as well, where ``hat`` substitutes only the letter
+``x`` (grade 1) and fixes ``z`` (grade 0), and on no other series type.
+``genfun``'s z -> 1 - z is one pass of ``rewrite_runs``, and so is ``hat`` except
+of a dense ``NCSeries``: that doubles letters on chi's one store per length.
 """
 
 from __future__ import annotations
@@ -307,10 +308,22 @@ class CyclicSeries(Series):
     __eq__ = Series.__eq__
 
 
+def _check_nc_series(f: Series, name: str) -> None:
+    if not isinstance(f, NCSeries):
+        raise TypeError("%s acts on NCSeries, not %s" % (name, type(f).__name__))
+
+
+_LEAST: dict[Word, Word] = {}  # every rotation met so far -> the least one
+_LEAST_CAP = 1 << 16  # entries; about 9 MB at length 8
+
+
 def cyclic_reduce(f: NCSeries) -> CyclicSeries:
-    """Image of a series in the cyclic quotient: integer sums under least rotations."""
-    least: dict[Word, Word] = {}  # every rotation met so far -> the least one
-    out: dict[Word, int] = {}
+    """Image of a series in the cyclic quotient: integer sums under least rotations.
+
+    The map from each rotation to its least one is kept between calls, one rotation
+    class at a time, and emptied after a call that leaves it above ``_LEAST_CAP``."""
+    _check_nc_series(f, "cyclic_reduce")
+    least, out = _LEAST, {}
     for word, v in f.num.items():
         key = least.get(word)
         if key is None:  # a new rotation class
@@ -318,11 +331,14 @@ def cyclic_reduce(f: NCSeries) -> CyclicSeries:
             key = min(rotations, default=word)
             least.update(dict.fromkeys(rotations, key))
         out[key] = out.get(key, 0) + v
+    if len(least) > _LEAST_CAP:
+        least.clear()
     return CyclicSeries(f.n, f.trunc)._same(out, f.den, f.trunc)
 
 
 def abelianize(f: NCSeries) -> "commalg.CommSeries":
     """Send each word to its exponent vector, summing coefficients in integers."""
+    _check_nc_series(f, "abelianize")
     out: dict[tuple[int, ...], int] = {}
     for word, v in f.num.items():
         key = tuple(map(word.count, range(1, f.n + 1)))

@@ -69,6 +69,11 @@ MUTANTS = [
     ("trace-slot-one-byte-short", "invariants.py",
      "((m * norm ** max(map(sum, splits))).bit_length() + 9) // 8)",
      "((m * norm ** max(map(sum, splits))).bit_length() + 9) // 8 - 1)"),
+    # the trie and packings kept for the last matrix
+    ("trace-kept-trie-key-drops-z", "invariants.py",
+     "_kept_trie(structure, tuple(map(tuple, powers[1])))", "_kept_trie(structure, ())"),
+    ("trace-kept-pack-key-drops-size", "invariants.py",
+     "(key := (half, size))", "(key := half)"),
     # template sums by word index
     ("trace-left-offset-dropped", "invariants.py",
      "acc[a + b] += coeff * t", "acc[b] += coeff * t"),
@@ -125,6 +130,8 @@ MUTANTS = [
     ("runs-done-grade-not-carried", "ncalg.py",
      "(done + piece, tail, used + g)", "(done + piece, tail, used)"),
     ("runs-images-untabled", "ncalg.py", "if (a, r) not in table:", "if True:"),
+    ("rotation-table-never-emptied", "ncalg.py",
+     "    if len(least) > _LEAST_CAP:\n        least.clear()\n", ""),
     ("half-rank-plus-bar", "invariants.py", "x - ncalg.bar(x)", "x + ncalg.bar(x)"),
     # hat of a dense NCSeries by letter doubling on one store per length
     ("dense-hat-doubled-offset-times-n", "ncalg.py",

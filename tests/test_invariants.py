@@ -572,6 +572,54 @@ def test_trace_at_rejects_a_matrix_of_the_wrong_size():
         trace_at(delta_series(3), st, [[1, 0, 0, 0]] * 3 + [[0, 0, 1]], 3)
 
 
+# -- the half-product trie kept for the last matrix ------------------------------------
+
+
+@pytest.fixture
+def cold():
+    """A call from an empty trie: ``cold(chi_delta, A, 5)``."""
+    def call(fn, *args):
+        invariants._kept_trie.cache_clear()
+        return fn(*args)
+
+    yield call
+    invariants._kept_trie.cache_clear()
+
+
+def assert_same(a, b):
+    assert (a.num, a.den, a.trunc) == (b.num, b.den, b.trunc)
+
+
+def test_kept_trie_follows_the_matrix_not_the_structure(cold):
+    rng = random.Random(61)
+    A, B = (random_seifert_rng(rng, [1, 1, 1], 2) for _ in range(2))
+    assert A.structure == B.structure and seifert.z_matrix(A) != seifert.z_matrix(B)
+    want = {X: cold(chi_delta, X, 5) for X in (A, B)}
+    invariants._kept_trie.cache_clear()
+    for X in (A, B, A):
+        assert_same(chi_delta(X, 5), want[X])
+
+
+def test_kept_trie_sees_a_matrix_changed_in_place(cold):
+    A = random_seifert_rng(random.Random(67), [1, 1], 2)
+    M = [list(row) for row in seifert.z_matrix(A)]
+    f = multi_run_series(random.Random(67), 5)
+    before = cold(trace_at, f, A.structure, M, 5)
+    M[0][1] += 1
+    after = trace_at(f, A.structure, M, 5)
+    assert after != before
+    assert_same(after, cold(trace_at, f, A.structure, M, 5))
+
+
+def test_kept_packings_are_keyed_by_slot_width(cold):
+    # entries near 10^12: degree 3 and degree 6 pack the same right halves in
+    # slots of different widths
+    A = random_seifert_rng(random.Random(1), [2, 2], 10**12)
+    want = cold(chi_delta, A, 6)
+    cold(chi_phi, A, 3)
+    assert_same(chi_delta(A, 6), want)
+
+
 # -- torsion polynomial ---------------------------------------------------------------
 
 

@@ -24,6 +24,7 @@ from linkchi.ncalg import (
     substitute,
     tilde,
 )
+from linkchi.selfcheck import random_nc_series
 from linkchi.series import Series
 
 
@@ -358,6 +359,49 @@ def test_cyclic_reduce_matches_the_constructor():
     for f in cases:
         assert cyclic_reduce(f).terms == CyclicSeries(f.n, f.trunc, f.terms).terms
     assert cyclic_reduce(cases[0]).terms == {(): Fraction(2, 3)}
+
+
+@pytest.fixture
+def cold_rotations():
+    """An empty rotation table before and after the test."""
+    ncalg._LEAST.clear()
+    yield ncalg._LEAST
+    ncalg._LEAST.clear()
+
+
+def test_cyclic_reduce_with_a_kept_rotation_table_in_any_call_order(cold_rotations):
+    rng = random.Random(31)
+    cases = [random_nc_series(rng, rng.randint(1, 3), rng.randint(0, 8)) for _ in range(200)]
+    for order in (cases, cases[::-1]):
+        cold_rotations.clear()
+        for f in order:
+            assert cyclic_reduce(f).terms == CyclicSeries(f.n, f.trunc, f.terms).terms
+    assert cold_rotations and all(minimal_rotation(w) == k for w, k in cold_rotations.items())
+
+
+def test_rotation_table_is_emptied_above_its_cap(cold_rotations, monkeypatch):
+    monkeypatch.setattr(ncalg, "_LEAST_CAP", 10)
+    small = S(2, 3, {(1, 2): 1, (2, 1): 3})  # 2 rotations of one class
+    wide = S(2, 4, {w: i + 1 for i, w in enumerate(itertools.product((1, 2), repeat=4))})
+    assert cyclic_reduce(small) == CyclicSeries(2, 3, {(1, 2): 4})
+    assert len(cold_rotations) == 2
+    for _ in range(2):
+        assert cyclic_reduce(wide).terms == CyclicSeries(2, 4, wide.terms).terms
+        assert len(cold_rotations) <= 10
+    assert cyclic_reduce(small) == CyclicSeries(2, 3, {(1, 2): 4})
+
+
+@pytest.mark.parametrize(
+    "f",
+    [CommSeries(2, 3, {(2, 0): 1, (0, 2): 1, (1, 1): 3}), BiSeries(3, {"xzx": 1, "zxx": 2})],
+    ids=["comm", "bi"],
+)
+@pytest.mark.parametrize("op", [cyclic_reduce, abelianize], ids=["cyclic_reduce", "abelianize"])
+def test_cyclic_reduce_and_abelianize_reject_other_series_types(f, op, cold_rotations):
+    with pytest.raises(TypeError, match="%s acts on NCSeries, not %s" % (
+            op.__name__, type(f).__name__)):
+        op(f)
+    assert not cold_rotations
 
 
 CYCLIC = CyclicSeries(2, 3, {(1, 2): 1})
