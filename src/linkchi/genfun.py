@@ -6,17 +6,16 @@ together with a declared bound ``xtrunc`` on the x-degree.  Admissibility
 (finitely many terms of each x-degree) is enforced structurally: a series
 is always a finite object and the caller asserts per-degree completeness
 up to ``xtrunc``.  ``word_runs`` is the one reader of a word's x- and
-z-runs for the trace routes; the transforms rewrite runs in ``ncalg``.
+z-runs for the trace routes.
 
 Built-ins: ``delta_series`` is log(xz + 1) and ``phi_series`` is
 (xz + 1)^-1 x.  Transforms: word reversal (tilde), the substitution
-x -> -x(1+x)^-1 (hat), their composite (bar) and z -> 1 - z all run in
-``ncalg``: the first three are its involutions, the last its run rewrite.
+x -> -x(1+x)^-1 (hat) and their composite (bar) are ``ncalg``'s
+involutions; z -> 1 - z deletes z's here, one position at a time.
 """
 
 from __future__ import annotations
 
-import math
 import operator
 import re
 from collections.abc import Mapping
@@ -129,15 +128,26 @@ def builtin_series(name: str, xtrunc: int) -> BiSeries:
 def transform(f: BiSeries, kind: str) -> BiSeries:
     """Apply tilde, hat or bar (by ``ncalg.involution``) or z_to_one_minus_z to a series.
 
-    z -> 1 - z is ``ncalg.rewrite_runs`` with z^e -> sum_i (-1)^i C(e, i) z^i, x fixed.
+    z -> 1 - z sends a.z.b to a.b - a.z.b, one position at a time from the right.
 
     >>> print(transform(monomial("zxzz", 1), "z_to_one_minus_z"))
     1 * x + -2 * x.z + -1 * z.x + 1 * x.z.z + 2 * z.x.z + -1 * z.x.z.z
     """
     if kind != "z_to_one_minus_z":
         return ncalg.involution(f, kind)
-    return ncalg.rewrite_runs(f, lambda a, e: [(e, 1)] if a == "x" else [
-        (i, (-1) ** i * math.comb(e, i)) for i in range(e + 1)])
+    if not isinstance(f, BiSeries):
+        raise TypeError("z_to_one_minus_z acts on BiSeries, not %s" % type(f).__name__)
+    num = f.num
+    for p in reversed(range(max(map(len, num), default=0))):
+        out: dict = {}
+        for w, v in num.items():
+            if w[p : p + 1] == "z":
+                cut = w[:p] + w[p + 1 :]
+                out[cut] = out.get(cut, 0) + v
+                v = -v
+            out[w] = out.get(w, 0) + v
+        num = out
+    return f._same(num, f.den, f.trunc)
 
 
 def prime_word(word: BiWord) -> TriWord:

@@ -18,16 +18,15 @@ to 2^16 rotations), and the abelianization map into commutative series.  The
 involutions are the only ones in the package: they act on the generating
 series ``genfun.BiSeries`` as well, where ``hat`` substitutes only the letter
 ``x`` (grade 1) and fixes ``z`` (grade 0), and on no other series type.
-``genfun``'s z -> 1 - z is one pass of ``rewrite_runs``, and so is ``hat`` except
-of a dense ``NCSeries``: that doubles letters on chi's one store per length.
+``hat`` is one recursion for both types: it doubles grade-1 letters, one dict
+of words per word length and prefix length.
 """
 
 from __future__ import annotations
 
-import math
 import operator
 from fractions import Fraction
-from itertools import chain, compress, groupby, product
+from itertools import chain, compress, product
 
 from . import commalg
 from .series import Series, format_coeff
@@ -149,107 +148,47 @@ def tilde(f: Series) -> Series:
     return f._same({w[::-1]: v for w, v in f.num.items()}, f.den, f.trunc)
 
 
-def rewrite_runs(f: Series, images) -> Series:
-    """Replace each maximal run a^r of every word by sum c a^s over the pairs
-    (s, c) of ``images(a, r)``, ascending in s, cut at the truncation.
-
-    ``images`` is called once per (letter, run length).  Each pass, in integers
-    over one denominator, rewrites the first run of the ``rest`` of every term
-    keyed ``(done, rest, grade(done))`` that is not fixed (images [(r, 1)]),
-    with the fixed runs before it; terms that then share a key merge."""
-    trunc, grade = f.trunc, f._grade
-    table: dict = {}  # (a, r) -> None if a^r is fixed, else [(grade(a^s), a^s, c)]
-    runs: dict = {}  # rest -> (pieces of its runs up to a^r, rest after a^r, room)
-    pending = {(word[:0], word, 0): v for word, v in f.num.items()}
-    out: dict = {}
-    while pending:
-        after: dict = {}
-        for (done, rest, used), v in pending.items():
-            if rest not in runs:
-                head, r, pieces = 0, 0, None
-                for _, group in groupby(rest):
-                    a, r = rest[head : head + 1], sum(1 for _ in group)
-                    if (a, r) not in table:
-                        pairs = images(a, r)
-                        table[a, r] = None if pairs == [(r, 1)] else [
-                            (grade(a) * s, a * s, c) for s, c in pairs]
-                    if (pieces := table[a, r]) is not None:
-                        break
-                    head += r
-                tail = rest[head + r :]  # empty if every run is fixed
-                pieces = [(0, tail, 1)] if pieces is None else pieces
-                if head:  # the fixed runs before a^r go with each of its pieces
-                    fixed = rest[:head]
-                    pieces = [(g + grade(fixed), fixed + p, c) for g, p, c in pieces]
-                runs[rest] = (pieces, tail, trunc - grade(tail))
-            pieces, tail, room = runs[rest]
-            room -= used
-            into = after if tail else out  # a word with no run left to rewrite is done
-            for g, piece, c in pieces:
-                if g > room:
-                    break
-                key = (done + piece, tail, used + g) if tail else done + piece
-                into[key] = into.get(key, 0) + v * c
-        pending = after
-    return f._same(out, f.den, trunc)
-
-
-def _add_doubled(n: int, p: int, src: list, dst: list) -> list:
-    """``dst`` plus ``src`` with the letter at position p of each word doubled: each word
-    a.x.x.b of ``dst`` adds a.x.b, by slices of the shorter loop, over words a or b."""
-    na, nb = n**p, len(src) // n ** (p + 1)  # the words a before and b after x
-    for x in range(n):
-        s, d = x * nb, x * (n + 1) * nb  # x.b in a.x.b, and x.x.b in a.x.x.b
-        if na <= nb:  # one contiguous slice over b per word a
-            for s, d in zip(range(s, len(src), n * nb), range(d, len(dst), n * n * nb)):
-                dst[d : d + nb] = map(operator.add, dst[d : d + nb], src[s : s + nb])
-        else:  # one strided slice over a per word b
-            step = n * n * nb
-            for j in range(nb):
-                dst[d + j :: step] = map(operator.add, dst[d + j :: step], src[s + j :: n * nb])
-    return dst
-
-
-# hat takes _dense_hat for an NCSeries with n >= 2 and at least _DENSE_HAT / n terms
-# per word of lengths 1..T; below it rewrite_runs was faster (n = 1 always was)
-_DENSE_HAT = 0.4
-
-
-def _dense_hat(f: NCSeries) -> NCSeries:
-    """``hat`` on one store per length as sigma(E(f)): sigma negates odd lengths, E is
-    x -> x (1 - x)^-1 = x (1 + E(x)), so E(f_p)[x.u] = E(f_(p.x))[u] + [u starts with x]
-    E(f_p)[u] for f_p[u] = f[p.u].  Over all p of length d, E(f_p) at length s - d is a
-    store X_d(s) over the words p.u: X_d(s) = X_(d+1)(s) + X_d(s - 1) with the letter at
-    position d doubled; X_(s-1)(s) = X_s(s) is f at length s, and E(f) = X_0."""
-    n, trunc = f.n, f.trunc
-    out, prev = {}, []  # prev[d] = X_d(s - 1)
-    for s in range(trunc + 1):
-        acc = list(map(f.num.get, product(range(1, n + 1), repeat=s), [0] * n**s))
-        cur = [acc] * (s + 1)
-        for d in reversed(range(s - 1)):
-            acc = cur[d] = _add_doubled(n, d, prev[d], list(acc))
-        out[s], prev = [-v for v in acc] if s % 2 else acc, cur
-    return f._same(store_words(n, out), f.den, trunc)
-
-
 def hat(f: Series) -> Series:
     """Automorphism substituting x -> -x (1 + x)^-1 for each letter x of grade 1.
 
     Letters of grade 0 (``z`` in a ``genfun.BiSeries``) are fixed; every
-    letter of an ``NCSeries`` has grade 1.  By ``rewrite_runs``, a run x^r maps
-    to (sum_j (-1)^j x^j)^r = sum_{s >= r} (-1)^s C(s-1, r-1) x^s.  An ``NCSeries``
-    with n >= 2 and at least 0.4/n of its words of lengths 1..T takes ``_dense_hat``
-    instead, by letter doubling, to the same ``num`` and ``den``.
+    letter of an ``NCSeries`` has grade 1.  hat = sigma(E): sigma negates odd
+    grades and E is x -> x (1 - x)^-1 = x (1 + E(x)), so E(f_p)[x.u] =
+    E(f_(p.x))[u] + [u starts with x] E(f_p)[u] for f_p[u] = f[p.u] (a grade-0
+    letter has the first term only).  Over all p of length d, E(f_p) at the
+    words p.u of length s is a dict X_d(s): X_(d+1)(s) plus X_d(s - 1) with the
+    grade-1 letter at position d doubled, where that stays within the
+    truncation.  X_(s-1)(s) = X_s(s) is f at length s, and E(f) = X_0.
 
     >>> print(hat(NCSeries(2, 3, {(1, 1, 2): 1})))
     -1 * x1.x1.x2
     """
     _check_word_series(f, "hat")
-    n = f.n if isinstance(f, NCSeries) else 1
-    if n > 1 and n**f.trunc - 1 <= len(f.num) * (n - 1) / _DENSE_HAT:  # exact for any T
-        return _dense_hat(f)
-    return rewrite_runs(f, lambda a, r: [(r, 1)] if not f._grade(a) else [
-        (s, (-1) ** s * math.comb(s - 1, r - 1)) for s in range(r, f.trunc + 1)])
+    trunc, grade = f.trunc, f._grade
+    nc = isinstance(f, NCSeries)  # every letter doubles and no length passes trunc
+    stores: dict = {}  # f by word length
+    for w, v in f.num.items():
+        stores.setdefault(len(w), {})[w] = v
+    # the longest word of the result: each word gains at most trunc - grade letters
+    top = trunc if nc else max([len(w) + trunc - grade(w) for w in f.num], default=0)
+    out, prev = {}, []  # prev[d] = X_d(s - 1)
+    for s in range(top + 1):
+        acc = stores.get(s, {})
+        cur = [acc] * (s + 1)
+        for d in reversed(range(s - 1)):
+            if prev[d]:
+                acc = dict(acc)
+                for w, v in prev[d].items():
+                    if nc or grade(w[d : d + 1]) and grade(w) < trunc:
+                        w = w[: d + 1] + w[d:]
+                        acc[w] = acc.get(w, 0) + v
+            cur[d] = acc
+        prev = cur
+        if nc:
+            out.update(zip(acc, map(operator.neg, acc.values())) if s % 2 else acc)
+        else:
+            out.update((w, -v if grade(w) % 2 else v) for w, v in acc.items())
+    return f._same(out, f.den, trunc)
 
 
 def bar(f: Series) -> Series:

@@ -120,28 +120,28 @@ MUTANTS = [
     ("word-runs-last-x-run-zero", "genfun.py",
      "return list(map(len, pieces[::2])), list(map(len, pieces[1::2]))",
      "return list(map(len, pieces[::2]))[:-1] + [0], list(map(len, pieces[1::2]))"),
-    ("z-to-one-plus-z", "genfun.py", "(-1) ** i * math.comb(e, i)", "math.comb(e, i)"),
-    ("z-binomial-dropped", "genfun.py", "(-1) ** i * math.comb(e, i)", "(-1) ** i"),
-    # the one run rewrite behind hat and z -> 1 - z, and x - xbar from bar
-    ("hat-sign-from-r", "ncalg.py",
-     "(-1) ** s * math.comb(s - 1, r - 1)", "(-1) ** r * math.comb(s - 1, r - 1)"),
-    ("hat-binomial-dropped", "ncalg.py", "(-1) ** s * math.comb(s - 1, r - 1)", "(-1) ** s"),
-    ("runs-room-ignores-done", "ncalg.py", "            room -= used\n", ""),
-    ("runs-done-grade-not-carried", "ncalg.py",
-     "(done + piece, tail, used + g)", "(done + piece, tail, used)"),
-    ("runs-images-untabled", "ncalg.py", "if (a, r) not in table:", "if True:"),
+    # z -> 1 - z by letter deletion, a.z.b -> a.b - a.z.b
+    ("z-to-one-plus-z", "genfun.py", "                v = -v\n", ""),
+    ("z-deleted-position-shifted", "genfun.py",
+     "cut = w[:p] + w[p + 1 :]", "cut = w[: p + 1] + w[p + 2 :]"),
+    # hat by letter doubling, X_d(s) = X_(d+1)(s) + X_d(s - 1) doubled at d
+    ("hat-doubled-position-shifted", "ncalg.py",
+     "w = w[: d + 1] + w[d:]", "w = w[: d + 2] + w[d + 1 :]"),
+    ("hat-grade-zero-letters-double", "ncalg.py",
+     "if nc or grade(w[d : d + 1]) and grade(w) < trunc:", "if nc or grade(w) < trunc:"),
+    ("hat-truncation-inclusive", "ncalg.py", "and grade(w) < trunc:", "and grade(w) <= trunc:"),
+    ("hat-carry-dropped", "ncalg.py", "                acc = dict(acc)\n", "                acc = {}\n"),
+    ("hat-sign-on-even", "ncalg.py",
+     "map(operator.neg, acc.values())) if s % 2 else acc)",
+     "map(operator.neg, acc.values())) if not s % 2 else acc)"),
+    ("hat-bi-sign-on-even", "ncalg.py", "-v if grade(w) % 2 else v", "-v if not grade(w) % 2 else v"),
+    ("hat-length-bound-without-room", "ncalg.py",
+     "max([len(w) + trunc - grade(w) for w in f.num], default=0)",
+     "max([len(w) for w in f.num], default=0)"),
+    # the rotation table kept across calls, and x - xbar from bar
     ("rotation-table-never-emptied", "ncalg.py",
      "    if len(least) > _LEAST_CAP:\n        least.clear()\n", ""),
     ("half-rank-plus-bar", "invariants.py", "x - ncalg.bar(x)", "x + ncalg.bar(x)"),
-    # hat of a dense NCSeries by letter doubling on one store per length
-    ("dense-hat-doubled-offset-times-n", "ncalg.py",
-     "x * (n + 1) * nb  # x.b", "x * n * nb  # x.b"),
-    ("dense-hat-contiguous-step-short", "ncalg.py",
-     "range(d, len(dst), n * n * nb)", "range(d, len(dst), n * nb)"),
-    ("dense-hat-strided-step-short", "ncalg.py", "step = n * n * nb", "step = n * nb"),
-    ("dense-hat-carry-dropped", "ncalg.py", "prev[d], list(acc))", "prev[d], [0] * len(acc))"),
-    ("dense-hat-sign-on-even", "ncalg.py",
-     "[-v for v in acc] if s % 2 else acc", "[-v for v in acc] if not s % 2 else acc"),
     # the series core's inverse and key checks
     ("inverse-sign", "series.py",
      "return (self._unit() - self).geometric()", "return (self - self._unit()).geometric()"),

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import from_univariate, one_minus_z_by_ring_products
+from linkchi.commalg import CommSeries
 from linkchi.genfun import (
     BiSeries,
     builtin_series,
@@ -17,6 +18,7 @@ from linkchi.genfun import (
     word_runs,
     xdegree,
 )
+from linkchi.ncalg import NCSeries
 
 
 def B(xtrunc, terms):
@@ -139,6 +141,13 @@ def test_transform_outputs_respect_xtrunc():
     out = transform(f, "hat")
     assert all(xdegree(w) <= 3 for w in out.terms)
     assert not out.is_zero()
+
+
+@pytest.mark.parametrize("f", [NCSeries(2, 3, {(1, 2): 1, (2,): 3}),
+                               CommSeries(2, 3, {(1, 1): 2, (0, 1): -1})], ids=["nc", "comm"])
+def test_one_minus_z_rejects_other_series_types(f):
+    with pytest.raises(TypeError, match="z_to_one_minus_z acts on BiSeries, not %s" % type(f).__name__):
+        transform(f, "z_to_one_minus_z")
 
 
 def test_unknown_transform_raises():

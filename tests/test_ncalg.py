@@ -1,12 +1,17 @@
 import itertools
-import math
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import bar_variable, hat_by_ring_products, random_seifert, shift_variables
+from helpers import (
+    bar_variable,
+    hat_by_ring_products,
+    one_minus_z_by_ring_products,
+    random_seifert,
+    shift_variables,
+)
 from linkchi import ncalg
 from linkchi.commalg import CommSeries
 from linkchi.genfun import BiSeries, transform
@@ -20,7 +25,6 @@ from linkchi.ncalg import (
     hat,
     involution,
     minimal_rotation,
-    rewrite_runs,
     substitute,
     tilde,
 )
@@ -241,92 +245,87 @@ def test_hat_of_random_bi_series_matches_letter_images(xtrunc):
         assert hat(hat(f)) == f
 
 
-def hat_by_both_routes(f):
-    """hat(f) by ``_dense_hat`` and by the run rewrite."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(ncalg, "_DENSE_HAT", math.inf)
-        runs = hat(f)
-    return ncalg._dense_hat(f), runs
-
-
-def dense_route_series(rng, n, trunc, count):
-    """``count`` seeded terms: the empty word, no word of one length from trunc 3 up,
-    words with a doubled letter at both ends, Fraction coefficients near 10^12."""
+def dense_series(rng, n, trunc, share):
+    """The empty word and a seeded ``share`` of the other words, with no word of one
+    length from trunc 3 up, words with a doubled letter at both ends among the first
+    chosen, and Fraction coefficients near 10^12."""
     empty = rng.randint(1, trunc - 1) if trunc >= 3 else None
     words = [w for L in range(1, trunc + 1) if L != empty
              for w in itertools.product(range(1, n + 1), repeat=L)]
+    count = round(share * len(words))
     ends = [w for w in words if len(w) >= 3 and w[0] == w[1] and w[-2] == w[-1]]
     chosen = set(rng.sample(ends, min(len(ends), count // 4)))
-    chosen |= set(rng.sample([w for w in words if w not in chosen], count - 1 - len(chosen)))
+    chosen |= set(rng.sample([w for w in words if w not in chosen], count - len(chosen)))
     return NCSeries(n, trunc, {w: Fraction(rng.choice([-1, 1]) * (10**12 + rng.randint(-999, 999)),
                                            rng.choice([1, 2, 3, 7, 12])) for w in chosen | {()}})
 
 
 @pytest.mark.parametrize("n, trunc", [(2, t) for t in range(2, 10)] + [(3, t) for t in range(2, 7)]
                          + [(4, t) for t in range(2, 6)] + [(11, 2), (11, 3)])
-def test_dense_hat_matches_run_rewrite_and_substitution_at_the_bound(monkeypatch, n, trunc):
+def test_hat_matches_substitution_from_empty_to_full(n, trunc):
     rng = random.Random(1000 * n + trunc)
-    bound = next(c for c in itertools.count() if n**trunc - 1 <= c * (n - 1) / ncalg._DENSE_HAT)
-    taken, dense_hat = [], ncalg._dense_hat
-    monkeypatch.setattr(ncalg, "_dense_hat", lambda g: taken.append(g) or dense_hat(g))
     images = [bar_variable(n, trunc, i) for i in range(1, n + 1)]
-    for count in (bound - 1, bound, bound + 1):
-        f = dense_route_series(rng, n, trunc, count)
-        assert len(f.num) == count
-        taken.clear()
+    shares = (0, 0.05, 0.2, 0.5, 0.8, 1)
+    for f in [NCSeries(n, trunc)] + [dense_series(rng, n, trunc, share) for share in shares]:
         out = hat(f)
-        assert [g is f for g in taken] == ([True] if count >= bound else [])
-        dense, runs = dense_hat(f), hat_by_both_routes(f)[1]
-        assert (dense.num, dense.den) == (runs.num, runs.den) == (out.num, out.den)
         assert out == substitute(f, images)
         assert hat(out) == f
         assert bar(f) == tilde(out)
 
 
 def test_hat_of_a_sparse_series_past_the_float_range_of_n_to_the_truncation():
-    # 2^1030 exceeds every float: the bound must compare it exactly
+    # one word per length up to 1030: past length 1, every X_d(s) but X_0(s) is empty
     assert hat(var(2, 1030, 1)) == S(2, 1030, {(1,) * s: (-1) ** s for s in range(1, 1031)})
 
 
 @pytest.mark.parametrize("genera, degree, seed", [([1, 1], 7, 1), ([1, 1], 7, 2),
                                                   ([1, 1, 1], 5, 1), ([1, 1, 1], 5, 2)],
                          ids=["11-d7-s1", "11-d7-s2", "111-d5-s1", "111-d5-s2"])
-def test_dense_hat_of_chi_at_the_duality_shapes(genera, degree, seed):
+def test_hat_of_chi_at_the_duality_shapes(genera, degree, seed):
     A = random_seifert(seed, genera, 2)
     images = [bar_variable(A.n, degree, i) for i in range(1, A.n + 1)]
     cphi, cdelta = chi_phi(A, degree), chi_delta(A, degree)
     for f in (cphi, cdelta):
-        dense, runs = hat_by_both_routes(f)
-        assert (dense.num, dense.den) == (runs.num, runs.den)
-        assert dense == substitute(f, images)
-        assert hat(dense) == f
+        out = hat(f)
+        assert out == substitute(f, images)
+        assert hat(out) == f
     assert cphi == -bar(cphi)
     assert cyclic_reduce(cdelta) == cyclic_reduce(bar(cdelta))
 
 
-@pytest.mark.parametrize("f, substitution", [
-    # a knot's chi_delta: n = 1 always takes the run rewrite
-    (chi_delta(random_seifert(3, [2], 3), 7), hat),
-    # too few words for the dense route; runs repeat across words
-    (S(2, 7, {(1, 1, 2, 2, 1): 1, (2, 2, 1, 1): 3, (1, 1, 1, 2, 2): -1, (2, 1, 1, 2, 2, 2): 2,
-              (1, 2, 2, 1, 1, 1, 2): Fraction(1, 2)}), hat),
-    (BiSeries(4, {"zzxzzxzz": 1, "xzzxz": 2, "zxzxzzzx": Fraction(-1, 3), "zzxxzz": 5}),
-     lambda f: transform(f, "z_to_one_minus_z")),
-], ids=["hat-chi-delta", "hat-sparse-repeated-runs", "one-minus-z-repeated-z-runs"])
-def test_run_rewrite_computes_images_once_per_letter_and_run_length(monkeypatch, f, substitution):
-    calls = []
+def assert_hat_and_one_minus_z_match_ring_products(f):
+    for mine, oracle in ((hat(f), hat_by_ring_products(f)),
+                         (transform(f, "z_to_one_minus_z"), one_minus_z_by_ring_products(f))):
+        assert (mine.num, mine.den, mine.trunc) == (oracle.num, oracle.den, oracle.trunc)
 
-    def counting_rewrite(f, images):
-        def counting(a, r):
-            calls.append((a, r))
-            return images(a, r)
-        return rewrite_runs(f, counting)
 
-    expected = substitution(f)
-    monkeypatch.setattr(ncalg, "rewrite_runs", counting_rewrite)
-    assert substitution(f) == expected
-    runs = {(k, len(list(g))) for word in f.num for k, g in itertools.groupby(word)}
-    assert len(calls) == len(set(calls)) == len(runs)
+@pytest.mark.parametrize("f", [
+    # z-heavy words longer than xtrunc: z never doubles, x doubles up to xtrunc
+    BiSeries(2, {"zzzzxzzzz": 1, "zxzzzzzzzx": Fraction(-3, 7), "zzzzzzz": 2, "xzzzzzx": 5}),
+    BiSeries(3, {"zzxzzzzzxzzzz": Fraction(1, 2), "xzzzzzzzz": -1, "zzzzzzzzzzzx": 4}),
+    # xtrunc 0: only words without x, which hat fixes
+    BiSeries(0, {"": 3, "z": -1, "zzz": Fraction(2, 5), "zxz": 7}),
+], ids=["z-heavy-xtrunc-2", "z-heavy-xtrunc-3", "xtrunc-0"])
+def test_hat_and_one_minus_z_of_long_z_words_match_ring_products(f):
+    assert_hat_and_one_minus_z_match_ring_products(f)
+    assert hat(hat(f)) == f
+    assert transform(transform(f, "z_to_one_minus_z"), "z_to_one_minus_z") == f
+
+
+def test_hat_and_one_minus_z_of_random_bi_series_match_ring_products():
+    rng = random.Random(1200)
+    most_z = 0
+    for _ in range(400):
+        xtrunc = rng.randint(0, 4)
+        terms = {}
+        for _ in range(rng.randint(1, 5)):
+            letters = ["x"] * rng.randint(0, xtrunc) + ["z"] * rng.randint(0, 4)
+            rng.shuffle(letters)
+            terms["".join(letters)] = Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+        f = BiSeries(xtrunc, terms)
+        most_z = max([most_z] + [w.count("z") for w in f.num])
+        assert_hat_and_one_minus_z_match_ring_products(f)
+    assert most_z >= 3
 
 
 # -- cyclic quotient and abelianization --------------------------------------
