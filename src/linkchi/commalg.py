@@ -64,6 +64,8 @@ class CommSeries(Series):
 
     @classmethod
     def variable(cls, n: int, trunc: int, i: int) -> "CommSeries":
+        if isinstance(i, bool) or not isinstance(i, int) or not 1 <= i <= n:
+            raise ValueError("letter %r is not an integer in 1..%d" % (i, n))
         expo = tuple(1 if j == i - 1 else 0 for j in range(n))
         return cls(n, trunc, {expo: Fraction(1)})
 

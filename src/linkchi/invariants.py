@@ -278,8 +278,7 @@ def chi(f: BiSeries, A: SeifertMatrix, degree: int) -> NCSeries:
 def chi_lines(f: BiSeries, A: SeifertMatrix, degree: int) -> list[str]:
     """``chi(f, A, degree).to_lines()`` from the stores; only sparse lengths decode words."""
     stores, den = _chi_stores(f, A, degree)
-    sparse = {L: store_words(A.n, {L: acc}) for L, acc in stores.items() if isinstance(acc, dict)}
-    return ncalg.store_lines(A.n, den, {**stores, **sparse})
+    return ncalg.store_lines(A.n, den, stores)
 
 
 def chi_delta(A: SeifertMatrix, degree: int) -> NCSeries:

@@ -82,14 +82,16 @@ class NCSeries(Series):
 def store_lines(n: int, den: int, stores: dict) -> list[str]:
     """``Series.to_lines`` of numerators over ``den`` by word length L: a list
     stores[L] over all n^L words in ``product`` order (falsy entries print nothing)
-    walks their texts, each the last one's plus a letter; a dict sorts its words."""
+    walks their texts, each the last one's plus a letter; a dict by word index
+    sorts its indices, which within one length is word order, and decodes them."""
     values = set(chain(*[s.values() if isinstance(s, dict) else s for s in stores.values()]))
     coeffs = {v: format_coeff(v, den) + " * " for v in values if v}
     dotted = [".x%d" % i for i in range(1, n + 1)]
     lines, texts = [], {}  # texts: {L: the texts of all words of length L}, one L
     for L, store in sorted(stores.items()):
         if isinstance(store, dict):
-            lines += [coeffs[store[w]] + format_word(w) for w in sorted(store)]
+            words = store_words(n, {L: dict(sorted(store.items()))})
+            lines += [coeffs[v] + format_word(w) for w, v in words.items()]
             continue
         texts = {L: [p + d for p in texts[L - 1] for d in dotted] if L > 1 and L - 1 in texts
                  else list(map(format_word, product(range(1, n + 1), repeat=L)))}

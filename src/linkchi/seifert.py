@@ -1,16 +1,15 @@
 """Seifert matrices: validation, derived matrices, moves and file format.
 
-A Seifert matrix is an integer matrix partitioned into blocks, one per link
-component, subject to two axioms: the (i,j) and (j,i) blocks are transposes
-of each other for i != j, and each diagonal block B satisfies
-det(B - B') = 1.  The second axiom forces every block size to be even
-(an odd skew-symmetric matrix is singular).
+A Seifert matrix is an integer matrix A partitioned into blocks, one per
+link component, subject to the Seifert axioms: its intersection form
+S = A - A' is block diagonal with det-1 diagonal blocks.  A det-1 block has
+even size (an odd skew-symmetric matrix is singular).
 
-A matrix and its block structure are named tuples.  Derived data: the
-violated axioms and the transition matrix Z = A S^-1, each cached by value,
-with S = A - A' the intersection form (block diagonal, det 1, so its
-inverse is integral; one fraction-free elimination gives the determinants
-and the inverses), and the half-ones diagonals H of ``half_ones`` that
+A matrix and its block structure are named tuples.  Derived data, each
+cached by value: the violated axioms, read off S, and the transition matrix
+Z = A S^-1, built block by block from the blocks of S (a det-1 block has an
+integral inverse; one fraction-free elimination gives the determinants and
+the inverses).  The half-ones diagonals H of ``half_ones``
 normalize the traces.  The two matrix moves generating S-equivalence are
 block congruence (s1) and the bordered two-row stabilization (s2).
 """
@@ -165,16 +164,10 @@ def _block_slices(structure: BlockStructure) -> list[slice]:
     return [slice(r.start, r.stop) for r in map(structure.block_range, range(1, structure.n + 1))]
 
 
-def _skew_block(e: IntMatrix, t: Sequence[Sequence[int]], b: slice) -> list[list[int]]:
-    """B - B' for the diagonal block B of A on ``b``, with ``t`` the rows of A'."""
-    return [list(map(sub, e[r][b], t[r][b])) for r in range(b.start, b.stop)]
-
-
 @functools.lru_cache(maxsize=256)
 def _violated_axioms(A: SeifertMatrix) -> tuple[str, ...]:
     st = A.structure
-    e = A.entries
-    t = list(zip(*e))
+    s = intersection_form(A)
     spans = _block_slices(st)
     problems = [
         "component %d: block size %d is odd" % (i, size)
@@ -182,7 +175,7 @@ def _violated_axioms(A: SeifertMatrix) -> tuple[str, ...]:
         if size % 2
     ]
     for i, b in enumerate(spans, start=1):
-        d = int_det(_skew_block(e, t, b))
+        d = int_det([row[b] for row in s[b]])
         if d != 1:
             problems.append(
                 "component %d: det(A_%d%d - A_%d%d') = %d, expected 1"
@@ -190,9 +183,9 @@ def _violated_axioms(A: SeifertMatrix) -> tuple[str, ...]:
             )
     for i, bi in enumerate(spans, start=1):
         for j, bj in enumerate(spans[i:], start=i + 1):
-            # block (i, j) is the transpose of block (j, i): rows B_i of A
-            # and of A' agree on the columns B_j
-            if any(e[r][bj] != t[r][bj] for r in range(bi.start, bi.stop)):
+            # block (i, j) is the transpose of block (j, i): S is 0 on the
+            # rows B_i and the columns B_j
+            if any(any(row[bj]) for row in s[bi]):
                 problems.append(
                     "blocks (%d,%d) and (%d,%d) are not transposes" % (i, j, j, i)
                 )
@@ -206,46 +199,30 @@ def require_valid(A: SeifertMatrix) -> None:
 
 
 def intersection_form(A: SeifertMatrix) -> IntMatrix:
-    """S = A - A', block diagonal with per-block determinant 1."""
-    e = A.entries
-    size = A.size
-    return tuple(
-        tuple(e[r][c] - e[c][r] for c in range(size)) for r in range(size)
-    )
-
-
-def _invert_unimodular_block(rows: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Inverse of an integer matrix with determinant +-1 (exact, integral).
-
-    ``_bareiss`` in its Gauss-Jordan form on [A | I] leaves d A^-1 on the
-    right, d = det A; A^-1 is integral exactly when d is a unit, and then
-    it is d times the right part.
-    """
-    size = len(rows)
-    work = [list(row) + [int(r == c) for c in range(size)] for r, row in enumerate(rows)]
-    d = _bareiss(work, True)
-    if d not in (1, -1):
-        raise ValueError("block inverse is not integral")
-    return [[v * d for v in row[size:]] for row in work]
+    """S = A - A': ``validate`` reads the axioms off it, ``z_matrix`` builds
+    Z = A S^-1 block by block from its diagonal blocks."""
+    return tuple(tuple(map(sub, row, col)) for row, col in zip(A.entries, zip(*A.entries)))
 
 
 @functools.lru_cache(maxsize=256)
 def z_matrix(A: SeifertMatrix) -> IntMatrix:
-    """Z = A (A - A')^-1; integral because det(A - A') = 1.
+    """Z = A S^-1 with S = A - A', built block by block from the blocks of S.
 
-    A - A' is block diagonal, so the columns of block i of Z are
-    A[:, B_i] (A_ii - A_ii')^-1.  Satisfies Z + S Z' S^-1 = I with S the
-    intersection form.
+    The columns of block i of Z are A[:, B_i] S_ii^-1, with S_ii^-1 the right
+    half of [S_ii | I] after ``_bareiss``'s Gauss-Jordan pass, whose last
+    pivot is det S_ii = 1.  Satisfies Z + S Z' S^-1 = I.
     """
     require_valid(A)
-    e = A.entries
-    t = list(zip(*e))
-    parts = [
-        (b, list(zip(*_invert_unimodular_block(_skew_block(e, t, b)))))
-        for b in _block_slices(A.structure)
-    ]
+    s = intersection_form(A)
+    parts = []
+    for b in _block_slices(A.structure):
+        size = b.stop - b.start
+        work = [list(row[b]) + [int(r == c) for c in range(size)] for r, row in enumerate(s[b])]
+        if _bareiss(work, True) != 1:
+            raise ValueError("a diagonal block of A - A' does not have det 1")
+        parts.append((b, list(zip(*work))[size:]))  # the columns of S_ii^-1
     return tuple(
-        tuple([sum(map(mul, row[b], col)) for b, cols in parts for col in cols]) for row in e
+        tuple([sum(map(mul, row[b], col)) for b, cols in parts for col in cols]) for row in A.entries
     )
 
 

@@ -5,14 +5,16 @@ plain coefficient lists.  They deliberately share no code with the package
 so they can serve as independent oracles for single-variable values.  The
 ``*_by_fractions`` helpers are the product, power-series, matrix-product
 and exp loops with one ``Fraction`` product and sum per pair of terms: the
-references for the package's integer loops.  ``invert_by_fractions`` is
-Gauss-Jordan elimination in ``Fraction``s, the reference for
-``seifert._invert_unimodular_block``, the Gauss-Jordan form of the one
-fraction-free elimination ``seifert._bareiss`` that ``seifert.int_det``
-runs too.  The constructors at the end (a seeded random matrix, the
-presentation matrix, ``G(xz)`` series, the letter images of bar and
-variable shifts) build test inputs and expected values; no command runs
-them, so they live here, not in ``linkchi``.
+references for the package's integer loops.  ``inverse_by_fractions`` is
+Gauss-Jordan elimination in ``Fraction``s, the reference for the
+Gauss-Jordan form of the one fraction-free elimination ``seifert._bareiss``
+that ``seifert.int_det`` runs too; ``seifert.z_matrix`` builds Z = A S^-1
+block by block from the blocks of S = A - A' by that form, and
+``invert_by_fractions`` inverts all of S at once for the tests of Z.  The
+constructors at the end (a seeded random matrix, the presentation matrix,
+``G(xz)`` series, the letter images of bar and variable shifts) build test
+inputs and expected values; no command runs them, so they live here, not
+in ``linkchi``.
 """
 
 import math
@@ -254,9 +256,9 @@ def exp_by_fractions(u):
     return same_from_fractions(u, {e: c for level in f for e, c in level}, u.trunc)
 
 
-def invert_by_fractions(rows):
+def inverse_by_fractions(rows):
     """Inverse of an integer matrix by Gauss-Jordan in Fractions; ValueError
-    when it is singular or its inverse is not integral."""
+    when it is singular."""
     size = len(rows)
     work = [[Fraction(v) for v in row] + [Fraction(int(r == c)) for c in range(size)]
             for r, row in enumerate(rows)]
@@ -274,7 +276,13 @@ def invert_by_fractions(rows):
             if r != c and work[r][c]:
                 factor = work[r][c]
                 work[r] = [a - factor * b for a, b in zip(work[r], work[c])]
-    inv = [row[size:] for row in work]
+    return [row[size:] for row in work]
+
+
+def invert_by_fractions(rows):
+    """``inverse_by_fractions`` as ints; ValueError when the matrix is singular
+    or its inverse is not integral."""
+    inv = inverse_by_fractions(rows)
     if any(v.denominator != 1 for row in inv for v in row):
         raise ValueError("inverse is not integral")
     return [[int(v) for v in row] for row in inv]

@@ -87,10 +87,15 @@ MUTANTS = [
      "places = [n**p for p in reversed(range(L))]", "places = [n**p for p in range(L)]"),
     # the Seifert-matrix path
     ("validate-compares-own-columns", "seifert.py",
-     "if any(e[r][bj] != t[r][bj] for r", "if any(e[r][bi] != t[r][bi] for r"),
+     "if any(any(row[bj]) for row in s[bi]):", "if any(any(row[bi]) for row in s[bi]):"),
     ("z-block-inverse-not-transposed", "seifert.py",
-     "(b, list(zip(*_invert_unimodular_block(_skew_block(e, t, b)))))",
-     "(b, _invert_unimodular_block(_skew_block(e, t, b)))"),
+     "parts.append((b, list(zip(*work))[size:]))", "parts.append((b, [row[size:] for row in work]))"),
+    ("z-identity-half-shifted", "seifert.py",
+     "[int(r == c) for c in range(size)] for r, row in enumerate(s[b])]",
+     "[int(r == c + 1) for c in range(size)] for r, row in enumerate(s[b])]"),
+    # A' - A: every even block keeps its determinant, so only Z shows it
+    ("intersection-form-transposed", "seifert.py",
+     "tuple(map(sub, row, col))", "tuple(map(sub, col, row))"),
     # the one elimination, for determinants and block inverses
     ("bareiss-jordan-clears-below-only", "seifert.py",
      "for r in range(0 if jordan else c + 1, size):", "for r in range(c + 1, size):"),

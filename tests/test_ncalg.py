@@ -567,12 +567,17 @@ def dense_and_sparse_series(draw):
 
 def _stores(f):
     """f's numerators by length: a list over all n^L words in ``product`` order
-    where the length holds at least a quarter of them, else a dict of words."""
+    where the length holds at least a quarter of them, else a dict by word
+    index (the word's letters minus 1 as base-n digits, the first letter the
+    most significant), in the order of ``f.num``."""
     by_length = {}
     for w, v in f.num.items():
         by_length.setdefault(len(w), {})[w] = v
     return {L: [words.get(w, 0) for w in itertools.product(range(1, f.n + 1), repeat=L)]
-            if 4 * len(words) >= f.n**L else words for L, words in by_length.items()}
+            if 4 * len(words) >= f.n**L
+            else {sum((a - 1) * f.n ** (L - 1 - p) for p, a in enumerate(w)): v
+                  for w, v in words.items()}
+            for L, words in by_length.items()}
 
 
 @settings(max_examples=150, deadline=None)
@@ -597,3 +602,5 @@ def test_letters_from_x10_up_print_in_integer_order():
     assert lines[9:12] == ["-9 * x1.x10", "-10 * x1.x11", "1 * x2.x1"]
     assert lines[-2:] == ["1 * x11.x10", "1 * x11.x11"]
     assert lines == Series.to_lines(every) == ncalg.store_lines(11, 1, _stores(every))
+    # a store by index prints nothing for a zero value, which a trace store can hold
+    assert ncalg.store_lines(11, 2, {2: {14: 0, 3: 1}, 0: {0: 4}}) == ["2 * 1", "1/2 * x1.x4"]

@@ -39,6 +39,10 @@ CASES = {
                            "variable-count mismatch among images"),
     "series-negative-n": (lambda: NCSeries(-1, 3), "variable count must be >= 0"),
     "series-negative-trunc": (lambda: CommSeries(1, -1), "truncation degree must be >= 0"),
+    "comm-variable-zero": (lambda: CommSeries.variable(2, 3, 0), "letter 0 is not an integer in 1..2"),
+    "comm-variable-past-n": (lambda: CommSeries.variable(2, 3, 3), "letter 3 is not an integer in 1..2"),
+    "comm-variable-bool": (lambda: CommSeries.variable(2, 3, True),
+                           "letter True is not an integer in 1..2"),
     "series-negative-power": (lambda: (C + CommSeries.variable(1, 3, 1)) ** -1,
                               "negative powers need a series inverse"),
 }

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import (
     block,
+    inverse_by_fractions,
     invert_by_fractions,
     presentation_matrix,
     random_seifert,
@@ -22,7 +23,6 @@ from linkchi.ncalg import NCSeries
 from linkchi.seifert import (
     BlockStructure,
     MatrixFormatError,
-    _invert_unimodular_block,
     SeifertMatrix,
     apply_random_moves,
     direct_sum,
@@ -65,31 +65,57 @@ def unimodular_blocks(draw):
     return rows
 
 
+def with_identity(rows):
+    """[B | I] as a list of row lists, the input of the Gauss-Jordan pass."""
+    return [list(row) + [int(r == c) for c in range(len(rows))] for r, row in enumerate(rows)]
+
+
 @settings(max_examples=200, deadline=None)
 @given(unimodular_blocks())
-def test_unimodular_inverse_matches_fraction_elimination(rows):
-    inv = _invert_unimodular_block(rows)
-    assert inv == invert_by_fractions(rows)
-    assert frac_mul(rows, inv) == [[int(r == c) for c in range(len(rows))] for r in range(len(rows))]
+def test_bareiss_jordan_pass_leaves_the_inverse_of_a_unimodular_block(rows):
+    work = with_identity(rows)
+    d = seifert._bareiss(work, True)
+    assert d in (1, -1)
+    want = [[d * v for v in row] for row in invert_by_fractions(rows)]
+    assert [row[len(rows):] for row in work] == want
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 5).flatmap(lambda k: st.lists(
     st.lists(st.integers(-3, 3), min_size=k, max_size=k), min_size=k, max_size=k)))
-def test_block_inverse_is_integral_or_raises(rows):
-    try:
-        want = invert_by_fractions(rows)
-    except ValueError:
-        with pytest.raises(ValueError):
-            _invert_unimodular_block(rows)
-    else:
-        assert _invert_unimodular_block(rows) == want
+def test_bareiss_jordan_pass_leaves_det_times_the_inverse(rows):
+    work = with_identity(rows)
+    d = seifert._bareiss(work, True)
+    assert d == leibniz_det(rows)
+    if d:
+        want = [[d * v for v in row] for row in inverse_by_fractions(rows)]
+        assert [row[len(rows):] for row in work] == want
 
 
 @pytest.mark.parametrize("rows", [[[2]], [[2, 1], [1, 2]], [[1, 2], [2, 4]], [[0, 0], [0, 1]]])
-def test_block_without_integral_inverse_raises(rows):
-    with pytest.raises(ValueError):
-        _invert_unimodular_block(rows)
+def test_bareiss_on_a_block_without_integral_inverse_returns_no_unit(rows):
+    d = seifert._bareiss(with_identity(rows), True)
+    assert d == leibniz_det(rows) and d not in (1, -1)
+
+
+def test_z_rejects_a_block_of_s_without_det_1_past_validation(monkeypatch):
+    # validation rejects this matrix first; the pivot check is z_matrix's own
+    monkeypatch.setattr(seifert, "require_valid", lambda A: None)
+    with pytest.raises(ValueError, match="does not have det 1"):
+        z_matrix(seifert_matrix([2], [[0, 2], [0, 0]]))
+
+
+def test_z_is_a_times_the_inverse_of_s_by_fractions():
+    rng = random.Random(41)
+    sizes = set()
+    for _ in range(200):
+        genera = [rng.randint(0, 3) for _ in range(rng.randint(1, 4))]
+        A = random_seifert_rng(rng, genera, 10**12)
+        s = [[A.entries[r][c] - A.entries[c][r] for c in range(A.size)] for r in range(A.size)]
+        assert intersection_form(A) == tuple(map(tuple, s))
+        assert [list(row) for row in z_matrix(A)] == frac_mul(A.entries, invert_by_fractions(s))
+        sizes.update(A.structure.sizes)
+    assert sizes == {0, 2, 4, 6}
 
 
 def random_batch(seed, count, max_genus=2, bound=2):
@@ -144,6 +170,51 @@ def test_validate_returns_a_fresh_list_of_one_check():
     problems.append("changed by the caller")
     assert validate(A) == problems[:1]
     assert validate(A) is not validate(A)
+
+
+def axioms_by_definition(A):
+    """The violated axioms of ``validate``, in its text and order: det of each
+    A_ii - A_ii' by the Leibniz expansion, and A_ij against A_ji' entry by entry."""
+    st = A.structure
+    problems = ["component %d: block size %d is odd" % (i, size)
+                for i, size in enumerate(st.sizes, start=1) if size % 2]
+    for i in range(1, st.n + 1):
+        b = block(A, i, i)
+        d = leibniz_det([[b[r][c] - b[c][r] for c in range(len(b))] for r in range(len(b))])
+        if d != 1:
+            problems.append("component %d: det(A_%d%d - A_%d%d') = %d, expected 1"
+                            % (i, i, i, i, i, d))
+    for i in range(1, st.n + 1):
+        for j in range(i + 1, st.n + 1):
+            if any(A.entries[r][c] != A.entries[c][r]
+                   for r in st.block_range(i) for c in st.block_range(j)):
+                problems.append("blocks (%d,%d) and (%d,%d) are not transposes" % (i, j, j, i))
+    return problems
+
+
+def test_validate_matches_the_axioms_by_definition():
+    rng = random.Random(43)
+    seen = set()
+    for _ in range(300):
+        # a valid matrix with one entry changed
+        genera = [rng.randint(0, 3) for _ in range(rng.randint(1, 4))]
+        A = random_seifert_rng(rng, genera, 2)
+        if A.size:
+            e = [list(row) for row in A.entries]
+            r, c = rng.randrange(A.size), rng.randrange(A.size)
+            e[r][c] += rng.choice([-2, -1, 1, 2, rng.randint(-9, 9)])
+            A = SeifertMatrix(A.structure, e)
+        # any block sizes, odd ones too, and small random entries
+        sizes = [rng.randint(0, 5) for _ in range(rng.randint(1, 3))]
+        m = sum(sizes)
+        B = seifert_matrix(sizes, [[rng.randint(-1, 1) for _ in range(m)] for _ in range(m)])
+        for M in (A, B):
+            want = axioms_by_definition(M)
+            assert validate(M) == want
+            seen.update(p.split(":")[-1].split()[-1] for p in want)
+            seen.add(not want)
+    # valid matrices, and every kind of violation
+    assert {True, "odd", "1", "transposes"} <= seen
 
 
 def test_chi_and_torsion_on_one_matrix_validate_it_once(monkeypatch):
