@@ -10,16 +10,17 @@ elimination; ``det_unit`` is the product of its pivots, the diagonal of U.
 
 Inverse and log are ``Series.inverse`` and ``Series.log1p``, whose power
 series reject a non-unit by its grade; ``inverse_unit`` and ``log_unit``
-only name them for the matrix routines and the benchmark's tracer.  Exp,
-behind the torsion series and ``unit_power``, is computed in one pass,
-grade by grade, from the recurrence that the grading derivation gives
-when the variables commute (see ``exp_positive``).  Exp and matrix
-products run on the integer numerators of their operands, like series
-products, through ``Series._dot``, and reduce each result once.
+only name them for the matrix routines and the benchmark's tracer.
+``unit_power`` takes exp from the same power series, with coefficients
+1/k!.  The torsion series needs no exp: ``invariants.torsion_polynomial``
+solves for it in integers.  Matrix products run on the integer numerators
+of their operands, like series products, through ``Series._dot``, and
+reduce each result once.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 from collections.abc import Sequence
 from fractions import Fraction
@@ -83,39 +84,14 @@ def log_unit(f: CommSeries) -> CommSeries:
     return (f - f._unit()).log1p()
 
 
-def exp_positive(u: CommSeries) -> CommSeries:
-    """exp of a series with zero constant term, grade by grade.
-
-    With the grading derivation D x^e = |e| x^e, f = exp(u) solves
-    D f = f D u, so f_0 = 1 and
-
-        |e| f_e = sum over e1 + e2 = e, |e1| >= 1, of |e1| u_e1 f_e2,
-
-    where every f_e2 has a lower grade than e.  This holds only because
-    the variables commute.  In integers, with u = U / s, F_e = f_e k! s^k is
-    the sum of (k-1)!/(k-g)! s^(g-1) g U_e1 F_e2, g = |e1|; divided at the end.
-    """
-    if u.constant_term != 0:
-        raise ValueError("exp_positive needs zero constant term")
-    s, terms = u._operand()
-    du = [[(e1, g, g * v) for e1, g, v in terms if g == k] for k in range(u.trunc + 1)]
-    levels = [(1, [((0,) * u.n, 0, 1)])]  # (k! s^k, F_e for |e| = k)
-    for k in range(1, u.trunc + 1):
-        raw, scale = u._dot([((s, du[g]), levels[k - g]) for g in range(1, k + 1)], k)
-        levels.append((k * scale, [(e, k, v) for e, v in raw.items() if v]))
-    top = levels[-1][0]
-    out = {e: v * (top // scale) for scale, level in levels for e, _, v in level}
-    return u._same(out, top, u.trunc)
-
-
 def unit_power(f: CommSeries, e) -> CommSeries:
     """f**e for any exact rational exponent, f a unit with constant term 1.
 
-    Computed as exp(e * log f); for integer e this agrees with repeated
-    multiplication or inversion.
+    Computed as exp(e * log f), exp the power series sum_k u^k / k!; for
+    integer e this agrees with repeated multiplication or inversion.
     """
-    e = Fraction(e)
-    return exp_positive(log_unit(f).scale(e))
+    u = log_unit(f).scale(Fraction(e))
+    return u.power_series([Fraction(1, math.factorial(k)) for k in range(f.trunc + 1)])
 
 
 class CommMatrix:

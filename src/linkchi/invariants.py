@@ -29,7 +29,6 @@ time, as tr((Z^e1)_{i1 i2} ... (Z^ek)_{ik i1}) from sliced blocks of Z^e.
 
 from __future__ import annotations
 
-import math
 import sys
 from collections import defaultdict
 from collections.abc import Iterable, Sequence
@@ -378,8 +377,8 @@ def torsion_polynomial(A: SeifertMatrix, degree: int) -> CommSeries:
     """Normalized determinant invariant as a commutative series.
 
     det((I + X)^(-1/2) (I + X Z)); the constant term is 1 and the series is
-    fixed by every t_i -> 1/t_i.  Computed as exp(L - sum_i g_i log(1 + x_i))
-    with L = log det(I + X Z) = sum_{k>=1} (-1)^(k+1)/k tr((X Z)^k), where
+    fixed by every t_i -> 1/t_i.  It is exp(L - sum_i g_i log(1 + x_i)) with
+    L = log det(I + X Z) = sum_{k>=1} (-1)^(k+1)/k tr((X Z)^k), where
     (X Z)^k = sum_{|e|=k} x^e M_e over the integer matrices M_(e_i) = P_i Z
     (the rows of block i of Z, P_i keeping the rows of block i) and
     M_e = sum_{i: e_i > 0} P_i Z M_{e - e_i}.
@@ -401,8 +400,15 @@ def torsion_polynomial(A: SeifertMatrix, degree: int) -> CommSeries:
     e_i > 0, so tr(M_e1 M_e2) is one dot product of the rows R(e2) of M_e2
     with the columns R(e2) of M_e1.  At even degree the last stage
     multiplies level h by itself, and as tr(A B) = tr(B A) each unordered
-    pair {e1, e2} is computed once and counted twice when e1 != e2.  L is
-    built in integers over lcm(1..degree); exp is ``commalg.exp_positive``.
+    pair {e1, e2} is computed once and counted twice when e1 != e2.
+
+    From the traces t_e = tr M_e the series T is found in integers, grade by
+    grade, without L or exp: the grading derivation D x^e = |e| x^e gives
+    D T = T D(log T), and D(log T) has the integer coefficients
+    q_e = (-1)^(|e|+1) t_e, plus (-1)^j g_i at e = j e_i.  So T_0 = 1 and
+    |e| T_e = sum over e1 + e2 = e, |e1| >= 1, of q_e1 T_e2, a division that
+    is exact because T has integer coefficients.  This holds only because
+    the variables commute.
     """
     seifert.require_valid(A)
     st = A.structure
@@ -476,17 +482,22 @@ def torsion_polynomial(A: SeifertMatrix, degree: int) -> CommSeries:
                 e = tuple(map(add, e1, e2))
                 trace = sum(map(mul, rows, pick(cols, s2, m)))
                 traces[e] = traces.get(e, 0) + (2 * trace if k == h and b else trace)
-    den = math.lcm(*range(1, degree + 1))
-    # log(1 + x) = sum_k coef[k] x^k / den
-    coef = [0] + [den // k if k % 2 else -den // k for k in range(1, degree + 1)]
-    num = {e: coef[sum(e)] * trace for e, trace in traces.items()}
+    q = {e: trace if sum(e) % 2 else -trace for e, trace in traces.items()}
     for i, _ in blocks:
-        g = st.genus(i + 1)
-        for d in range(1, degree + 1):
-            # minus g_i log(1 + x_i)
-            e = (0,) * i + (d,) + (0,) * (n - i - 1)
-            num[e] = num.get(e, 0) - g * coef[d]
-    return commalg.exp_positive(CommSeries.zero(n, degree)._same(num, den, degree))
+        for j in range(1, degree + 1):
+            e = (0,) * i + (j,) + (0,) * (n - i - 1)
+            q[e] = q.get(e, 0) + (-1) ** j * st.genus(i + 1)
+    q_at = [[(e, v) for e, v in q.items() if v and sum(e) == g] for g in range(degree + 1)]
+    grades = [[((0,) * n, 1)]]  # grades[k]: (e, T_e) for |e| = k
+    for k in range(1, degree + 1):
+        acc: dict[commalg.Expo, int] = {}
+        for g in range(1, k + 1):
+            for e1, v1 in q_at[g]:
+                for e2, v2 in grades[k - g]:
+                    e = tuple(map(add, e1, e2))
+                    acc[e] = acc.get(e, 0) + v1 * v2
+        grades.append([(e, v // k) for e, v in acc.items() if v])
+    return CommSeries.zero(n, degree)._same(dict(chain(*grades)), 1, degree)
 
 
 # -- reconstruction through the three-letter reduction ----------------------

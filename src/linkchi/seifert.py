@@ -274,8 +274,8 @@ def move_s2(
     bordering column rho and a zero column.
     """
     st = A.structure
-    if not 1 <= component <= st.n:
-        raise ValueError("component %d out of range 1..%d" % (component, st.n))
+    if isinstance(component, bool) or not isinstance(component, int) or not 1 <= component <= st.n:
+        raise ValueError("component %r is not an integer in 1..%d" % (component, st.n))
     if variant not in ("a", "b"):
         raise ValueError("variant must be 'a' or 'b'")
     rho = tuple(rho)  # the new matrix's entry check rejects any entry that is not an int

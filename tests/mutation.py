@@ -58,6 +58,11 @@ MUTANTS = [
     ("torsion-pick-first-block", "invariants.py",
      "                out += seq[rows.start * width : rows.stop * width]",
      "                return seq[rows.start * width : rows.stop * width]"),
+    # the torsion series from the traces by the grading recurrence, in integers
+    ("torsion-q-signed-on-even-grades", "invariants.py",
+     "trace if sum(e) % 2 else -trace", "-trace if sum(e) % 2 else trace"),
+    ("torsion-genus-term-sign-flipped", "invariants.py",
+     "(-1) ** j * st.genus(i + 1)", "-((-1) ** j) * st.genus(i + 1)"),
     # the decode of packed rows, which torsion and word traces share
     ("torsion-unsigned-wide-decode", "invariants.py",
      "sys.byteorder, signed=True)", "sys.byteorder, signed=False)"),

@@ -1,5 +1,4 @@
 import itertools
-import math
 import random
 from fractions import Fraction
 
@@ -11,7 +10,6 @@ from linkchi.commalg import (
     CommMatrix,
     CommSeries,
     det_unit,
-    exp_positive,
     log_unit,
     lu_decompose,
     trlog,
@@ -106,7 +104,8 @@ def test_unit_power_requires_unit():
 def test_log_exp_round_trip():
     one, x = one_var(4)
     f = one + x + x * x
-    assert exp_positive(log_unit(f)) == f
+    assert unit_power(f, 1) == f
+    assert unit_power(unit_power(f, Fraction(1, 3)), 3) == f
 
 
 def random_positive_series(rng, n, trunc):
@@ -122,22 +121,19 @@ def random_positive_series(rng, n, trunc):
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_exp_recurrence_matches_power_series(n):
+    """unit_power's exp, a power series, against the grading recurrence in Fractions:
+    (exp u)^e = exp(e u)."""
     rng = random.Random(300 + n)
-    factorials = [Fraction(1, math.factorial(k)) for k in range(9)]
     for trunc in range(9):
         cases = [CommSeries.zero(n, trunc)] + [random_positive_series(rng, n, trunc) for _ in range(3)]
         for u in cases:
-            f = exp_positive(u)
-            assert (f.n, f.trunc) == (n, trunc)
-            assert f == u.power_series(factorials[: trunc + 1])
+            f = exp_by_fractions(u)
             assert log_unit(f) == u
-    assert exp_positive(CommSeries.zero(n, 4)) == CommSeries.one(n, 4)
-
-
-def test_exp_requires_zero_constant_term():
-    one, x = one_var(3)
-    with pytest.raises(ValueError):
-        exp_positive(one + x)
+            for e in (1, -2, Fraction(1, 2)):
+                power = unit_power(f, e)
+                assert (power.n, power.trunc) == (n, trunc)
+                assert power == exp_by_fractions(u.scale(e))
+    assert unit_power(CommSeries.one(n, 4), Fraction(-1, 2)) == CommSeries.one(n, 4)
 
 
 # -- determinants ---------------------------------------------------------------
@@ -313,13 +309,16 @@ def test_matrix_product_checks_size_and_n():
 @given(st.integers(1, 3).flatmap(
     lambda n: st.integers(0, 6).flatmap(lambda t: comm_series(n, t, positive=True))))
 def test_exp_matches_fraction_recurrence(u):
-    got, want = exp_positive(u), exp_by_fractions(u)
+    e = Fraction(-3, 2)
+    got, want = unit_power(exp_by_fractions(u), e), exp_by_fractions(u.scale(e))
     assert got.trunc == want.trunc and got.terms == want.terms
 
 
 def test_exp_over_coprime_denominators():
+    """exp(u) squared is exp(2 u), through log and exp over coprime denominators."""
     p, q = Fraction(1, 7919), Fraction(1, 7907)
-    u = CommSeries(2, 3, {(1, 0): p, (0, 2): q})
-    assert exp_positive(u).terms == {
-        (0, 0): 1, (1, 0): p, (2, 0): p * p / 2, (3, 0): p ** 3 / 6,
-        (0, 2): q, (1, 2): p * q}
+    f = CommSeries(2, 3, {(0, 0): 1, (1, 0): p, (2, 0): p * p / 2, (3, 0): p ** 3 / 6,
+                          (0, 2): q, (1, 2): p * q})
+    assert unit_power(f, 2).terms == {
+        (0, 0): 1, (1, 0): 2 * p, (2, 0): 2 * p * p, (3, 0): 4 * p ** 3 / 3,
+        (0, 2): 2 * q, (1, 2): 4 * p * q}

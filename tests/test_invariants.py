@@ -694,6 +694,36 @@ def test_torsion_matches_oracle_with_entries_near_10_to_the_12(genera, degree, s
     assert torsion_polynomial(A, degree) == torsion_by_det(A, degree)
 
 
+def torus_knot(g):
+    """T(2, 2g+1): A = -I + N, N the ones on the superdiagonal, size 2g."""
+    size = 2 * g
+    return seifert_matrix([size], [[int(c == r + 1) - int(c == r) for c in range(size)]
+                                   for r in range(size)])
+
+
+def torus_knot_torsion(g, n, i, degree):
+    """(1 + x_i)^(-g) sum_{k=0}^{2g} (-(1 + x_i))^k, the torsion of T(2, 2g+1)
+    in the variable x_i of n."""
+    t = commalg.CommSeries.one(n, degree) + commalg.CommSeries.variable(n, degree, i)
+    total = commalg.CommSeries.zero(n, degree)
+    for k in range(2 * g + 1):
+        total = total + (-t) ** k
+    return t.inverse() ** g * total
+
+
+@pytest.mark.parametrize("g", [1, 2, 3, 5, 10, 25])
+def test_torsion_of_torus_knots_matches_closed_form_at_high_genus(g):
+    assert torsion_polynomial(torus_knot(g), 12) == torus_knot_torsion(g, 1, 1, 12)
+
+
+def test_torsion_of_a_direct_sum_is_the_product_in_separate_variables():
+    a, b = torsion_polynomial(torus_knot(3), 12), torsion_polynomial(torus_knot(5), 12)
+    want = (commalg.CommSeries(2, 12, {(e, 0): c for (e,), c in a.terms.items()})
+            * commalg.CommSeries(2, 12, {(0, e): c for (e,), c in b.terms.items()}))
+    assert want == torus_knot_torsion(3, 2, 1, 12) * torus_knot_torsion(5, 2, 2, 12)
+    assert torsion_polynomial(direct_sum(torus_knot(3), torus_knot(5)), 12) == want
+
+
 def test_torsion_with_genus_zero_component_matches_oracle():
     rng = random.Random(11)
     for genera in ([2, 0, 1], [0, 2], [1, 0], [0, 1]):

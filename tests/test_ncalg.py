@@ -328,6 +328,33 @@ def test_hat_and_one_minus_z_of_random_bi_series_match_ring_products():
     assert most_z >= 3
 
 
+def z_heavy_bi_series(rng, xtrunc):
+    """Words with xtrunc or xtrunc - 1 x's, after a run of 0-4 z's and each
+    before a run of 0-2 z's."""
+    terms = {}
+    for _ in range(rng.randint(1, 8)):
+        word = "z" * rng.randint(0, 4)
+        for _ in range(max(0, xtrunc - rng.randint(0, 1))):
+            word += "x" + "z" * rng.randint(0, 2)
+        terms[word] = Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 12))
+    return BiSeries(xtrunc, terms)
+
+
+@pytest.mark.parametrize("trunc", range(8))
+def test_maps_return_no_key_past_the_truncation(trunc):
+    # Series._same trusts its caller to drop keys of grade above trunc
+    rng = random.Random(1300 + trunc)
+    kinds = ("tilde", "hat", "bar")
+    nc = [random_runs_series(rng, n, trunc) for n in (1, 2, 3, 4) for _ in range(4)]
+    bi = [random_bi_series(rng, trunc)] + [z_heavy_bi_series(rng, trunc) for _ in range(6)]
+    outs = [op(f) for f in nc + bi for op in (hat, bar, tilde)]
+    outs += [op(f) for f in nc for op in (cyclic_reduce, abelianize)]
+    outs += [transform(f, kind) for f in nc for kind in kinds]
+    outs += [transform(f, kind) for f in bi for kind in kinds + ("z_to_one_minus_z",)]
+    for out in outs:
+        assert max(map(out._grade, out.num), default=0) <= out.trunc == trunc
+
+
 # -- cyclic quotient and abelianization --------------------------------------
 
 

@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+from helpers import trefoil
 from linkchi import genfun, invariants, seifert
 from linkchi.commalg import CommMatrix, CommSeries
 from linkchi.ncalg import NCSeries, substitute
@@ -43,6 +44,14 @@ CASES = {
     "comm-variable-past-n": (lambda: CommSeries.variable(2, 3, 3), "letter 3 is not an integer in 1..2"),
     "comm-variable-bool": (lambda: CommSeries.variable(2, 3, True),
                            "letter True is not an integer in 1..2"),
+    "move-s2-component-bool": (lambda: seifert.move_s2(trefoil(), True, "a", [0, 0]),
+                               "component True is not an integer in 1..1"),
+    "move-s2-component-float": (lambda: seifert.move_s2(trefoil(), 1.0, "a", [0, 0]),
+                                "component 1.0 is not an integer in 1..1"),
+    "move-s2-component-str": (lambda: seifert.move_s2(trefoil(), "1", "a", [0, 0]),
+                              "component '1' is not an integer in 1..1"),
+    "move-s2-component-past-n": (lambda: seifert.move_s2(trefoil(), 2, "a", [0, 0]),
+                                 "component 2 is not an integer in 1..1"),
     "series-negative-power": (lambda: (C + CommSeries.variable(1, 3, 1)) ** -1,
                               "negative powers need a series inverse"),
 }
