@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Subcommands: validate, chi, torsion, move, selfcheck.  Exit codes are 0 on
-success, 1 on a semantic failure (invalid matrix, failed check) and 2 on an
-I/O or parse error.  All randomness flows from the explicit --seed option.
+success, 1 on a semantic failure (invalid matrix, failed check) or when
+memory runs out, and 2 on an I/O or parse error.  All randomness flows
+from the explicit --seed option.
 """
 
 from __future__ import annotations
@@ -244,6 +245,9 @@ def main(argv=None) -> int:
         return exc.code
     except ValueError as exc:
         print(_one_line(str(exc)), file=sys.stderr)
+        return 1
+    except MemoryError:  # an allocation past the process's limit; an OOM kill is not caught
+        print("linkchi %s: out of memory" % args.command, file=sys.stderr)
         return 1
 
 

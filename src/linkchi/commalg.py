@@ -2,10 +2,12 @@
 
 This is the abelian shadow of the noncommutative kernel: exponent-vector
 monomials with exact rational coefficients, plus the matrix machinery
-(determinant, trace-of-log, LU factorization) that the commutative-lemma
-checks exercise and the torsion oracle uses.  All entries live in the
-local ring where any element with constant term 1 is invertible, so
-Gaussian elimination needs no row exchanges.  ``lu_decompose`` is the one
+(determinant, trace-of-log, LU factorization) of the oracles.  Selfcheck's
+commutative-lemma suite runs it on M = I + X Z, whose determinant is the
+torsion times prod_i (1 + x_i)^g_i and whose trace of log is the
+abelianized ``chi_delta`` plus the log of that product.  All entries live
+in the local ring where any element with constant term 1 is invertible,
+so Gaussian elimination needs no row exchanges.  ``lu_decompose`` is the one
 elimination; ``det_unit`` is the product of its pivots, the diagonal of U.
 
 Inverse and log are ``Series.inverse`` and ``Series.log1p``, whose power

@@ -290,7 +290,8 @@ def move_s2(
 
 
 def reflect(A: SeifertMatrix) -> SeifertMatrix:
-    """Transpose, the Seifert matrix of the mirror-image link."""
+    """Transpose, the Seifert matrix of the link with every orientation reversed.
+    The mirror image has -A' (Lickorish, ch. 6); both have Z = I - Z(A)."""
     return A.transpose()
 
 

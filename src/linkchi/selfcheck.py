@@ -33,25 +33,6 @@ def random_nc_series(rng: random.Random, n: int, trunc: int) -> NCSeries:
     return NCSeries(n, trunc, data)
 
 
-def random_comm_unit_matrix(
-    rng: random.Random, size: int, n: int, trunc: int
-) -> CommMatrix:
-    rows = []
-    for r in range(size):
-        row = []
-        for c in range(size):
-            terms = {(0,) * n: 1} if r == c else {}
-            for _ in range(rng.randint(1, 3)):
-                expo = [0] * n
-                for _ in range(rng.randint(1, trunc)):
-                    expo[rng.randrange(n)] += 1
-                key = tuple(expo)
-                terms[key] = terms.get(key, 0) + rng.randint(-3, 3)
-            row.append(CommSeries(n, trunc, terms))
-        rows.append(row)
-    return CommMatrix(rows)
-
-
 def random_matrices(rng: random.Random, count: int, max_genus=2, bound=3):
     out = []
     for _ in range(count):
@@ -151,23 +132,33 @@ def suite_special_inverse(rng: random.Random, degree: int) -> list[tuple[bool, s
 
 
 def suite_comm_matrix_lemmas(rng: random.Random, degree: int) -> list[tuple[bool, str]]:
+    """det, tr log and LU of M = I + X Z over ``CommSeries``, X = diag(x_block(r)).
+
+    det M is the torsion times N = prod_i (1 + x_i)^g_i, and tr log M = log det M
+    is the abelianized ``chi_delta`` plus log N.
+    """
     checks = []
     trunc = min(degree, 4)
-    for case in range(8):
-        n = rng.randint(1, 2)
-        size = rng.randint(1, 3)
-        m1 = random_comm_unit_matrix(rng, size, n, trunc)
-        m2 = random_comm_unit_matrix(rng, size, n, trunc)
+    for case, A in enumerate(random_matrices(rng, 8, max_genus=1, bound=2)):
+        st, n, z = A.structure, A.n, seifert.z_matrix(A)
+        unit = [tuple(int(j == i) for j in range(n)) for i in range(n)]
+        letter = [unit[i] for i in range(n) for _ in st.block_range(i + 1)]
+        M = CommMatrix([[CommSeries(n, trunc, {(0,) * n: int(r == c), letter[r]: z[r][c]})
+                         for c in range(A.size)] for r in range(A.size)])
+        norm = math.prod((CommSeries(n, trunc, {(0,) * n: 1, unit[i]: 1})
+                          for i in range(n) for _ in range(st.genus(i + 1))),
+                         start=CommSeries.one(n, trunc))
         checks.append((
-            commalg.trlog(m1 * m2) == commalg.trlog(m1) + commalg.trlog(m2),
-            "trlog additivity case %d" % case,
+            commalg.det_unit(M) == invariants.torsion_polynomial(A, trunc) * norm,
+            "det(I + XZ) = torsion * prod (1 + x_i)^g_i case %d" % case,
         ))
         checks.append((
-            commalg.log_unit(commalg.det_unit(m1)) == commalg.trlog(m1),
-            "log det = tr log case %d" % case,
+            commalg.trlog(M)
+            == ncalg.abelianize(invariants.chi_delta(A, trunc)) + commalg.log_unit(norm),
+            "tr log(I + XZ) = abelianized chi_delta + log prod (1 + x_i)^g_i case %d" % case,
         ))
-        low, up = commalg.lu_decompose(m1)
-        checks.append((low * up == m1, "LU recombination case %d" % case))
+        low, up = commalg.lu_decompose(M)
+        checks.append((low * up == M, "LU recombination of I + XZ case %d" % case))
     return checks
 
 

@@ -110,6 +110,10 @@ MUTANTS = [
     # the check-only oracles: one elimination, one builder of H
     ("lu-update-adds", "commalg.py",
      "[a - factor * b for a, b in zip(up[r][c + 1:]", "[a + factor * b for a, b in zip(up[r][c + 1:]"),
+    ("det-unit-drops-last-pivot", "commalg.py",
+     "enumerate(lu_decompose(M)[1].rows):", "enumerate(lu_decompose(M)[1].rows[:-1]):"),
+    ("trlog-last-power-dropped", "commalg.py",
+     "for k in range(1, M.trunc + 1):", "for k in range(1, M.trunc):"),
     ("half-ones-one-choice-short", "seifert.py",
      "itertools.combinations(range(b.start, b.stop), (b.stop - b.start) // 2)",
      "list(itertools.combinations(range(b.start, b.stop), (b.stop - b.start) // 2))[1:]"),

@@ -588,7 +588,8 @@ edge-cases            15 checks  ok
 """
 
 
-@pytest.mark.parametrize("seed", ["0", "15"])  # a light seed and a heavy one
+# seeds 0-8 and the heavy 15 and 25, which hold every selfcheck seed the benchmark runs
+@pytest.mark.parametrize("seed", list(map(str, [*range(9), 15, 25])))
 def test_selfcheck_golden_stdout(capsys, seed):
     assert run(capsys, ["selfcheck", "--seed", seed, "--degree", "5"]) == (0, SELFCHECK_DEGREE_5, "")
 
@@ -629,8 +630,8 @@ def test_suite_result_counts_checks_and_failures(monkeypatch):
 # sha256 of repr() of the (ok, message) lists the ten suites return, in order;
 # the messages name the drawn words and matrices, which stdout does not show
 SELFCHECK_DRAWS_DEGREE_5 = {
-    0: "6413384702b673b5c27e225ac5e3dbe5ced07df2d42be65c600472453a1ee30e",
-    15: "99e3ea8d3dbfacf849d8c66746215b843d8385a9ac3eff696d450372a586ab37",
+    0: "a7fe8d182a9968a9714d7e2de0f85e6fce3b23a3f040a6a6bc9fe8a0a849e473",
+    15: "abca463c9593cac8192fe5ffbfd004413036507823d770cefb8dca14445a50f5",
 }
 
 
@@ -719,3 +720,24 @@ def test_help_does_not_depend_on_the_terminal_width(tmp_path, argv):
         assert (proc.returncode, proc.stderr) == (0, "")
         outputs.add(proc.stdout)
     assert len(outputs) == 1
+
+
+# -- out of memory -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("command, genera, degree", [
+    ("torsion", [1], 100000),  # slots of bits(||Z||^50000) per row
+    ("chi", [1, 1, 1], 16),  # sum over k <= 16 of 3^k words
+])
+def test_out_of_memory_is_one_stderr_line_and_exit_1(tmp_path, command, genera, degree):
+    resource = pytest.importorskip("resource")
+    cap = 300 * 2**20  # bytes of address space, set on the child process alone
+    path = tmp_path / "m.json"
+    path.write_text(seifert.serialize(seifert.random_seifert_rng(random.Random(1), genera, 2)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "linkchi.cli", command, str(path), "--degree", str(degree)],
+        capture_output=True, text=True, cwd=tmp_path, env=dict(os.environ, PYTHONPATH=SRC),
+        timeout=120, preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        1, "", "linkchi %s: out of memory\n" % command)

@@ -13,6 +13,12 @@ reversed block tuple: ``chi_delta(A^T)`` is ``tilde(chi_delta(A))``, and
 ``det(I + X Z)`` is the same for both, so their torsion series agree at
 every degree.  ``chi_delta`` tells ``A`` from ``A^T`` exactly when it is
 not invariant under word reversal.
+
+What chi cannot see.  ``S(-A) = -S(A)``, so ``Z(-A) = Z(A)``: no ``chi_f``
+and no torsion tells ``A`` from ``-A``.  A rational block-diagonal P with
+``det P_ii = +-1`` and an integral ``B = P A P^T`` give ``S_B = P S P^T``
+and ``Z_B = P Z P^-1``; P commutes with every block projection, so every
+trace ``tr(P_v1 Z ... P_vk Z)`` of B is that of A.
 """
 
 import itertools
@@ -110,3 +116,26 @@ def test_chi_delta_of_a_two_component_matrix_and_its_transpose_first_differ_at_l
               if a.coefficient(w) != b.coefficient(w)]
     assert differ[0] == (1, 1, 1, 1, 2, 1, 1, 2, 2)
     assert torsion_polynomial(A, 9) == torsion_polynomial(A.transpose(), 9)
+
+
+@pytest.mark.parametrize("genera", [[1, 1, 1], [2, 1], [1, 0, 2]])
+def test_minus_a_has_the_invariants_of_a(genera):
+    for seed in range(10):
+        A = seifert.random_seifert_rng(random.Random(seed), genera, 2)
+        B = seifert.seifert_matrix(A.structure.sizes, [[-v for v in row] for row in A.entries])
+        assert not seifert.validate(B)
+        assert chi_delta(B, 5) == chi_delta(A, 5) and not chi_delta(A, 5).is_zero()
+        assert chi_phi(B, 5) == chi_phi(A, 5)
+        assert torsion_polynomial(B, 8) == torsion_polynomial(A, 8)
+
+
+def test_a_rational_block_congruence_keeps_chi_and_the_torsion():
+    A = seifert.random_seifert_rng(random.Random(15), [1, 1], 3)
+    p = [2, Fraction(1, 2), 1, 1]  # P = diag(p), det P_11 = det P_22 = 1
+    rows = [[p[r] * v * p[c] for c, v in enumerate(row)] for r, row in enumerate(A.entries)]
+    assert all(v.denominator == 1 for row in rows for v in row)
+    B = seifert.seifert_matrix([2, 2], [[int(v) for v in row] for row in rows])
+    assert B != A and not seifert.validate(B)
+    assert chi_delta(B, 6) == chi_delta(A, 6) and not chi_delta(A, 6).is_zero()
+    assert chi_phi(B, 6) == chi_phi(A, 6)
+    assert torsion_polynomial(B, 8) == torsion_polynomial(A, 8)
