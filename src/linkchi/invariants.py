@@ -23,8 +23,11 @@ stage; ``chi_lines`` writes text from them by ``ncalg.store_lines``, with
 no word-keyed dict.  A word that starts and ends with z sums
 position 0 over every block, which merges its first and last z-runs; z^e
 is the one letter P_j Z^e summed over j.  ``tr_monomial``, the oracle of
-the table, evaluates the same sum one block index tuple (i1..ik) at a
-time, as tr((Z^e1)_{i1 i2} ... (Z^ek)_{ik i1}) from sliced blocks of Z^e.
+the table, evaluates the same sum as written: it grows the block paths v
+one z-run at a time, each by one product with the rows of block vt of Z^e,
+and closes each with one trace tr((Z^e1)_{v1 v2} ... (Z^ek)_{vk v1}); it
+shares only ``seifert.z_matrix``, ``seifert.mat_mul`` and ``word_runs``
+with the table.
 """
 
 from __future__ import annotations
@@ -292,66 +295,46 @@ def chi_phi(A: SeifertMatrix, degree: int) -> NCSeries:
 
 
 def tr_monomial(word: str, A: SeifertMatrix, degree: int) -> NCSeries:
-    """tr f(X, Z) for a single monomial via the block-trace formula.
+    """tr f(X, Z) for a single monomial, as the block-trace sum it is.
 
-    Each block (Z^e)_{ij} the word needs is sliced once per call.
+    One open path starts at each nonempty block v1 with the identity; each
+    z-run z^e but the last extends a path v by every block j, times the block
+    (Z^e)_{vt j}, and the last closes it back to v1 with the trace T(v).
     """
     seifert.require_valid(A)
-    st = A.structure
-    n = st.n
-    runs, zruns = word_runs(word)
-    if sum(runs) > degree:
-        return NCSeries.zero(n, degree)
+    st, (runs, zruns) = A.structure, word_runs(word)
     terms: dict[Word, int] = {}
-
-    def add(w: Word, value: int) -> None:
-        terms[w] = terms.get(w, 0) + value
-
-    if not zruns:
-        for i in range(1, n + 1):
-            add((i,) * runs[0], 2 * st.genus(i))
-        return NCSeries(n, degree, terms)
-
+    if sum(runs) > degree:
+        return NCSeries.zero(st.n, degree)
+    if not zruns:  # tr X^j = sum_i 2 g_i x_i^j
+        for i in range(1, st.n + 1):
+            terms[(i,) * runs[0]] = terms.get((i,) * runs[0], 0) + 2 * st.genus(i)
+        return NCSeries(st.n, degree, terms)
     z = seifert.z_matrix(A)
-    powers = {1: z}
-    for e in range(2, max(zruns) + 1):
-        powers[e] = seifert.mat_mul(powers[e - 1], z)
-    ranges = {i: st.block_range(i) for i in range(1, n + 1) if st.sizes[i - 1]}
-    blocks = {
-        (e, i, j): [[powers[e][r][c] for c in cols] for r in rows]
-        for e in set(zruns)
-        for i, rows in ranges.items()
-        for j, cols in ranges.items()
-    }
-
-    k = len(zruns)
-
-    def word_for(indices: tuple[int, ...]) -> Word:
-        # x_{i1}^j1 x_{i2}^j2 ... x_{ik}^jk x_{i1}^j(k+1)
-        letters: list[int] = []
-        for i, j in zip(indices + indices[:1], runs):
-            letters.extend([i] * j)
-        return tuple(letters)
-
-    def rec(t: int, indices: tuple[int, ...], prod) -> None:
-        # prod carries (Z^e1)_{i1 i2} ... (Z^e_{t})_{i_t i_{t+1}}; at t = k-1
-        # the last factor closes the cycle back to i1.
-        if t == k - 1:
-            blk = blocks[zruns[t], indices[-1], indices[0]]
-            if prod is None:
-                trace = sum(blk[r][r] for r in range(len(blk)))
-            else:  # tr(prod blk) = sum_r row_r(prod) . column_r(blk)
-                trace = sum(a * b for row, col in zip(prod, zip(*blk)) for a, b in zip(row, col))
-            if trace:
-                add(word_for(indices), trace)
-            return
-        for nxt in ranges:
-            blk = blocks[zruns[t], indices[-1], nxt]
-            rec(t + 1, indices + (nxt,), blk if prod is None else seifert.mat_mul(prod, blk))
-
-    for i1 in ranges:
-        rec(0, (i1,), None)
-    return NCSeries(n, degree, terms)
+    powers = [None, z]
+    for _ in range(max(zruns) - 1):
+        powers.append(seifert.mat_mul(powers[-1], z))
+    ranges = {i: st.block_range(i) for i in range(1, st.n + 1) if st.sizes[i - 1]}
+    # {v: (Z^e1)_{v1 v2} ... (Z^et)_{vt v(t+1)}} after t z-runs
+    paths = {(i,): [[int(r == c) for c in rows] for r in rows] for i, rows in ranges.items()}
+    for e in zruns[:-1]:  # times the rows of block vt of Z^e, cut into the blocks j
+        grown = {}
+        for v, prod in paths.items():
+            rows = ranges[v[-1]]
+            wide = seifert.mat_mul(prod, powers[e][rows.start : rows.stop])
+            for j, cols in ranges.items():
+                grown[v + (j,)] = [row[cols.start : cols.stop] for row in wide]
+        paths = grown
+    cols = list(zip(*powers[zruns[-1]]))  # the columns of Z^ek
+    for v, prod in paths.items():
+        # tr(prod (Z^ek)_{vk v1}) = sum_r row_r(prod) . column_r((Z^ek)_{vk v1})
+        last = ranges[v[-1]]
+        trace = sum(sum(map(mul, row, cols[c][last.start : last.stop]))
+                    for row, c in zip(prod, ranges[v[0]]))
+        if trace:  # x_v1^j1 ... x_vk^jk x_v1^j(k+1)
+            key = tuple(chain.from_iterable(map(repeat, v + v[:1], runs)))
+            terms[key] = terms.get(key, 0) + trace
+    return NCSeries(st.n, degree, terms)
 
 
 # -- half-rank correction ---------------------------------------------------

@@ -199,15 +199,6 @@ def bar(f: Series) -> Series:
     return tilde(hat(f))
 
 
-def involution(f: Series, kind: str) -> Series:
-    """``tilde``, ``hat`` or ``bar`` of an ``NCSeries`` or a ``genfun.BiSeries``."""
-    # names looked up per call, so the benchmark tracer's wrappers see it
-    ops = {"tilde": tilde, "hat": hat, "bar": bar}
-    if kind not in ops:
-        raise ValueError("unknown involution %r" % kind)
-    return ops[kind](f)
-
-
 def minimal_rotation(word: Word) -> Word:
     """Lexicographically least cyclic rotation of a word.
 

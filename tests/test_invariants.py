@@ -1,5 +1,7 @@
+import inspect
 import itertools
 import random
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -127,6 +129,15 @@ def test_formula_of_a_word_beyond_the_degree_is_zero():
     out = tr_monomial("xzxxx", trefoil(), 3)
     assert out == NCSeries.zero(1, 3) == tr_series(monomial("xzxxx", 3), trefoil(), 3)
     assert out.trunc == 3
+
+
+def test_formula_shares_no_code_with_the_trace_table():
+    # the oracle reads Z, its powers and the word's runs, and nothing of the table
+    body = inspect.getsource(tr_monomial)
+    for name in ("_trace_by_halves", "_pattern_traces", "_times", "_unpack", "_kept_trie",
+                 "store_words"):
+        assert not re.search(r"\b%s\b" % name, body), name
+    assert re.search(r"\bword_runs\b", body) and re.search(r"\bseifert\.mat_mul\b", body)
 
 
 def monomial_trace_sum(f, A, degree):
