@@ -138,6 +138,13 @@ def stabilized_unknot():
     return seifert_matrix([2], [[0, 1], [0, 0]])
 
 
+def torus_knot(g):
+    """T(2, 2g+1): A = -I + N, N the ones on the superdiagonal, size 2g."""
+    size = 2 * g
+    return seifert_matrix([size], [[int(c == r + 1) - int(c == r) for c in range(size)]
+                                   for r in range(size)])
+
+
 def reflection_example():
     """Three-component 6x6 matrix with asymmetric degree-4 coefficients."""
     m = ((0, 1), (0, 0))

@@ -152,6 +152,11 @@ MUTANTS = [
     ("hat-length-bound-without-room", "ncalg.py",
      "max([len(w) + trunc - grade(w) for w in f.num], default=0)",
      "max([len(w) for w in f.num], default=0)"),
+    # the block-trace oracle closes each path v at v1; tr H^e = g for every e >= 1
+    ("formula-closes-at-last-block", "invariants.py",
+     "for row, c in zip(prod, ranges[v[0]]))", "for row, c in zip(prod, ranges[v[-1]]))"),
+    ("half-term-two-zs-as-none", "invariants.py",
+     '(v if "z" in w else 2 * v)', '(v if w.count("z") == 1 else 2 * v)'),
     # the rotation table kept across calls, and x - xbar from bar
     ("rotation-table-never-emptied", "ncalg.py",
      "    if len(least) > _LEAST_CAP:\n        least.clear()\n", ""),

@@ -627,11 +627,13 @@ def test_suite_result_counts_checks_and_failures(monkeypatch):
     assert draws == [random.Random("4:probe-one").random()]
 
 
-# sha256 of repr() of the (ok, message) lists the ten suites return, in order;
-# the messages name the drawn words and matrices, which stdout does not show
+# sha256 of repr() of each suite's (ok, message) list beside its generator's state
+# after it returns, the ten suites in order: some messages name the drawn words and
+# matrices, which stdout does not show, and the state pins the draws of the suites
+# whose messages only count their cases
 SELFCHECK_DRAWS_DEGREE_5 = {
-    0: "a7fe8d182a9968a9714d7e2de0f85e6fce3b23a3f040a6a6bc9fe8a0a849e473",
-    15: "abca463c9593cac8192fe5ffbfd004413036507823d770cefb8dca14445a50f5",
+    0: "c5b52cb3bbd961dbe687d680cba44d2375ec083c42cc6356f025e89d33b7b785",
+    15: "c3ba5b6e8c4df94c7a7c26df0b826f899a3e0d5b5ae03c949e55bafb689e02f8",
 }
 
 
@@ -643,7 +645,7 @@ def test_selfcheck_suites_draw_the_same_cases(monkeypatch, seed):
         @functools.wraps(suite)  # the runner names a suite by its __name__
         def wrapper(rng, degree):
             checks = suite(rng, degree)
-            recorded.append(checks)
+            recorded.append((checks, rng.getstate()))
             return checks
         return wrapper
 

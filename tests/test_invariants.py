@@ -17,6 +17,7 @@ from helpers import (
     shift_variables,
     stabilized_unknot,
     torsion_by_det,
+    torus_knot,
     trefoil,
     u_div,
     u_inv,
@@ -703,13 +704,6 @@ def test_torsion_matches_oracle_with_entries_near_10_to_the_12(genera, degree, s
     norm = max(sum(map(abs, row)) for row in seifert.z_matrix(A))
     assert (norm ** ((degree + 1) // 2)).bit_length() + 2 > 64
     assert torsion_polynomial(A, degree) == torsion_by_det(A, degree)
-
-
-def torus_knot(g):
-    """T(2, 2g+1): A = -I + N, N the ones on the superdiagonal, size 2g."""
-    size = 2 * g
-    return seifert_matrix([size], [[int(c == r + 1) - int(c == r) for c in range(size)]
-                                   for r in range(size)])
 
 
 def torus_knot_torsion(g, n, i, degree):

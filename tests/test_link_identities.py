@@ -14,6 +14,12 @@ reversed block tuple: ``chi_delta(A^T)`` is ``tilde(chi_delta(A))``, and
 every degree.  ``chi_delta`` tells ``A`` from ``A^T`` exactly when it is
 not invariant under word reversal.
 
+Knots.  At n = 1 the matrix X = x I commutes with Z, so a word w of f
+contributes ``x^|w|_x (tr Z^|w|_z - tr H^|w|_z)``, with ``tr H^0 = 2g`` and
+``tr H^e = g`` for e >= 1.  The power sums ``tr Z^e`` follow from
+``det(I + x Z) = (1 + x)^g torsion`` by Newton's identities: for a knot
+every ``chi_f`` is a function of the torsion.
+
 What chi cannot see.  ``S(-A) = -S(A)``, so ``Z(-A) = Z(A)``: no ``chi_f``
 and no torsion tells ``A`` from ``-A``.  A rational block-diagonal P with
 ``det P_ii = +-1`` and an integral ``B = P A P^T`` give ``S_B = P S P^T``
@@ -22,14 +28,17 @@ trace ``tr(P_v1 Z ... P_vk Z)`` of B is that of A.
 """
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from helpers import torus_knot
 from linkchi import ncalg, seifert
 from linkchi.commalg import CommSeries
-from linkchi.invariants import chi_delta, chi_phi, torsion_polynomial
+from linkchi.genfun import BiSeries, delta_series, monomial, phi_series
+from linkchi.invariants import chi, chi_delta, chi_phi, torsion_polynomial
 from linkchi.ncalg import NCSeries
 
 
@@ -139,3 +148,58 @@ def test_a_rational_block_congruence_keeps_chi_and_the_torsion():
     assert chi_delta(B, 6) == chi_delta(A, 6) and not chi_delta(A, 6).is_zero()
     assert chi_phi(B, 6) == chi_phi(A, 6)
     assert torsion_polynomial(B, 8) == torsion_polynomial(A, 8)
+
+
+def knot_formula(f, traces, g, degree):
+    """sum_w c_w x1^|w|_x (tr Z^|w|_z - tr H^|w|_z) over the words w of f, for a
+    knot of genus g with tr Z^e = traces[e]."""
+    terms = {}
+    for w, c in f.terms.items():
+        e, key = w.count("z"), (1,) * w.count("x")
+        terms[key] = terms.get(key, 0) + c * (traces[e] - (2 * g if e == 0 else g))
+    return NCSeries(1, degree, terms)
+
+
+def test_chi_of_a_knot_is_the_knot_formula():
+    rng = random.Random(43)
+    nonzero = 0
+    for _ in range(40):
+        g, degree = rng.randint(1, 4), rng.randint(1, 8)
+        A = seifert.random_seifert_rng(rng, [g], 2)
+        terms = {}
+        for _ in range(rng.randint(1, 5)):
+            letters = ["x"] * rng.randint(0, degree) + ["z"] * rng.randint(0, 4)
+            rng.shuffle(letters)
+            word = "".join(letters)
+            terms[word] = terms.get(word, 0) + Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+        f = BiSeries(degree, terms)
+        z = seifert.z_matrix(A)
+        powers = [tuple(tuple(int(r == c) for c in range(2 * g)) for r in range(2 * g))]
+        for _ in range(4):
+            powers.append(seifert.mat_mul(powers[-1], z))
+        traces = [sum(p[r][r] for r in range(2 * g)) for p in powers]
+        out = chi(f, A, degree)
+        assert out == knot_formula(f, traces, g, degree)
+        nonzero += not out.is_zero()
+    assert nonzero >= 30
+
+
+def torus_knot_power_sums(g, top):
+    """tr Z^e for e <= top at T(2, 2g+1), with no Z: by Newton's identities
+    p_e = (-1)^(e-1) (e c_e - sum_{i<e} (-1)^(i-1) c_(e-i) p_i) from the coefficients
+    c_j of det(I + x Z) = sum_{k=0}^{2g} (-(1 + x))^k."""
+    c = [sum((-1) ** k * math.comb(k, j) for k in range(2 * g + 1)) for j in range(top + 1)]
+    p = [2 * g]
+    for e in range(1, top + 1):
+        rest = sum((-1) ** (i - 1) * c[e - i] * p[i] for i in range(1, e))
+        p.append((-1) ** (e - 1) * (e * c[e] - rest))
+    return p
+
+
+@pytest.mark.parametrize("g", [10, 25, 50])
+def test_chi_of_torus_knots_follows_from_their_torsion(g):
+    A, traces = torus_knot(g), torus_knot_power_sums(g, 10)
+    f = monomial("xzzxzx", 10)
+    for out, series in ((chi_delta(A, 10), delta_series(10)), (chi_phi(A, 10), phi_series(10)),
+                        (chi(f, A, 10), f)):
+        assert out == knot_formula(series, traces, g, 10) and not out.is_zero()
