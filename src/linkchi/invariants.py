@@ -325,11 +325,11 @@ def tr_monomial(word: str, A: SeifertMatrix, degree: int) -> NCSeries:
             for j, cols in ranges.items():
                 grown[v + (j,)] = [row[cols.start : cols.stop] for row in wide]
         paths = grown
-    cols = list(zip(*powers[zruns[-1]]))  # the columns of Z^ek
+    columns = list(zip(*powers[zruns[-1]]))  # of Z^ek
     for v, prod in paths.items():
         # tr(prod (Z^ek)_{vk v1}) = sum_r row_r(prod) . column_r((Z^ek)_{vk v1})
         last = ranges[v[-1]]
-        trace = sum(sum(map(mul, row, cols[c][last.start : last.stop]))
+        trace = sum(sum(map(mul, row, columns[c][last.start : last.stop]))
                     for row, c in zip(prod, ranges[v[0]]))
         if trace:  # x_v1^j1 ... x_vk^jk x_v1^j(k+1)
             key = tuple(chain.from_iterable(map(repeat, v + v[:1], runs)))
