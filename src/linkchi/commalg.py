@@ -138,12 +138,9 @@ class CommMatrix:
         )
 
     def __sub__(self, other: "CommMatrix") -> "CommMatrix":
-        return CommMatrix(
-            [
-                [a - b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.rows, other.rows)
-            ]
-        )
+        if self.size != other.size:
+            raise ValueError("size mismatch")
+        return CommMatrix([[a - b for a, b in zip(r, s)] for r, s in zip(self.rows, other.rows)])
 
     def __mul__(self, other: "CommMatrix") -> "CommMatrix":
         if self.size != other.size:

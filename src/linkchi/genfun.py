@@ -5,8 +5,8 @@ each one is stored as a finite map from words over {x, z} to rationals,
 together with a declared bound ``xtrunc`` on the x-degree.  Admissibility
 (finitely many terms of each x-degree) is enforced structurally: a series
 is always a finite object and the caller asserts per-degree completeness
-up to ``xtrunc``.  ``word_runs`` is the one reader of a word's x- and
-z-runs for the trace routes.
+up to ``xtrunc``.  ``check_word`` is the one check of a word, and
+``word_runs`` the one reader of its x- and z-runs for the trace routes.
 
 Built-ins: ``delta_series`` is log(xz + 1) and ``phi_series`` is
 (xz + 1)^-1 x.  Transforms: word reversal (tilde), the substitution
@@ -25,7 +25,6 @@ from . import ncalg
 from .series import Series
 
 BiWord = str  # a word over the alphabet "xz", e.g. "xzzx"
-TriWord = str  # a word over "xyz", used by the monomial reduction
 
 _Z_RUNS = re.compile("(z+)")
 
@@ -47,6 +46,13 @@ def parse_word(text: str) -> BiWord:
         if tok not in ("x", "z"):
             raise ValueError("bad monomial token %r (expected x or z)" % tok)
     return "".join(letters)
+
+
+def check_word(word) -> BiWord:
+    """``word`` if it is a str over x and z, else ValueError: the one check of a word."""
+    if not isinstance(word, str) or set(word) - {"x", "z"}:
+        raise ValueError("bad word %r: a str over x and z" % (word,))
+    return word
 
 
 def format_bi_word(word: BiWord) -> str:
@@ -85,10 +91,7 @@ class BiSeries(Series):
     def xtrunc(self) -> int:
         return self.trunc
 
-    def _key(self, word: BiWord) -> BiWord:
-        if not isinstance(word, str) or set(word) - {"x", "z"}:
-            raise ValueError("bad word %r: a str over x and z" % (word,))
-        return word
+    _key = staticmethod(check_word)
 
     def _one_key(self) -> BiWord:
         return ""
@@ -151,12 +154,3 @@ def transform(f: BiSeries, kind: str) -> BiSeries:
         num = out
     return f._same(num, f.den, f.trunc)
 
-
-def prime_word(word: BiWord) -> TriWord:
-    """Monomial reduction into three letters.
-
-    Each z-run z^e becomes (zy)^(e-1) z and every x-run collapses to a
-    single x, including the possibly empty runs at the two ends.  A pure-x
-    word therefore maps to the single letter x.
-    """
-    return "x" + "".join("zy" * (e - 1) + "zx" for e in word_runs(word)[1])

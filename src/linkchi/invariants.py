@@ -89,7 +89,7 @@ def _unpack(rows: Sequence[int], count: int, size: int) -> list[int]:
 
 
 @lru_cache(maxsize=1)
-def _kept_trie(structure: BlockStructure, z: tuple) -> tuple[dict, dict]:
+def _kept_trie(structure: BlockStructure, z: seifert.IntMatrix) -> tuple[dict, dict]:
     """``_pattern_traces``'s trie {half: {u: rows}} and packings {(right half, slot width):
     {a: the rows B(a) of its packed R_w}} for one (structure, Z), by value, kept until a
     call on another matrix: the calls on one matrix build each once."""
@@ -98,7 +98,7 @@ def _kept_trie(structure: BlockStructure, z: tuple) -> tuple[dict, dict]:
 
 
 def _pattern_traces(
-    structure: BlockStructure, powers: dict[int, Sequence[Sequence[int]]], patterns: Iterable[Word]
+    structure: BlockStructure, powers: dict[int, seifert.IntMatrix], patterns: Iterable[Word]
 ) -> dict[Word, tuple[list[Word], list[Word], list[int]]]:
     """{pattern: (lefts, rights, traces)}, T(u w) = traces[i * len(rights) + j]
     for u = lefts[i] and w = rights[j], and T(v) = 0 for every other v.
@@ -116,7 +116,7 @@ def _pattern_traces(
     n, m = structure.n, structure.total
     ranges = {j: structure.block_range(j) for j in range(1, n + 1) if structure.sizes[j - 1]}
     splits = {pattern: (len(pattern) + 1) // 2 for pattern in patterns}
-    halves, packs = _kept_trie(structure, tuple(map(tuple, powers[1])))
+    halves, packs = _kept_trie(structure, powers[1])
     for half in [p[:h] for p, h in splits.items()] + [p[h:] for p, h in splits.items()]:
         for t in range(1, len(half) + 1):
             if half[:t] not in halves:
@@ -218,13 +218,11 @@ def trace_at(
 ) -> NCSeries:
     """tr f(X, M) for a square integer matrix M, truncated at ``degree``.
 
-    X is the block-scalar matrix of ``structure``; M stands in for z.
+    X is the block-scalar matrix of ``structure``; M stands in for z and is
+    read by ``seifert._int_matrix``, the one matrix check.
     """
     f = _complete_to(f, degree)
-    m = structure.total
-    if len(M) != m or any(len(row) != m for row in M):
-        raise ValueError("M must be a square matrix of size %d" % m)
-    stores = _trace_by_halves(f.num, structure, M)
+    stores = _trace_by_halves(f.num, structure, seifert._int_matrix(M, structure.total))
     # every emitted word has letters 1..n and length <= degree
     return NCSeries.zero(structure.n, degree)._same(store_words(structure.n, stores), f.den, degree)
 
@@ -302,7 +300,7 @@ def tr_monomial(word: str, A: SeifertMatrix, degree: int) -> NCSeries:
     (Z^e)_{vt j}, and the last closes it back to v1 with the trace T(v).
     """
     seifert.require_valid(A)
-    st, (runs, zruns) = A.structure, word_runs(word)
+    st, (runs, zruns) = A.structure, word_runs(genfun.check_word(word))
     terms: dict[Word, int] = {}
     if sum(runs) > degree:
         return NCSeries.zero(st.n, degree)
@@ -483,23 +481,23 @@ def torsion_polynomial(A: SeifertMatrix, degree: int) -> CommSeries:
     return CommSeries.zero(n, degree)._same(dict(chain(*grades)), 1, degree)
 
 
-# -- reconstruction through the three-letter reduction ----------------------
+# -- reconstruction from the word with every z isolated ----------------------
 
 
 def reconstruct_trace(word: str, A: SeifertMatrix, degree: int) -> NCSeries:
-    """Recover tr f(X, Z) from the reduced monomial f'.
+    """Recover tr f(X, Z) from the reduced monomial x (zx)^e1 ... (zx)^ek.
 
-    The reduced monomial replaces each z-run z^e by (zy)^(e-1) z and each
-    x-run by one x.  Its trace is read from the half-product table with
-    each y taken as an x, so every z is isolated; then the letters at the y
-    positions are dropped and the m-th surviving x-letter is raised back to
-    the m-th x-run length.
+    The reduced monomial isolates every z: it writes each z-run z^e as (zx)^e
+    and each x-run as one x.  Its trace is read from the half-product table.
+    In each word of that trace, x-run t of ``word`` (t = 0..k) takes the
+    letter at position e1 + ... + et, repeated to the run's length; the
+    other letters are dropped.
     """
     z = seifert.z_matrix(A)
-    runs, _ = word_runs(word)
-    reduced = genfun.prime_word(word)
-    raw = store_words(A.n, _trace_by_halves({reduced.replace("y", "x"): 1}, A.structure, z))
-    xs = [pos for pos, letter in enumerate(reduced.replace("z", "")) if letter == "x"]
+    runs, zruns = word_runs(genfun.check_word(word))
+    reduced = "x" + "".join("zx" * e for e in zruns)
+    raw = store_words(A.n, _trace_by_halves({reduced: 1}, A.structure, z))
+    xs = list(accumulate(zruns, initial=0))
     terms: dict[Word, int] = {}
     for w, coeff in raw.items():
         key = tuple([w[pos] for pos, run in zip(xs, runs) for _ in range(run)])

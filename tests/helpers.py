@@ -14,16 +14,19 @@ block by block from the blocks of S = A - A' by that form, and
 constructors at the end (a seeded random matrix, the presentation matrix,
 ``G(xz)`` series, the letter images of bar and variable shifts) build test
 inputs and expected values; no command runs them, so they live here, not
-in ``linkchi``.
+in ``linkchi``.  ``chi_from_chi_delta`` rebuilds every ``chi_f`` from
+``chi_delta`` alone, with no power of Z.
 """
 
+import itertools
 import math
 import random
 from fractions import Fraction
 
 from linkchi import commalg, seifert, seifert_matrix
 from linkchi.commalg import CommMatrix, CommSeries
-from linkchi.genfun import BiSeries
+from linkchi.genfun import BiSeries, word_runs
+from linkchi.invariants import chi_delta, i_half_trace
 from linkchi.ncalg import NCSeries
 
 
@@ -124,6 +127,38 @@ def torsion_by_det(A, degree):
             row.append(scale * entry)
         rows.append(row)
     return commalg.det_unit(CommMatrix(rows))
+
+
+def chi_from_chi_delta(f, A, degree):
+    """chi(f, A, degree) from chi_delta(A, D) alone, D the most z's in a word of f.
+
+    chi_delta gives T(v) = tr(P_v1 Z ... P_vk Z) for every block word v:
+    T(v) = (-1)^(k+1) k chi_delta[x_v] + [v = i^k] g_i.  A word
+    x^j1 z^e1 x^j2 ... z^ek x^j(k+1) of f meets Z only through its letters
+    P_vt Z^et, and P_j Z^e = P_j Z (sum_i P_i Z)^(e-1): so every block word
+    u of length e1 + ... + ek adds T(u) at x_v1^j1 ... x_vk^jk x_v1^j(k+1),
+    with v_t the letter of u at position e1 + ... + e(t-1).  A word without
+    z adds 2 g_i at x_i^j.  Then tr f(X, H) is subtracted as ``i_half_trace``.
+    """
+    st, n = A.structure, A.n
+    words = {w: c for w, c in f.terms.items() if w.count("x") <= degree}
+    delta = chi_delta(A, max([w.count("z") for w in words], default=0))
+    terms = {}
+    for w, c in words.items():
+        runs, zruns = word_runs(w)
+        if not zruns:
+            for i in range(1, n + 1):
+                terms[(i,) * runs[0]] = terms.get((i,) * runs[0], 0) + 2 * st.genus(i) * c
+            continue
+        starts = list(itertools.accumulate(zruns[:-1], initial=0))
+        for u in itertools.product(range(1, n + 1), repeat=sum(zruns)):
+            k = len(u)
+            trace = (-1) ** (k + 1) * k * delta.coefficient(u)
+            trace += st.genus(u[0]) if u == u[:1] * k else 0
+            v = [u[s] for s in starts]
+            key = tuple(itertools.chain.from_iterable(map(itertools.repeat, v + v[:1], runs)))
+            terms[key] = terms.get(key, 0) + trace * c
+    return NCSeries(n, degree, terms) - i_half_trace(f, st, degree)
 
 
 def trefoil():

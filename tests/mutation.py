@@ -69,6 +69,8 @@ MUTANTS = [
     # word traces from packed half products
     ("trace-prune-on-first-row", "invariants.py",
      "if any(map(any, rows_j)):", "if any(rows_j[0]):"),
+    ("trace-z-run-power-one-short", "invariants.py",
+     "M, products = powers[half[t - 1]], {}", "M, products = powers[max(1, half[t - 1] - 1)], {}"),
     ("trace-no-diagonal-branch", "invariants.py",
      "if h == len(pattern):  # k = 1", "if False:  # k = 1"),
     ("trace-slot-one-byte-short", "invariants.py",
@@ -76,7 +78,7 @@ MUTANTS = [
      "((m * norm ** max(map(sum, splits))).bit_length() + 9) // 8 - 1)"),
     # the trie and packings kept for the last matrix
     ("trace-kept-trie-key-drops-z", "invariants.py",
-     "_kept_trie(structure, tuple(map(tuple, powers[1])))", "_kept_trie(structure, ())"),
+     "_kept_trie(structure, powers[1])", "_kept_trie(structure, ())"),
     ("trace-kept-pack-key-drops-size", "invariants.py",
      "(key := (half, size))", "(key := half)"),
     # template sums by word index
@@ -157,6 +159,9 @@ MUTANTS = [
      "for row, c in zip(prod, ranges[v[0]]))", "for row, c in zip(prod, ranges[v[-1]]))"),
     ("half-term-two-zs-as-none", "invariants.py",
      '(v if "z" in w else 2 * v)', '(v if w.count("z") == 1 else 2 * v)'),
+    # the reconstruction oracle reads x-run t at position e1 + ... + et of its reduced word
+    ("reconstruct-x-positions-consecutive", "invariants.py",
+     "xs = list(accumulate(zruns, initial=0))", "xs = list(range(len(runs)))"),
     # the rotation table kept across calls, and x - xbar from bar
     ("rotation-table-never-emptied", "ncalg.py",
      "    if len(least) > _LEAST_CAP:\n        least.clear()\n", ""),

@@ -305,6 +305,12 @@ def test_matrix_product_checks_size_and_n():
     assert (empty * empty).size == 0
 
 
+def test_matrix_difference_checks_size():
+    # zip would truncate to the smaller matrix; the product raises the same error
+    with pytest.raises(ValueError, match="size mismatch"):
+        CommMatrix.identity(2, 1, 3) - CommMatrix.identity(1, 1, 3)
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.integers(1, 3).flatmap(
     lambda n: st.integers(0, 6).flatmap(lambda t: comm_series(n, t, positive=True))))

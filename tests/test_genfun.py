@@ -13,7 +13,6 @@ from linkchi.genfun import (
     monomial,
     parse_word,
     phi_series,
-    prime_word,
     transform,
     word_runs,
     xdegree,
@@ -194,19 +193,7 @@ def test_inverse_rejects_pure_z_content():
         B(3, {"x": 1}).inverse()
 
 
-# -- monomial reduction ------------------------------------------------------------
-
-
-def test_prime_word_single_z():
-    assert prime_word("z") == "xzx"
-
-
-def test_prime_word_double_z_run():
-    assert prime_word("xzzx") == "xzyzx"
-
-
-def test_prime_word_pure_x():
-    assert prime_word("xx") == "x"
+# -- word runs ---------------------------------------------------------------------
 
 
 def test_word_runs():

@@ -20,6 +20,11 @@ contributes ``x^|w|_x (tr Z^|w|_z - tr H^|w|_z)``, with ``tr H^0 = 2g`` and
 ``det(I + x Z) = (1 + x)^g torsion`` by Newton's identities: for a knot
 every ``chi_f`` is a function of the torsion.
 
+One table behind every f.  ``chi_delta`` gives ``T(v) = tr(P_v1 Z ... P_vk Z)``
+for every block word v, and a word of f meets Z only through its letters
+``P_j Z^e = P_j Z (sum_i P_i Z)^(e-1)``: so ``chi_delta`` to degree D fixes
+every ``chi_f`` whose words have at most D z's (``helpers.chi_from_chi_delta``).
+
 What chi cannot see.  ``S(-A) = -S(A)``, so ``Z(-A) = Z(A)``: no ``chi_f``
 and no torsion tells ``A`` from ``-A``.  A rational block-diagonal P with
 ``det P_ii = +-1`` and an integral ``B = P A P^T`` give ``S_B = P S P^T``
@@ -34,7 +39,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import torus_knot
+from helpers import chi_from_chi_delta, torus_knot
 from linkchi import ncalg, seifert
 from linkchi.commalg import CommSeries
 from linkchi.genfun import BiSeries, delta_series, monomial, phi_series
@@ -148,6 +153,28 @@ def test_a_rational_block_congruence_keeps_chi_and_the_torsion():
     assert chi_delta(B, 6) == chi_delta(A, 6) and not chi_delta(A, 6).is_zero()
     assert chi_phi(B, 6) == chi_phi(A, 6)
     assert torsion_polynomial(B, 8) == torsion_polynomial(A, 8)
+
+
+def test_chi_is_rebuilt_from_chi_delta():
+    # every f holds a z-run of length 2 and one of length 3, so each reads Z^2 and Z^3
+    rng = random.Random(73)
+    nonzero = 0
+    for _ in range(24):
+        n, degree = rng.randint(2, 3), rng.randint(2, 5)
+        genera = [rng.randint(0, 2) for _ in range(n - 1)] + [rng.randint(1, 2)]
+        rng.shuffle(genera)
+        A = seifert.random_seifert_rng(rng, genera, 2)
+        terms = {}
+        for e in (2, 3, rng.randint(1, 3)):
+            xs = ["x" * rng.randint(0, 2), "x" * rng.randint(1, 2), "x" * rng.randint(0, 2)]
+            zs = ["z" * e, "z" * rng.randint(0, 2)]
+            word = xs[0] + zs[0] + xs[1] + zs[1] + xs[2]
+            terms[word] = terms.get(word, 0) + Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+        f = BiSeries(degree, terms)
+        out = chi(f, A, degree)
+        assert out == chi_from_chi_delta(f, A, degree)
+        nonzero += not out.is_zero()
+    assert nonzero >= 18
 
 
 def knot_formula(f, traces, g, degree):

@@ -4,6 +4,7 @@ Every case names the call and the start of its ``ValueError`` message.
 """
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -19,6 +20,15 @@ ODD = BlockStructure((2, 3))
 X1 = NCSeries.variable(2, 3, 1)
 Y1 = NCSeries.variable(1, 3, 1)
 C = CommSeries.one(1, 3)
+ST4 = BlockStructure((2, 2))
+
+
+def identity_with(entry):
+    """The 4 x 4 identity with ``entry`` at (1, 2): ``trace_at``'s M."""
+    rows = [[int(r == c) for c in range(4)] for r in range(4)]
+    rows[1][2] = entry
+    return rows
+
 
 CASES = {
     "torsion-invalid": (lambda: invariants.torsion_polynomial(INVALID, 3), "invalid Seifert matrix: "),
@@ -55,6 +65,17 @@ CASES = {
     "series-negative-power": (lambda: (C + CommSeries.variable(1, 3, 1)) ** -1,
                               "negative powers need a series inverse"),
 }
+# trace_at reads M by the one matrix check: an entry is an int and not a bool
+for name, entry in {"bool": True, "float": 1.5, "fraction": Fraction(1, 2), "str": "a"}.items():
+    CASES["trace-at-%s-entry" % name] = (
+        lambda entry=entry: invariants.trace_at(genfun.delta_series(3), ST4, identity_with(entry), 3),
+        "not a 4x4 integer matrix")
+# the oracles check a word as BiSeries does: the CLI's dotted syntax is not a word
+for name, word in {"dotted": "x.z.x", "foreign-letter": "xqx", "capitals": "XZX", "int": 5}.items():
+    for oracle in (invariants.tr_monomial, invariants.reconstruct_trace):
+        CASES["%s-word-%s" % (oracle.__name__.replace("_", "-"), name)] = (
+            lambda oracle=oracle, word=word: oracle(word, trefoil(), 4),
+            "bad word %r: a str over x and z" % (word,))
 
 
 @pytest.mark.parametrize("name", CASES)
