@@ -19,7 +19,7 @@ packed over all second halves, gives T(v) for each (the halves and their
 packings are kept for the last matrix Z, by value), and T(v) is added at
 the integer index of its key in a store per key length, as are the pure-x
 words and ``chi``'s half terms.  The stores are all that leaves the trace
-stage; ``chi_lines`` writes text from them by ``ncalg.store_lines``, with
+stage; ``chi_lines`` writes text from them by ``store_lines``, with
 no word-keyed dict.  A word that starts and ends with z sums
 position 0 over every block, which merges its first and last z-runs; z^e
 is the one letter P_j Z^e summed over j.  ``tr_monomial``, the oracle of
@@ -36,14 +36,15 @@ import sys
 from collections import defaultdict
 from collections.abc import Iterable, Sequence
 from functools import lru_cache
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, chain, compress, islice, product, repeat
 from operator import add, mul
 
 from . import commalg, genfun, ncalg, seifert
 from .commalg import CommSeries
 from .genfun import BiSeries, word_runs
-from .ncalg import NCSeries, store_words
+from .ncalg import NCSeries, format_word
 from .seifert import BlockStructure, SeifertMatrix
+from .series import format_coeff
 
 Word = tuple[int, ...]
 
@@ -86,6 +87,12 @@ def _unpack(rows: Sequence[int], count: int, size: int) -> list[int]:
         return memoryview(data).cast("q").tolist()
     starts = range(0, len(data), size)
     return [int.from_bytes(data[i : i + size], sys.byteorder, signed=True) for i in starts]
+
+
+def _slot_size(bound: int) -> int:
+    """Bytes per slot for entries of absolute value at most ``bound``: bits(bound) + 2
+    in whole bytes, so no slot carries into the next, and at least ``_unpack``'s fast 8."""
+    return max(8, (bound.bit_length() + 9) // 8)
 
 
 @lru_cache(maxsize=1)
@@ -134,9 +141,9 @@ def _pattern_traces(
             diag = [sum(row[r] for r, row in zip(ranges[u[0]], rows)) for u, rows in lefts.items()]
             table[pattern] = (list(lefts), [()], diag)
             continue
-        if not size:  # bits(that bound) + 2, in whole bytes and at least 8
+        if not size:
             norm = max([sum(map(abs, row)) for row in powers[1]], default=0)
-            size = max(8, ((m * norm ** max(map(sum, splits))).bit_length() + 9) // 8)
+            size = _slot_size(m * norm ** max(map(sum, splits)))
         if (key := (half, size)) not in packs:
             cr = [0] * (m * m)  # entry (c, r), c-major
             for j, (w, rows) in enumerate(rights.items()):
@@ -200,6 +207,39 @@ def _trace_by_halves(terms: dict[str, int], structure: BlockStructure, M, half=N
         for i, size in enumerate(structure.sizes):
             acc[i * step] += size * plain.get(L, 0) - structure.genus(i + 1) * half.get(L, 0)
     return stores
+
+
+def store_lines(n: int, den: int, stores: dict) -> list[str]:
+    """``Series.to_lines`` of numerators over ``den`` by word length L: a list
+    stores[L] over all n^L words in ``product`` order (falsy entries print nothing)
+    walks their texts, each the last one's plus a letter; a dict by word index
+    sorts its indices, which within one length is word order, and decodes them."""
+    values = set(chain(*[s.values() if isinstance(s, dict) else s for s in stores.values()]))
+    coeffs = {v: format_coeff(v, den) + " * " for v in values if v}
+    dotted = [".x%d" % i for i in range(1, n + 1)]
+    lines, texts = [], {}  # texts: {L: the texts of all words of length L}, one L
+    for L, store in sorted(stores.items()):
+        if isinstance(store, dict):
+            words = store_words(n, {L: dict(sorted(store.items()))})
+            lines += [coeffs[v] + format_word(w) for w, v in words.items()]
+            continue
+        texts = {L: [p + d for p in texts[L - 1] for d in dotted] if L > 1 and L - 1 in texts
+                 else list(map(format_word, product(range(1, n + 1), repeat=L)))}
+        lines += [coeffs[v] + t for t, v in zip(texts[L], store) if v]
+    return lines
+
+
+def store_words(n: int, stores: dict) -> dict[Word, int]:
+    """The nonzero values of stores by word length L, as ``store_lines`` reads them
+    (a list over all n^L words in ``product`` order, or a dict by index), keyed by word."""
+    out: dict[Word, int] = {}
+    for L, acc in stores.items():
+        if isinstance(acc, list):
+            out.update(zip(compress(product(range(1, n + 1), repeat=L), acc), filter(None, acc)))
+        else:
+            places = [n**p for p in reversed(range(L))]
+            out.update((tuple([i // p % n + 1 for p in places]), v) for i, v in acc.items() if v)
+    return out
 
 
 def _complete_to(f: BiSeries, degree: int) -> BiSeries:
@@ -278,7 +318,7 @@ def chi(f: BiSeries, A: SeifertMatrix, degree: int) -> NCSeries:
 def chi_lines(f: BiSeries, A: SeifertMatrix, degree: int) -> list[str]:
     """``chi(f, A, degree).to_lines()`` from the stores; only sparse lengths decode words."""
     stores, den = _chi_stores(f, A, degree)
-    return ncalg.store_lines(A.n, den, stores)
+    return store_lines(A.n, den, stores)
 
 
 def chi_delta(A: SeifertMatrix, degree: int) -> NCSeries:
@@ -391,18 +431,16 @@ def torsion_polynomial(A: SeifertMatrix, degree: int) -> CommSeries:
     is exact because T has integer coefficients.  This holds only because
     the variables commute.
     """
-    seifert.require_valid(A)
-    st = A.structure
-    n = st.n
+    z, st = seifert.z_matrix(A), A.structure
+    n, m = st.n, st.total
+    result = CommSeries.zero(n, degree)
     if not degree:
-        return CommSeries.one(n, 0)
-    m = st.total
-    z = seifert.z_matrix(A)
+        return result._unit()
     blocks = [(i, st.block_range(i + 1)) for i in range(n) if st.sizes[i]]
     full = (1 << n) - 1
     h = (degree + 1) // 2
     norm = max([sum(map(abs, row)) for row in z], default=0)
-    size = max(8, ((norm**h).bit_length() + 9) // 8)
+    size = _slot_size(norm**h)
     shifts = [1 << 8 * size * c for c in range(m)]
 
     def pick(seq, s, width):
@@ -441,17 +479,9 @@ def torsion_polynomial(A: SeifertMatrix, degree: int) -> CommSeries:
                     out[r] = sum(map(mul, zs[r], src))
         levels.append(nxt)
     # decode every row of every level at once, M_e after M_e
-    entries = _unpack([r for level in levels for _, mat in level.values() for r in mat], m, size)
-    flats = []
-    traces: dict[commalg.Expo, int] = {}
-    at = 0
-    for level in levels:
-        flats.append([])
-        for e, (s, _) in level.items():
-            flat = entries[at : at + m * m]
-            at += m * m
-            traces[e] = sum(flat[:: m + 1])
-            flats[-1].append((e, s, flat))
+    entries = iter(_unpack([r for lv in levels for _, mat in lv.values() for r in mat], m, size))
+    flats = [[(e, s, list(islice(entries, m * m))) for e, (s, _) in lv.items()] for lv in levels]
+    traces = {e: sum(flat[:: m + 1]) for lv in flats for e, _, flat in lv}
     # tr(M_e1 M_e2) = sum over c in R(e2) of row c of M_e2 . column c of M_e1;
     # lefts hold the columns of each M_e1, one after another
     lefts = [(e1, list(chain.from_iterable(zip(*zip(*[iter(f)] * m))))) for e1, _, f in flats[-1]]
@@ -478,7 +508,7 @@ def torsion_polynomial(A: SeifertMatrix, degree: int) -> CommSeries:
                     e = tuple(map(add, e1, e2))
                     acc[e] = acc.get(e, 0) + v1 * v2
         grades.append([(e, v // k) for e, v in acc.items() if v])
-    return CommSeries.zero(n, degree)._same(dict(chain(*grades)), 1, degree)
+    return result._same(dict(chain(*grades)), 1, degree)
 
 
 # -- reconstruction from the word with every z isolated ----------------------
@@ -495,6 +525,8 @@ def reconstruct_trace(word: str, A: SeifertMatrix, degree: int) -> NCSeries:
     """
     z = seifert.z_matrix(A)
     runs, zruns = word_runs(genfun.check_word(word))
+    if sum(runs) > degree:  # no table for a word past the truncation
+        return NCSeries.zero(A.n, degree)
     reduced = "x" + "".join("zx" * e for e in zruns)
     raw = store_words(A.n, _trace_by_halves({reduced: 1}, A.structure, z))
     xs = list(accumulate(zruns, initial=0))

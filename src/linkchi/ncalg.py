@@ -26,23 +26,15 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from itertools import chain, compress, product
 
 from . import commalg
-from .series import Series, format_coeff
+from .series import Series
 
 Word = tuple[int, ...]
 
 
-_WORD_FORMATS = {0: "1"}  # by word length: 2 -> "x%d.x%d"
-
-
 def format_word(word: Word) -> str:
-    try:
-        fmt = _WORD_FORMATS[len(word)]
-    except KeyError:
-        fmt = _WORD_FORMATS[len(word)] = ".".join(["x%d"] * len(word))
-    return fmt % word
+    return ".".join(["x%d"] * len(word)) % word if word else "1"
 
 
 class NCSeries(Series):
@@ -77,39 +69,6 @@ class NCSeries(Series):
     __add__, __sub__, __neg__, scale = Series.__add__, Series.__sub__, Series.__neg__, Series.scale
     __mul__, __rmul__, __pow__ = Series.__mul__, Series.__rmul__, Series.__pow__
     to_lines, to_triples = Series.to_lines, Series.to_triples
-
-
-def store_lines(n: int, den: int, stores: dict) -> list[str]:
-    """``Series.to_lines`` of numerators over ``den`` by word length L: a list
-    stores[L] over all n^L words in ``product`` order (falsy entries print nothing)
-    walks their texts, each the last one's plus a letter; a dict by word index
-    sorts its indices, which within one length is word order, and decodes them."""
-    values = set(chain(*[s.values() if isinstance(s, dict) else s for s in stores.values()]))
-    coeffs = {v: format_coeff(v, den) + " * " for v in values if v}
-    dotted = [".x%d" % i for i in range(1, n + 1)]
-    lines, texts = [], {}  # texts: {L: the texts of all words of length L}, one L
-    for L, store in sorted(stores.items()):
-        if isinstance(store, dict):
-            words = store_words(n, {L: dict(sorted(store.items()))})
-            lines += [coeffs[v] + format_word(w) for w, v in words.items()]
-            continue
-        texts = {L: [p + d for p in texts[L - 1] for d in dotted] if L > 1 and L - 1 in texts
-                 else list(map(format_word, product(range(1, n + 1), repeat=L)))}
-        lines += [coeffs[v] + t for t, v in zip(texts[L], store) if v]
-    return lines
-
-
-def store_words(n: int, stores: dict) -> dict[Word, int]:
-    """The nonzero values of stores by word length L, as ``store_lines`` reads them
-    (a list over all n^L words in ``product`` order, or a dict by index), keyed by word."""
-    out: dict[Word, int] = {}
-    for L, acc in stores.items():
-        if isinstance(acc, list):
-            out.update(zip(compress(product(range(1, n + 1), repeat=L), acc), filter(None, acc)))
-        else:
-            places = [n**p for p in reversed(range(L))]
-            out.update((tuple([i // p % n + 1 for p in places]), v) for i, v in acc.items() if v)
-    return out
 
 
 def substitute(f: NCSeries, images: list[NCSeries]) -> NCSeries:

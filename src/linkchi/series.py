@@ -56,8 +56,8 @@ def format_coeff(num: int, den: int) -> str:
 
 
 def _rational(c) -> Rational:
-    """``c`` if it is an exact rational (``int`` or ``Fraction``), else TypeError."""
-    if not isinstance(c, Rational):
+    """``c`` if it is an exact rational (``int`` or ``Fraction``, not ``bool``), else TypeError."""
+    if isinstance(c, bool) or not isinstance(c, Rational):
         raise TypeError("coefficients are int or Fraction, not %s" % type(c).__name__)
     return c
 
@@ -93,10 +93,11 @@ class Series:
     __slots__ = ("n", "trunc", "num", "den")
 
     def __init__(self, n: int, trunc: int, terms: Mapping | None = None):
-        if n < 0:
-            raise ValueError("variable count must be >= 0")
-        if trunc < 0:
-            raise ValueError("truncation degree must be >= 0")
+        # an int and not a bool, the package's rule for integer input
+        if isinstance(n, bool) or not isinstance(n, int) or n < 0:
+            raise ValueError("variable count %r is not an integer >= 0" % (n,))
+        if isinstance(trunc, bool) or not isinstance(trunc, int) or trunc < 0:
+            raise ValueError("truncation degree %r is not an integer >= 0" % (trunc,))
         self.n = n
         self.trunc = trunc
         kept = []
@@ -298,6 +299,8 @@ class Series:
             if not power:
                 break
             powers.append((scale, power))
+        if len(coeffs) < len(powers):
+            raise ValueError("power series need %d coefficients" % len(powers))
         top = powers[-1][0]
         coeffs = [Fraction(a) for a in coeffs[: len(powers)]]
         d = math.lcm(*(a.denominator for a in coeffs))

@@ -52,9 +52,9 @@ MUTANTS = [
     ("torsion-equal-pair-doubled", "invariants.py",
      "(2 * trace if k == h and b else trace)", "(2 * trace if k == h else trace)"),
     ("torsion-no-level-1-traces", "invariants.py",
-     "traces[e] = sum(flat[:: m + 1])", "traces[e] = sum(flat[:: m + 1]) * (len(flats) > 1)"),
+     "for lv in flats for e, _, flat in lv}", "for lv in flats[1:] for e, _, flat in lv}"),
     ("torsion-width-one-degree-short", "invariants.py",
-     "((norm**h).bit_length() + 9)", "((norm ** (h - 1)).bit_length() + 9)"),
+     "_slot_size(norm**h)", "_slot_size(norm ** (h - 1))"),
     ("torsion-pick-first-block", "invariants.py",
      "                out += seq[rows.start * width : rows.stop * width]",
      "                return seq[rows.start * width : rows.stop * width]"),
@@ -74,8 +74,7 @@ MUTANTS = [
     ("trace-no-diagonal-branch", "invariants.py",
      "if h == len(pattern):  # k = 1", "if False:  # k = 1"),
     ("trace-slot-one-byte-short", "invariants.py",
-     "((m * norm ** max(map(sum, splits))).bit_length() + 9) // 8)",
-     "((m * norm ** max(map(sum, splits))).bit_length() + 9) // 8 - 1)"),
+     "(bound.bit_length() + 9) // 8)", "(bound.bit_length() + 9) // 8 - 1)"),
     # the trie and packings kept for the last matrix
     ("trace-kept-trie-key-drops-z", "invariants.py",
      "_kept_trie(structure, powers[1])", "_kept_trie(structure, ())"),
@@ -90,7 +89,7 @@ MUTANTS = [
     # pure-x and half terms at x_i^L, and the decode of a dict store
     ("diagonal-index-base-one", "invariants.py",
      "acc, step = stores[L], sum(pows[:L])", "acc, step = stores[L], L"),
-    ("sparse-index-digits-reversed", "ncalg.py",
+    ("sparse-index-digits-reversed", "invariants.py",
      "places = [n**p for p in reversed(range(L))]", "places = [n**p for p in range(L)]"),
     # the Seifert-matrix path
     ("validate-compares-own-columns", "seifert.py",
@@ -127,9 +126,9 @@ MUTANTS = [
     ("runner-seed-without-name", "selfcheck.py",
      'random.Random("%d:%s" % (seed, name))', 'random.Random("%d:" % seed)'),
     # the one text writer: lengths in order, and the table of a dense length's texts
-    ("to-lines-sparse-not-length-sorted", "ncalg.py",
+    ("to-lines-sparse-not-length-sorted", "invariants.py",
      "for L, store in sorted(stores.items()):", "for L, store in stores.items():"),
-    ("store-text-table-shifted", "ncalg.py",
+    ("store-text-table-shifted", "invariants.py",
      "[p + d for p in texts[L - 1] for d in dotted]",
      "[p + d for p in texts[L - 1] for d in dotted[1:] + dotted[:1]]"),
     # words over x and z
@@ -162,6 +161,8 @@ MUTANTS = [
     # the reconstruction oracle reads x-run t at position e1 + ... + et of its reduced word
     ("reconstruct-x-positions-consecutive", "invariants.py",
      "xs = list(accumulate(zruns, initial=0))", "xs = list(range(len(runs)))"),
+    ("reconstruct-table-at-the-degree-skipped", "invariants.py",
+     "if sum(runs) > degree:  # no table", "if sum(runs) >= degree:  # no table"),
     # the rotation table kept across calls, and x - xbar from bar
     ("rotation-table-never-emptied", "ncalg.py",
      "    if len(least) > _LEAST_CAP:\n        least.clear()\n", ""),

@@ -787,3 +787,17 @@ def test_reconstruct_random_monomials():
         word = random_word(rng, 4)
         A = mats[case % len(mats)]
         assert reconstruct_trace(word, A, 4) == tr_series(monomial(word, 4), A, 4)
+
+
+def test_reconstruction_of_a_word_past_the_degree_builds_no_table(monkeypatch):
+    # as tr_monomial does, the oracle returns zero before the half-product table
+    A = random_seifert_rng(random.Random(1), [2, 2, 2], 2)
+    word = "xz" * 8 + "x"
+
+    def no_table(*args):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(invariants, "_trace_by_halves", no_table)
+    assert reconstruct_trace(word, A, 2) == NCSeries.zero(3, 2) == tr_monomial(word, A, 2)
+    with pytest.raises(AssertionError, match="a table was built"):  # x-degree 2 at degree 2
+        reconstruct_trace("xzx", A, 2)

@@ -12,7 +12,7 @@ from helpers import (
     random_seifert,
     shift_variables,
 )
-from linkchi import ncalg
+from linkchi import invariants, ncalg
 from linkchi.commalg import CommSeries
 from linkchi.genfun import BiSeries, transform
 from linkchi.invariants import chi_delta, chi_phi
@@ -609,8 +609,8 @@ def _stores(f):
 @settings(max_examples=150, deadline=None)
 @given(dense_and_sparse_series())
 def test_ordered_text_matches_the_sorted_text(f):
-    assert ncalg.store_lines(f.n, f.den, _stores(f)) == Series.to_lines(f)
-    assert ncalg.store_lines(f.n, 1, {}) == []
+    assert invariants.store_lines(f.n, f.den, _stores(f)) == Series.to_lines(f)
+    assert invariants.store_lines(f.n, 1, {}) == []
 
 
 def test_letters_from_x10_up_print_in_integer_order():
@@ -621,12 +621,12 @@ def test_letters_from_x10_up_print_in_integer_order():
         "7 * 1", "5 * x1", "2 * x9", "1 * x10", "-1 * x11",
         "1/2 * x2.x10", "1 * x9.x11", "3 * x10.x2",
     ]
-    assert ncalg.store_lines(11, f.den, _stores(f)) == f.to_lines()
+    assert invariants.store_lines(11, f.den, _stores(f)) == f.to_lines()
     every = S(11, 2, {(i, j): i - j or 1 for i in range(1, 12) for j in range(1, 12)})
     lines = every.to_lines()
     assert lines[:3] == ["1 * x1.x1", "-1 * x1.x2", "-2 * x1.x3"]
     assert lines[9:12] == ["-9 * x1.x10", "-10 * x1.x11", "1 * x2.x1"]
     assert lines[-2:] == ["1 * x11.x10", "1 * x11.x11"]
-    assert lines == Series.to_lines(every) == ncalg.store_lines(11, 1, _stores(every))
+    assert lines == Series.to_lines(every) == invariants.store_lines(11, 1, _stores(every))
     # a store by index prints nothing for a zero value, which a trace store can hold
-    assert ncalg.store_lines(11, 2, {2: {14: 0, 3: 1}, 0: {0: 4}}) == ["2 * 1", "1/2 * x1.x4"]
+    assert invariants.store_lines(11, 2, {2: {14: 0, 3: 1}, 0: {0: 4}}) == ["2 * 1", "1/2 * x1.x4"]

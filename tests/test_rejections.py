@@ -32,6 +32,9 @@ def identity_with(entry):
 
 CASES = {
     "torsion-invalid": (lambda: invariants.torsion_polynomial(INVALID, 3), "invalid Seifert matrix: "),
+    # the matrix is checked before the degree-0 return
+    "torsion-invalid-degree-0": (lambda: invariants.torsion_polynomial(INVALID, 0),
+                                 "invalid Seifert matrix: "),
     "tr-monomial-invalid": (lambda: invariants.tr_monomial("xz", INVALID, 3), "invalid Seifert matrix: "),
     "chi-delta-invalid": (lambda: invariants.chi_delta(INVALID, 3), "invalid Seifert matrix: "),
     "i-half-trace-odd": (lambda: invariants.i_half_trace(genfun.delta_series(3), ODD, 3),
@@ -48,8 +51,27 @@ CASES = {
     "substitute-image-count": (lambda: substitute(X1, [Y1]), "need exactly 2 images"),
     "substitute-mixed-n": (lambda: substitute(X1, [Y1, NCSeries.variable(2, 3, 1)]),
                            "variable-count mismatch among images"),
-    "series-negative-n": (lambda: NCSeries(-1, 3), "variable count must be >= 0"),
-    "series-negative-trunc": (lambda: CommSeries(1, -1), "truncation degree must be >= 0"),
+    "series-negative-n": (lambda: NCSeries(-1, 3), "variable count -1 is not an integer >= 0"),
+    "series-negative-trunc": (lambda: CommSeries(1, -1), "truncation degree -1 is not an integer >= 0"),
+    # shapes and degrees are ints and not bools, the package's rule for integer input
+    "series-float-n": (lambda: NCSeries(1.5, 2), "variable count 1.5 is not an integer >= 0"),
+    "series-bool-n": (lambda: NCSeries(True, 2, {(1,): 1}), "variable count True is not an integer >= 0"),
+    "bi-series-float-trunc": (lambda: genfun.BiSeries(2.5, {"xx": 1}),
+                              "truncation degree 2.5 is not an integer >= 0"),
+    "torsion-float-degree": (lambda: invariants.torsion_polynomial(trefoil(), 2.5),
+                             "truncation degree 2.5 is not an integer >= 0"),
+    "torsion-bool-degree": (lambda: invariants.torsion_polynomial(trefoil(), True),
+                            "truncation degree True is not an integer >= 0"),
+    "chi-delta-bool-degree": (lambda: invariants.chi_delta(trefoil(), True),
+                              "truncation degree True is not an integer >= 0"),
+    "trace-at-float-degree": (
+        lambda: invariants.trace_at(genfun.delta_series(3), ST4, identity_with(0), 2.5),
+        "truncation degree 2.5 is not an integer >= 0"),
+    "i-half-trace-float-degree": (lambda: invariants.i_half_trace(genfun.delta_series(3), ST4, 2.5),
+                                  "truncation degree 2.5 is not an integer >= 0"),
+    # u^0..u^3 need four weights; zip used to drop the missing ones
+    "power-series-short-coefficients": (lambda: NCSeries(1, 3, {(1,): 1}).power_series([1, 1]),
+                                        "power series need 4 coefficients"),
     "comm-variable-zero": (lambda: CommSeries.variable(2, 3, 0), "letter 0 is not an integer in 1..2"),
     "comm-variable-past-n": (lambda: CommSeries.variable(2, 3, 3), "letter 3 is not an integer in 1..2"),
     "comm-variable-bool": (lambda: CommSeries.variable(2, 3, True),

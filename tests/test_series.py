@@ -221,7 +221,7 @@ def test_keys_of_the_wrong_type_are_rejected(build):
         build()
 
 
-@pytest.mark.parametrize("bad", [0.1, "1/3", Decimal("0.1"), 1j, None])
+@pytest.mark.parametrize("bad", [0.1, "1/3", Decimal("0.1"), 1j, None, True])
 def test_scalars_and_coefficients_are_int_or_fraction(bad):
     x = NCSeries.variable(1, 2, 1)
     calls = [lambda: x * bad, lambda: bad * x, lambda: x.scale(bad),
@@ -231,7 +231,8 @@ def test_scalars_and_coefficients_are_int_or_fraction(bad):
     for call in calls:
         with pytest.raises(TypeError):
             call()
-    assert (x * True).terms == (x * Fraction(3, 3)).terms == {(1,): 1}
+    # an int and not a bool, as for letters
+    assert (x * 1).terms == (x * Fraction(3, 3)).terms == {(1,): 1}
 
 
 @pytest.mark.parametrize("s, text", [
