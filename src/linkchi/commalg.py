@@ -103,20 +103,12 @@ class CommMatrix:
 
     def __init__(self, rows: Sequence[Sequence[CommSeries]]):
         rows = tuple(tuple(row) for row in rows)
-        size = len(rows)
-        for row in rows:
-            if len(row) != size:
-                raise ValueError("matrix must be square")
-        if size:
-            n = rows[0][0].n
-            trunc = rows[0][0].trunc
-            for row in rows:
-                for entry in row:
-                    if entry.n != n or entry.trunc != trunc:
-                        raise ValueError("entries disagree on n or truncation")
+        if any(len(row) != len(rows) for row in rows):
+            raise ValueError("matrix must be square")
+        self.n, self.trunc = (rows[0][0].n, rows[0][0].trunc) if rows else (0, 0)
+        if any(entry.n != self.n or entry.trunc != self.trunc for row in rows for entry in row):
+            raise ValueError("entries disagree on n or truncation")
         self.rows = rows
-        self.n = rows[0][0].n if size else 0
-        self.trunc = rows[0][0].trunc if size else 0
 
     @classmethod
     def identity(cls, size: int, n: int, trunc: int) -> "CommMatrix":
@@ -179,10 +171,7 @@ def det_unit(M: CommMatrix) -> CommSeries:
 def trlog(M: CommMatrix) -> CommSeries:
     """Trace of log(M) = sum over k of (-1)^(k+1) tr((M-I)^k) / k."""
     _require_unit_form(M)
-    size = M.size
-    if size == 0:
-        return CommSeries.zero(M.n, M.trunc)
-    u = M - CommMatrix.identity(size, M.n, M.trunc)
+    u = M - CommMatrix.identity(M.size, M.n, M.trunc)
     out = CommSeries.zero(M.n, M.trunc)
     power = u
     for k in range(1, M.trunc + 1):
@@ -204,8 +193,7 @@ def lu_decompose(M: CommMatrix) -> tuple[CommMatrix, CommMatrix]:
     _require_unit_form(M)
     size = M.size
     zero = CommSeries.zero(M.n, M.trunc)
-    one = CommSeries.one(M.n, M.trunc)
-    low = [[one if r == c else zero for c in range(size)] for r in range(size)]
+    low = [list(row) for row in CommMatrix.identity(size, M.n, M.trunc).rows]
     up = [list(row) for row in M.rows]
     for c in range(size):
         inv = inverse_unit(up[c][c])

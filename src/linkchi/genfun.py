@@ -108,6 +108,7 @@ def monomial(word: BiWord, xtrunc: int, coeff=1) -> BiSeries:
 
 def delta_series(xtrunc: int) -> BiSeries:
     """log(xz + 1) up to x-degree xtrunc."""
+    BiSeries(xtrunc)  # the degree check, before range reads xtrunc
     terms = {
         "xz" * k: Fraction((-1) ** (k + 1), k) for k in range(1, xtrunc + 1)
     }
@@ -116,6 +117,7 @@ def delta_series(xtrunc: int) -> BiSeries:
 
 def phi_series(xtrunc: int) -> BiSeries:
     """(xz + 1)^-1 x up to x-degree xtrunc."""
+    BiSeries(xtrunc)  # the degree check, before range reads xtrunc
     terms = {"xz" * k + "x": Fraction((-1) ** k) for k in range(xtrunc)}
     return BiSeries(xtrunc, terms)
 

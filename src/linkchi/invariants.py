@@ -242,12 +242,13 @@ def store_words(n: int, stores: dict) -> dict[Word, int]:
     return out
 
 
-def _complete_to(f: BiSeries, degree: int) -> BiSeries:
+def _complete_to(f: BiSeries, n: int, degree: int) -> tuple[BiSeries, NCSeries]:
+    zero = NCSeries.zero(n, degree)  # first: its constructor checks the degree before any work
     if f.xtrunc < degree:
         raise ValueError(
             "series only complete to x-degree %d, need %d" % (f.xtrunc, degree)
         )
-    return f.truncated(degree)
+    return f.truncated(degree), zero
 
 
 def trace_at(
@@ -261,10 +262,10 @@ def trace_at(
     X is the block-scalar matrix of ``structure``; M stands in for z and is
     read by ``seifert._int_matrix``, the one matrix check.
     """
-    f = _complete_to(f, degree)
+    f, zero = _complete_to(f, structure.n, degree)
     stores = _trace_by_halves(f.num, structure, seifert._int_matrix(M, structure.total))
     # every emitted word has letters 1..n and length <= degree
-    return NCSeries.zero(structure.n, degree)._same(store_words(structure.n, stores), f.den, degree)
+    return zero._same(store_words(structure.n, stores), f.den, degree)
 
 
 def tr_series(f: BiSeries, A: SeifertMatrix, degree: int) -> NCSeries:
@@ -291,17 +292,17 @@ def _half_terms(f: BiSeries, structure: BlockStructure) -> dict[int, int]:
 
 def i_half_trace(f: BiSeries, structure: BlockStructure, degree: int) -> NCSeries:
     """tr f(X, H), the same for every H of ``seifert.half_ones(structure)``."""
-    f = _complete_to(f, degree)
+    f, zero = _complete_to(f, structure.n, degree)
     terms: dict[Word, int] = {}  # x_i^0 is the empty word for every i
     for d, h in _half_terms(f, structure).items():
         for i in range(1, structure.n + 1):
             terms[(i,) * d] = terms.get((i,) * d, 0) + structure.genus(i) * h
-    return NCSeries.zero(structure.n, degree)._same(terms, f.den, degree)
+    return zero._same(terms, f.den, degree)
 
 
 def _chi_stores(f: BiSeries, A: SeifertMatrix, degree: int) -> tuple[dict, int]:
     """``_trace_by_halves`` stores of tr f(X, Z) - tr f(X, H), over their denominator."""
-    z, f = seifert.z_matrix(A), _complete_to(f, degree)
+    z, (f, _) = seifert.z_matrix(A), _complete_to(f, A.n, degree)
     return _trace_by_halves(f.num, A.structure, z, _half_terms(f, A.structure)), f.den
 
 
@@ -339,18 +340,12 @@ def tr_monomial(word: str, A: SeifertMatrix, degree: int) -> NCSeries:
     z-run z^e but the last extends a path v by every block j, times the block
     (Z^e)_{vt j}, and the last closes it back to v1 with the trace T(v).
     """
-    seifert.require_valid(A)
-    st, (runs, zruns) = A.structure, word_runs(genfun.check_word(word))
-    terms: dict[Word, int] = {}
+    z, st, (runs, zruns) = seifert.z_matrix(A), A.structure, word_runs(genfun.check_word(word))
+    zero, terms = NCSeries.zero(st.n, degree), {}
     if sum(runs) > degree:
-        return NCSeries.zero(st.n, degree)
-    if not zruns:  # tr X^j = sum_i 2 g_i x_i^j
-        for i in range(1, st.n + 1):
-            terms[(i,) * runs[0]] = terms.get((i,) * runs[0], 0) + 2 * st.genus(i)
-        return NCSeries(st.n, degree, terms)
-    z = seifert.z_matrix(A)
-    powers = [None, z]
-    for _ in range(max(zruns) - 1):
+        return zero
+    powers = [[[int(r == c) for c in range(st.total)] for r in range(st.total)], z]
+    for _ in range(max(zruns, default=1) - 1):
         powers.append(seifert.mat_mul(powers[-1], z))
     ranges = {i: st.block_range(i) for i in range(1, st.n + 1) if st.sizes[i - 1]}
     # {v: (Z^e1)_{v1 v2} ... (Z^et)_{vt v(t+1)}} after t z-runs
@@ -363,7 +358,7 @@ def tr_monomial(word: str, A: SeifertMatrix, degree: int) -> NCSeries:
             for j, cols in ranges.items():
                 grown[v + (j,)] = [row[cols.start : cols.stop] for row in wide]
         paths = grown
-    columns = list(zip(*powers[zruns[-1]]))  # of Z^ek
+    columns = list(zip(*powers[(zruns or [0])[-1]]))  # of Z^ek; Z^0 = I closes a word without z
     for v, prod in paths.items():
         # tr(prod (Z^ek)_{vk v1}) = sum_r row_r(prod) . column_r((Z^ek)_{vk v1})
         last = ranges[v[-1]]
@@ -372,7 +367,7 @@ def tr_monomial(word: str, A: SeifertMatrix, degree: int) -> NCSeries:
         if trace:  # x_v1^j1 ... x_vk^jk x_v1^j(k+1)
             key = tuple(chain.from_iterable(map(repeat, v + v[:1], runs)))
             terms[key] = terms.get(key, 0) + trace
-    return NCSeries(st.n, degree, terms)
+    return zero._same(terms, 1, degree)
 
 
 # -- half-rank correction ---------------------------------------------------
@@ -408,7 +403,7 @@ def torsion_polynomial(A: SeifertMatrix, degree: int) -> CommSeries:
     width (Kronecker substitution), so row_r(P_i Z M_e) = sum_c Z[r][c]
     row_c(M_e) is one sum of big-int products.  Every entry of M_e, and
     every partial sum of a row, is at most ||Z||^|e| in absolute value,
-    ||Z|| the largest absolute row sum of Z; a width of bits(||Z||^h) + 2,
+    ||Z|| the largest absolute row sum of Z; a width of bits(||Z||^max(h, 1)) + 2,
     in whole bytes and at least 8, keeps the slots from carrying into each
     other.  Every row is decoded once, all into one flat list, by
     ``_unpack``.
@@ -434,13 +429,11 @@ def torsion_polynomial(A: SeifertMatrix, degree: int) -> CommSeries:
     z, st = seifert.z_matrix(A), A.structure
     n, m = st.n, st.total
     result = CommSeries.zero(n, degree)
-    if not degree:
-        return result._unit()
     blocks = [(i, st.block_range(i + 1)) for i in range(n) if st.sizes[i]]
     full = (1 << n) - 1
     h = (degree + 1) // 2
     norm = max([sum(map(abs, row)) for row in z], default=0)
-    size = _slot_size(norm**h)
+    size = _slot_size(norm ** max(h, 1))  # level 1 holds Z itself, also at degree 0
     shifts = [1 << 8 * size * c for c in range(m)]
 
     def pick(seq, s, width):
@@ -524,9 +517,9 @@ def reconstruct_trace(word: str, A: SeifertMatrix, degree: int) -> NCSeries:
     other letters are dropped.
     """
     z = seifert.z_matrix(A)
-    runs, zruns = word_runs(genfun.check_word(word))
+    (runs, zruns), zero = word_runs(genfun.check_word(word)), NCSeries.zero(A.n, degree)
     if sum(runs) > degree:  # no table for a word past the truncation
-        return NCSeries.zero(A.n, degree)
+        return zero
     reduced = "x" + "".join("zx" * e for e in zruns)
     raw = store_words(A.n, _trace_by_halves({reduced: 1}, A.structure, z))
     xs = list(accumulate(zruns, initial=0))
@@ -534,4 +527,4 @@ def reconstruct_trace(word: str, A: SeifertMatrix, degree: int) -> NCSeries:
     for w, coeff in raw.items():
         key = tuple([w[pos] for pos, run in zip(xs, runs) for _ in range(run)])
         terms[key] = terms.get(key, 0) + coeff
-    return NCSeries(A.n, degree, terms)
+    return zero._same(terms, 1, degree)

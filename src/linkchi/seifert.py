@@ -86,12 +86,12 @@ def int_det(rows: Sequence[Sequence[int]]) -> int:
 
 
 def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> IntMatrix:
-    cols = list(zip(*b)) if b else []
+    cols = list(zip(*b))
     return tuple(tuple([sum(map(mul, row, col)) for col in cols]) for row in a)
 
 
 def mat_transpose(a: Sequence[Sequence[int]]) -> IntMatrix:
-    return tuple(zip(*a)) if a else ()
+    return tuple(zip(*a))
 
 
 class BlockStructure(collections.namedtuple("BlockStructure", "sizes")):

@@ -54,7 +54,7 @@ MUTANTS = [
     ("torsion-no-level-1-traces", "invariants.py",
      "for lv in flats for e, _, flat in lv}", "for lv in flats[1:] for e, _, flat in lv}"),
     ("torsion-width-one-degree-short", "invariants.py",
-     "_slot_size(norm**h)", "_slot_size(norm ** (h - 1))"),
+     "_slot_size(norm ** max(h, 1))", "_slot_size(norm ** max(h - 1, 1))"),
     ("torsion-pick-first-block", "invariants.py",
      "                out += seq[rows.start * width : rows.stop * width]",
      "                return seq[rows.start * width : rows.stop * width]"),
@@ -153,11 +153,17 @@ MUTANTS = [
     ("hat-length-bound-without-room", "ncalg.py",
      "max([len(w) + trunc - grade(w) for w in f.num], default=0)",
      "max([len(w) for w in f.num], default=0)"),
+    # a word without z is closed by Z^0 = I, so block i gives tr I = 2 g_i
+    ("tr-monomial-word-without-z-closes-by-z", "invariants.py",
+     "(zruns or [0])[-1]", "(zruns or [1])[-1]"),
     # the block-trace oracle closes each path v at v1; tr H^e = g for every e >= 1
     ("formula-closes-at-last-block", "invariants.py",
      "for row, c in zip(prod, ranges[v[0]]))", "for row, c in zip(prod, ranges[v[-1]]))"),
     ("half-term-two-zs-as-none", "invariants.py",
      '(v if "z" in w else 2 * v)', '(v if w.count("z") == 1 else 2 * v)'),
+    # every trace route builds its zero first, whose constructor rejects a non-integer degree
+    ("trace-degree-rule-bypassed", "invariants.py",
+     "NCSeries.zero(n, degree)", "NCSeries.zero(n, int(degree))"),
     # the reconstruction oracle reads x-run t at position e1 + ... + et of its reduced word
     ("reconstruct-x-positions-consecutive", "invariants.py",
      "xs = list(accumulate(zruns, initial=0))", "xs = list(range(len(runs)))"),

@@ -102,6 +102,11 @@ def test_formula_matches_symbolic_on_random_monomials():
         word = random_word(rng, 5)
         A = mats[case % len(mats)]
         assert tr_monomial(word, A, 5) == tr_series(monomial(word, 5), A, 5)
+    # words without z, closed by Z^0 = I: block i gives 2 g_i, and block 2 has genus 0
+    A = random_seifert_rng(random.Random(3), [1, 0, 2], 2)
+    for word in ("", "xxx"):
+        assert tr_monomial(word, A, 5) == tr_series(monomial(word, 5), A, 5)
+    assert tr_monomial("", A, 5) == NCSeries(3, 5, {(): 6})
 
 
 def test_formula_reflection_coefficients():
@@ -739,7 +744,9 @@ def test_torsion_with_genus_zero_component_matches_oracle():
 
 
 def test_torsion_at_degree_zero_is_one():
-    for A in (trefoil(), reflection_example()):
+    # Z = [[1, -N], [-N, 0]] with N = 2^70: level 1 packs Z in slots wider than 8 bytes
+    wide = seifert_matrix([2], [[2**70, 1], [0, -(2**70)]])
+    for A in (trefoil(), reflection_example(), wide):
         out = torsion_polynomial(A, 0)
         assert (out.n, out.trunc, out.terms) == (A.n, 0, {(0,) * A.n: 1})
         assert out == torsion_by_det(A, 0)
@@ -787,6 +794,33 @@ def test_reconstruct_random_monomials():
         word = random_word(rng, 4)
         A = mats[case % len(mats)]
         assert reconstruct_trace(word, A, 4) == tr_series(monomial(word, 4), A, 4)
+
+
+def test_every_trace_route_checks_its_degree_before_the_table(monkeypatch):
+    # each route builds its zero result first, and the zero's constructor rejects the degree
+    A = random_seifert_rng(random.Random(1), [1, 1, 1], 2)
+    f = delta_series(9)
+
+    def no_table(*args):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(invariants, "_trace_by_halves", no_table)
+    routes = [
+        lambda d: invariants.chi_lines(f, A, d),
+        lambda d: chi(f, A, d),
+        lambda d: chi_delta(A, d),
+        lambda d: chi_phi(A, d),
+        lambda d: tr_series(f, A, d),
+        lambda d: trace_at(f, A.structure, seifert.z_matrix(A), d),
+        lambda d: i_half_trace(f, A.structure, d),
+        lambda d: tr_monomial("zxz", A, d),  # x-degree 1: not past either degree
+        lambda d: reconstruct_trace("zxz", A, d),
+    ]
+    for route in routes:
+        for degree in (8.5, True):
+            with pytest.raises(ValueError) as info:
+                route(degree)
+            assert str(info.value) == "truncation degree %r is not an integer >= 0" % (degree,)
 
 
 def test_reconstruction_of_a_word_past_the_degree_builds_no_table(monkeypatch):

@@ -32,7 +32,7 @@ def identity_with(entry):
 
 CASES = {
     "torsion-invalid": (lambda: invariants.torsion_polynomial(INVALID, 3), "invalid Seifert matrix: "),
-    # the matrix is checked before the degree-0 return
+    # the matrix is checked first, also at degree 0, where the recurrence alone gives 1
     "torsion-invalid-degree-0": (lambda: invariants.torsion_polynomial(INVALID, 0),
                                  "invalid Seifert matrix: "),
     "tr-monomial-invalid": (lambda: invariants.tr_monomial("xz", INVALID, 3), "invalid Seifert matrix: "),
@@ -64,6 +64,24 @@ CASES = {
                             "truncation degree True is not an integer >= 0"),
     "chi-delta-bool-degree": (lambda: invariants.chi_delta(trefoil(), True),
                               "truncation degree True is not an integer >= 0"),
+    # the series builders check the degree before range() reads it
+    "delta-series-float-degree": (lambda: genfun.delta_series(2.5),
+                                  "truncation degree 2.5 is not an integer >= 0"),
+    "phi-series-float-degree": (lambda: genfun.phi_series(2.5),
+                                "truncation degree 2.5 is not an integer >= 0"),
+    "chi-delta-float-degree": (lambda: invariants.chi_delta(trefoil(), 2.5),
+                               "truncation degree 2.5 is not an integer >= 0"),
+    "chi-phi-float-degree": (lambda: invariants.chi_phi(trefoil(), 2.5),
+                             "truncation degree 2.5 is not an integer >= 0"),
+    # the text route builds its zero too, though it returns lines
+    "chi-lines-float-degree": (lambda: invariants.chi_lines(genfun.delta_series(3), trefoil(), 2.5),
+                               "truncation degree 2.5 is not an integer >= 0"),
+    "chi-lines-bool-degree": (lambda: invariants.chi_lines(genfun.delta_series(3), trefoil(), True),
+                              "truncation degree True is not an integer >= 0"),
+    "tr-monomial-float-degree": (lambda: invariants.tr_monomial("xz", trefoil(), 2.5),
+                                 "truncation degree 2.5 is not an integer >= 0"),
+    "reconstruct-trace-float-degree": (lambda: invariants.reconstruct_trace("xz", trefoil(), 2.5),
+                                       "truncation degree 2.5 is not an integer >= 0"),
     "trace-at-float-degree": (
         lambda: invariants.trace_at(genfun.delta_series(3), ST4, identity_with(0), 2.5),
         "truncation degree 2.5 is not an integer >= 0"),
